@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import circulant
+from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, DomainError, NumericalInstabilityError, SingularityError
 from .geometry import Curve, QuadratureGrid
@@ -106,7 +107,6 @@ def _trig_interp_kernel(theta: np.ndarray, N: int) -> np.ndarray:
     """Cardinal function of trigonometric interpolation at N uniform nodes."""
     n = N // 2
     theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
     small = np.abs(np.remainder(theta + np.pi, 2 * np.pi) - np.pi) < 1e-12
     th = np.where(small, 1.0, theta)
     out = np.sin(n * th) * np.cos(th / 2) / (N * np.sin(th / 2))
@@ -147,9 +147,11 @@ def _single_layer_weights_local(grid: QuadratureGrid, kappa: complex) -> np.ndar
     W = np.zeros((N, N), dtype=dtype)
     # with uniform nodes, t_i - t_j = t_{(i-j) mod N}, so the cardinal factor
     # is circulant and each panel node contributes one rank structure;
-    # summing over panel nodes is a single (N,Q) x (Q,N) product per side,
-    # scattered onto the diagonals d = (i - j) mod N afterwards.
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    # summing over panel nodes is a single (N,Q) x (Q,N) product per side.
+    # The cardinal function of panel node t_i + s at node t_j is
+    # l(s - t_{j-i}), so column d of the product lands on the diagonal
+    # d = (j - i) mod N.
+    idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
     rows = np.arange(N)[:, None]
     for sgn in (+1.0, -1.0):
         s = (t[:, None] + sgn * offs[None, :]).ravel()
@@ -197,16 +199,10 @@ class BoundaryOperatorMatrix:
     def N(self) -> int:
         return self.grid.N
 
-    def _jac_vector(self) -> np.ndarray:
-        jac = self.grid.jacobians
-        if self.entries.shape[0] == 2 * self.grid.N:
-            jac = np.concatenate([jac, jac])
-        return jac
-
     def symmetrized(self) -> np.ndarray:
         """Similarity transform making the matrix represent the operator in an
         orthonormal basis of the weighted L2 space on the curve."""
-        d = np.sqrt(self._jac_vector())
+        d = np.sqrt(self.grid.jacobians)
         return self.entries * (d[:, None] / d[None, :])
 
     def eigenvalues_desc(self, k: int | None = None) -> np.ndarray:
@@ -245,19 +241,17 @@ def assemble_S(grid: QuadratureGrid, sp: SpectralParameter) -> BoundaryOperatorM
 
 
 def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperatorMatrix:
-    """Compression M3 C_z M3 of the Dirac boundary operator, 2N x 2N.
+    """Compression M3 C_z M3 of the Dirac boundary operator, N x N.
 
-    The sigma.x term dies under the compression, so only the K_0 part of the
-    Dirac kernel survives: the live block is (z/c^2 - 1/2) times the scalar
-    single layer matrix at the relativistic root.  Component-major ordering;
-    rows/columns touching the killed spinor component are structural zeros.
+    The compression vanishes outside the M3 spinor component, and there the
+    sigma.x term dies, so only the K_0 part of the Dirac kernel survives.
+    The returned matrix is that live block: (z/c^2 - 1/2) times the scalar
+    single layer matrix at the relativistic root, acting on M3-component
+    densities.
     """
-    N = grid.N
     factor = dp.lam / dp.c ** 2 - 0.5
     W = single_layer_weights(grid, dp.kappa)
-    Q = np.zeros((2 * N, 2 * N), dtype=complex)
-    Q[N:, N:] = factor * W * grid.jacobians[None, :]
-    return BoundaryOperatorMatrix(Q, grid, dp, "M3CM3")
+    return BoundaryOperatorMatrix(factor * W * grid.jacobians[None, :], grid, dp, "M3CM3")
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +266,7 @@ class FieldSamples:
 
 def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> None:
     fine_t = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
-    fine = grid.curve.point(fine_t)
-    d = np.sqrt(((points[:, None, :] - fine[None, :, :]) ** 2).sum(-1)).min(axis=1)
+    d = cKDTree(grid.curve.point(fine_t)).query(points)[0]
     tol = 1e-10 * max(1.0, grid.curve.diameter)
     if np.any(d < tol):
         raise SingularityError("evaluation point lies on the curve")
@@ -453,13 +446,7 @@ def check_volume_clear_of_curve(vol: VolumeGrid, grid: QuadratureGrid,
     if tol is None:
         tol = 1e-9 * grid.curve.diameter
     fine_t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-    fine = grid.curve.point(fine_t)
-    # distance in manageable chunks
-    dmin = np.inf
-    for lo in range(0, len(vol.points), 4096):
-        block = vol.points[lo:lo + 4096]
-        d = np.sqrt(((block[:, None, :] - fine[None, :, :]) ** 2).sum(-1)).min()
-        dmin = min(dmin, float(d))
+    dmin = float(cKDTree(grid.curve.point(fine_t)).query(vol.points)[0].min())
     if dmin < tol:
         raise ConfigurationError(
             f"volume grid touches the curve (min distance {dmin:.3g} < {tol:.3g})"

@@ -8,11 +8,16 @@ resolvent correction term, all on quadrature-weighted discretizations:
 
 (a) free relativistic resolvent vs scalar free resolvent in the first spinor
     component (volume-to-volume, Schur bound);
-(b) c Phi M3 vs Psi M2 (boundary-to-volume, largest singular value);
-(c) c M3 Phi* vs M2^T Psi* (volume-to-boundary, largest singular value);
+(b) c Phi_z M3 vs Psi_lambda M2 (boundary-to-volume, largest singular value);
+(c) c M3 Phi*_zbar vs M2^T Psi*_lambdabar (volume-to-boundary), the adjoint
+    maps at zbar and lambdabar as they enter the resolvent formula.  This
+    operator is the adjoint of gap (b)'s at the conjugate parameters, so
+    gap (c) is gap (b) evaluated at (zbar, lambdabar);
 (d) c^2 M3 C M3 vs lambda S(lambda) M3 (boundary-to-boundary).
 
-Gaps (a)-(c) decay like 1/c; the kernel bound behind (d) is 1/c^2.
+Gaps (a)-(c) decay like 1/c; the kernel bound behind (d) is 1/c^2.  M3
+projects onto the second spinor component, so every boundary operator acts
+on scalar densities of that component only and is stored as its live block.
 """
 
 from __future__ import annotations
@@ -28,17 +33,12 @@ from .errors import ConfigurationError, DomainError, ParameterError, PoleProximi
 from .geometry import Curve, QuadratureGrid, grid as make_grid
 from .kernels import (
     DiracParameter,
-    M1,
-    M2,
-    M3,
     SpectralParameter,
     branch_sqrt,
     kernel_G,
     kernel_L,
     kernel_U,
 )
-
-_M2T = M2.T.copy()
 
 
 def _require_nonreal(lam: complex) -> complex:
@@ -87,56 +87,41 @@ def _gap_a0(dp: DiracParameter, sp: SpectralParameter, vol: VolumeGrid) -> float
     return float(box.max() * vol.weight)
 
 
-def _boundary_col_weights(g: QuadratureGrid) -> np.ndarray:
-    w = np.sqrt(g.weight * g.jacobians)
-    return np.concatenate([w, w])
+def _phi_m3(dp: DiracParameter, g: QuadratureGrid, points: np.ndarray) -> np.ndarray:
+    """(2M, N) kernel matrix of Phi_z M3 from boundary nodes to points.
 
-
-def _spinor_flatten(K: np.ndarray) -> np.ndarray:
-    """(M, N, 2, 2) kernel blocks -> (2M, 2N) matrix, component-major."""
-    M, N = K.shape[:2]
-    out = np.empty((2 * M, 2 * N), dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            out[a * M:(a + 1) * M, b * N:(b + 1) * N] = K[:, :, a, b]
-    return out
+    M3 keeps the second column of the Dirac kernel only; rows are
+    component-major (first spinor component, then second).  No weights.
+    """
+    G = kernel_G(dp, points[:, None, :] - g.points[None, :, :])[..., :, 1]
+    return np.concatenate([G[..., 0], G[..., 1]])
 
 
 def _gap_phi(dp: DiracParameter, sp: SpectralParameter, g: QuadratureGrid,
              vol: VolumeGrid) -> float:
-    """Largest singular value of c G_z M3 - L_lambda M2 (boundary to volume)."""
-    diff = vol.points[:, None, :] - g.points[None, :, :]
-    K = dp.c * kernel_G(dp, diff) @ M3 - kernel_L(sp, diff)[..., None, None] * M2
-    A = _spinor_flatten(K)
-    cw = _boundary_col_weights(g)
-    A *= cw[None, :]
+    """Largest singular value of c Phi_z M3 - Psi_lambda M2 (boundary to volume).
+
+    Psi M2 takes the M3 density to the first spinor component.
+    """
+    A = dp.c * _phi_m3(dp, g, vol.points)
+    A[:len(vol.points)] -= kernel_L(sp, vol.points[:, None, :] - g.points[None, :, :])
+    A *= np.sqrt(g.weight * g.jacobians)[None, :]
     A *= np.sqrt(vol.weight)
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def _gap_phi_star(dp: DiracParameter, sp: SpectralParameter, g: QuadratureGrid,
                   vol: VolumeGrid) -> float:
-    """Largest singular value of c M3 Phi*_z - M2^T Psi*_lambda (volume to boundary)."""
-    diff = vol.points[:, None, :] - g.points[None, :, :]
-    GH = np.conj(np.swapaxes(kernel_G(dp, diff), -1, -2))
-    K = dp.c * (M3 @ GH) - np.conj(kernel_L(sp, diff))[..., None, None] * _M2T
-    # kernel of the adjoint maps volume index -> boundary index; transpose blocks
-    A = _spinor_flatten(np.swapaxes(K, 0, 1))
-    A *= np.sqrt(vol.weight)
-    rw = _boundary_col_weights(g)
-    A *= rw[:, None]
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    """Largest singular value of c M3 Phi*_zbar - M2^T Psi*_lambdabar (volume to
+    boundary): the adjoint of gap (b)'s operator at (zbar, lambdabar)."""
+    return _gap_phi(DiracParameter.make(np.conj(dp.lam), dp.c), sp.conjugate, g, vol)
 
 
 def _gap_c(dp: DiracParameter, sp: SpectralParameter, g: QuadratureGrid) -> float:
     """Norm of c^2 M3 C_z M3 - lambda S(lambda) M3 on the boundary."""
-    op_dirac = bie.assemble_M3CM3(g, dp)
-    op_s = bie.assemble_S(g, sp)
-    N = g.N
-    D = dp.c ** 2 * op_dirac.entries.copy()
-    D[N:, N:] -= sp.lam * op_s.entries
-    diff_op = bie.BoundaryOperatorMatrix(D, g, sp, "M3CM3")
-    return diff_op.operator_norm()
+    D = dp.c ** 2 * bie.assemble_M3CM3(g, dp).entries \
+        - sp.lam * bie.assemble_S(g, sp).entries
+    return bie.BoundaryOperatorMatrix(D, g, sp, "M3CM3").operator_norm()
 
 
 def limit_gaps(curve: Curve, lam: complex, c: float, N: int = 128,
@@ -224,22 +209,6 @@ class DiracResolventBlocks:
     dirac_kernel: np.ndarray      # (2M, 2M) correction kernel between probes
     schrod_kernel: np.ndarray     # (2M, 2M) reference, supported in the M1 block
     difference_norm: float
-    m3_block_norm: float          # M3-block of the reference (structurally 0)
-
-
-def _phi_matrix(dp: DiracParameter, g: QuadratureGrid, points: np.ndarray) -> np.ndarray:
-    """(2M, 2N) matrix of Phi_z applied to nodal densities (weights included)."""
-    diff = points[:, None, :] - g.points[None, :, :]
-    K = kernel_G(dp, diff) * (g.weight * g.jacobians)[None, :, None, None]
-    return _spinor_flatten(K)
-
-
-def _phi_star_matrix(dp: DiracParameter, g: QuadratureGrid,
-                     points: np.ndarray, weight: float) -> np.ndarray:
-    """(2N, 2M) matrix of Phi*_z from volume samples to nodal density values."""
-    diff = points[:, None, :] - g.points[None, :, :]
-    GH = np.conj(np.swapaxes(kernel_G(dp, diff), -1, -2))
-    return _spinor_flatten(np.swapaxes(GH, 0, 1)) * weight
 
 
 def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
@@ -262,44 +231,35 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     dp = DiracParameter.shifted(lam, c)
     dp_bar = DiracParameter.shifted(np.conj(lam), c)
 
-    P3 = np.zeros((2 * Nn, 2 * Nn))
-    P3[Nn:, Nn:] = np.eye(Nn)
-
     if alpha == 0:
         zero = np.zeros((2 * M, 2 * M), dtype=complex)
-        return DiracResolventBlocks(c, alpha, lam, zero, zero.copy(), 0.0, 0.0)
+        return DiracResolventBlocks(c, alpha, lam, zero, zero.copy(), 0.0)
 
-    # Dirac side
-    C33 = bie.assemble_M3CM3(g, dp).entries
-    B = np.eye(2 * Nn) - alpha * c ** 2 * C33
+    # Dirac side: the boundary maps act on M3-component densities, N x N
+    w_b = g.weight * g.jacobians
+    B = np.eye(Nn) - alpha * c ** 2 * bie.assemble_M3CM3(g, dp).entries
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     if smin <= 1e-8:
         raise PoleProximityError(
             f"I - alpha c^2 M3 C M3 nearly singular at c={c} "
             f"(smallest singular value {smin:.3g})"
         )
-    R = np.linalg.inv(B)
-    phi = _phi_matrix(dp, g, vol.points)
-    phi_star = _phi_star_matrix(dp_bar, g, vol.points, vol.weight)
-    K_dirac = (c * phi) @ P3 @ R @ (alpha * c * P3 @ phi_star)
+    phi = _phi_m3(dp, g, vol.points) * w_b
+    phi_star = np.conj(_phi_m3(dp_bar, g, vol.points)).T * vol.weight
+    K_dirac = (c * phi) @ np.linalg.solve(B, alpha * c * phi_star)
 
-    # Schrodinger reference
+    # Schrodinger reference: Psi M2 and M2^T Psi* live in the M1 block
     S = bie.assemble_S(g, sp).entries
-    RS = np.eye(2 * Nn, dtype=complex)
-    RS[Nn:, Nn:] = np.linalg.inv(np.eye(Nn) - alpha * lam * S)
     diff_b = vol.points[:, None, :] - g.points[None, :, :]
-    L = kernel_L(sp, diff_b) * (g.weight * g.jacobians)[None, :]
-    psi_m2 = _spinor_flatten(L[..., None, None] * M2)
-    Lbar = np.conj(kernel_L(sp.conjugate, diff_b))
-    psi_star = _spinor_flatten(np.swapaxes(Lbar[..., None, None] * _M2T, 0, 1)) \
-        * vol.weight
-    K_schrod = psi_m2 @ RS @ (alpha * psi_star)
+    psi = kernel_L(sp, diff_b) * w_b
+    psi_star = np.conj(kernel_L(sp.conjugate, diff_b)).T * vol.weight
+    K_schrod = np.zeros((2 * M, 2 * M), dtype=complex)
+    K_schrod[:M, :M] = psi @ np.linalg.solve(np.eye(Nn) - alpha * lam * S,
+                                             alpha * psi_star)
 
     w = np.sqrt(vol.weight)
     diff_norm = float(np.linalg.norm(w * (K_dirac - K_schrod) * w, 2))
-    m3_norm = float(np.linalg.norm(K_schrod[M:, M:], 2))
-    return DiracResolventBlocks(c, alpha, lam, K_dirac, K_schrod,
-                                diff_norm, m3_norm)
+    return DiracResolventBlocks(c, alpha, lam, K_dirac, K_schrod, diff_norm)
 
 
 def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,

@@ -36,22 +36,25 @@ def test_single_layer_symmetry_and_positivity(kite):
     assert np.all(vals > 0)
 
 
-def test_both_assembly_paths_agree_in_overlap(circle):
-    # Re(kappa) * diameter near the dispatch threshold: compare the global
-    # splitting path with the graded-panel local path directly
-    g = geometry.grid(circle, 128)
-    kappa = 4.0  # kappa * diam = 8, both paths valid
-    W_mk = bie._single_layer_weights_mk(g, kappa)
-    W_loc = bie._single_layer_weights_local(g, kappa)
-    # the two quadrature rules differ entrywise but must agree as operators
-    t = 2 * np.pi * np.arange(g.N) / g.N
-    for m in (0, 1, 3):
-        d = np.exp(1j * m * t)
-        a, b = W_mk @ d, W_loc @ d
-        assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a)
-    ev_mk = np.sort(np.linalg.eigvalsh(0.5 * (W_mk + W_mk.T)))[::-1][:6]
-    ev_loc = np.sort(np.linalg.eigvalsh(0.5 * (W_loc + W_loc.T)))[::-1][:6]
-    assert np.allclose(ev_mk, ev_loc, rtol=1e-6)
+def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):
+    # Re(kappa) * diameter = 5 < log2(128): the global splitting path is
+    # valid, so the graded-panel local path must reproduce it.  The circle's
+    # rotational symmetry hides pairing errors between the two sides of the
+    # singular node, so the ellipse and the kite are checked as well.
+    for curve in (circle, ellipse, kite):
+        g = geometry.grid(curve, 128)
+        kappa = 5.0 / curve.diameter
+        W_mk = bie._single_layer_weights_mk(g, kappa)
+        W_loc = bie._single_layer_weights_local(g, kappa)
+        # the two quadrature rules differ entrywise but must agree as operators
+        for m in (0, 1, 3):
+            d = np.exp(1j * m * g.nodes)
+            a, b = W_mk @ d, W_loc @ d
+            assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a), curve.name
+        ev_mk, ev_loc = (
+            bie.BoundaryOperatorMatrix(W * g.jacobians[None, :], g, None, "S")
+            .eigenvalues_desc(8) for W in (W_mk, W_loc))
+        assert np.allclose(ev_mk, ev_loc, rtol=1e-8), curve.name
 
 
 def test_spectral_convergence_on_circle(circle):
@@ -106,23 +109,20 @@ def test_domain_error_for_bad_kappa(circle):
         bie.single_layer_weights(g, -1.0)
 
 
-def test_dirac_compression_structure(circle):
-    g = geometry.grid(circle, 48)
+def test_dirac_compression_structure(circle, kite):
+    # M3 C_z M3 is stored as its N x N live block, which equals
+    # (z/c^2 - 1/2) S(lambda_eff) with the effective non-relativistic
+    # parameter lambda + lambda^2/c^2
     c = 10.0
-    lam = -2.0
-    dp = DiracParameter.shifted(lam, c)
-    M = bie.assemble_M3CM3(g, dp)
-    N = g.N
-    assert M.entries.shape == (2 * N, 2 * N)
-    assert np.all(M.entries[:N, :] == 0)
-    assert np.all(M.entries[:, :N] == 0)
-    # live block equals (z/c^2 - 1/2) S(lambda_eff) with the effective
-    # non-relativistic parameter lambda + lambda^2/c^2
-    lam_eff = lam + lam ** 2 / c ** 2
-    S_eff = bie.assemble_S(g, SpectralParameter.make(lam_eff))
-    factor = dp.lam / c ** 2 - 0.5
-    assert np.allclose(M.entries[N:, N:], factor * S_eff.entries,
-                       rtol=1e-12, atol=1e-15)
+    for curve, lam in ((circle, -2.0), (kite, 1 + 2j)):
+        g = geometry.grid(curve, 48)
+        dp = DiracParameter.shifted(lam, c)
+        M = bie.assemble_M3CM3(g, dp)
+        assert M.entries.shape == (g.N, g.N)
+        lam_eff = lam + lam ** 2 / c ** 2
+        S_eff = bie.assemble_S(g, SpectralParameter.make(lam_eff))
+        factor = dp.lam / c ** 2 - 0.5
+        assert np.allclose(M.entries, factor * S_eff.entries, rtol=1e-12, atol=1e-15)
 
 
 def test_eval_SL_circle_closed_form(circle):
@@ -175,11 +175,14 @@ def test_field_decay_at_infinity(circle):
     assert far < near * np.exp(-4)  # exponential decay with rate kappa = 1
 
 
-def test_on_curve_point_rejected(circle):
-    g = geometry.grid(circle, 32)
+def test_on_curve_point_rejected(circle, kite):
     sp = SpectralParameter.make(-1.0)
-    with pytest.raises(SingularityError):
-        bie.eval_SL(g, np.ones(g.N), sp, np.array([[1.0, 0.0]]))
+    on_kite = kite.point(np.array([2 * np.pi * 300 / 2048]))  # a curve sample
+    for curve, point in ((circle, np.array([[1.0, 0.0]])), (kite, on_kite)):
+        g = geometry.grid(curve, 32)
+        pts = np.vstack([[5.0, 5.0], point])
+        with pytest.raises(SingularityError):
+            bie.eval_SL(g, np.ones(g.N), sp, pts)
 
 
 def test_jump_identities(circle):
@@ -216,7 +219,7 @@ def test_volume_grid_basics():
         bie.make_volume_grid(1.0, 1)
 
 
-def test_volume_touching_curve_rejected(circle):
+def test_volume_touching_curve_rejected(circle, kite):
     g = geometry.grid(circle, 32)
     # cell-centered grid: nodes at +-0.375, +-1.125, all clear of the circle
     vol = bie.make_volume_grid(1.5, 4)
@@ -226,6 +229,15 @@ def test_volume_touching_curve_rejected(circle):
     with pytest.raises(ConfigurationError):
         bie.check_volume_clear_of_curve(vol_bad, g)
     bie.check_volume_clear_of_curve(vol, g)  # cell-centered grid is clear
+
+    # the kite, with one grid node replaced by a curve sample
+    g = geometry.grid(kite, 32)
+    vol = bie.make_volume_grid(3 * kite.diameter, 24)
+    bie.check_volume_clear_of_curve(vol, g)
+    pts = vol.points.copy()
+    pts[100] = kite.point(np.array([2 * np.pi * 1000 / 4096]))[0]
+    with pytest.raises(ConfigurationError):
+        bie.check_volume_clear_of_curve(bie.VolumeGrid(vol.xs, vol.ys, pts, vol.h), g)
 
 
 def test_apply_Psi_star_adjointness(circle):

@@ -3,7 +3,14 @@ import pytest
 
 from obliqueshell import bie, dirac, geometry
 from obliqueshell.errors import DomainError, ParameterError
-from obliqueshell.kernels import DiracParameter, M3, SpectralParameter
+from obliqueshell.kernels import (
+    M2,
+    M3,
+    DiracParameter,
+    SpectralParameter,
+    kernel_G,
+    kernel_L,
+)
 
 
 def test_real_lambda_rejected(circle):
@@ -15,23 +22,61 @@ def test_real_lambda_rejected(circle):
         dirac.sqrt_shift_bounds(-1.0, 16.0)
 
 
-def test_compression_resolvent_identity(circle):
-    # (I - alpha c^2 M3 C M3)^-1 P3 = P3 (I - alpha c^2 P3 C P3)^-1 P3 must be
-    # insensitive to junk placed in the structurally killed blocks
-    g = geometry.grid(circle, 24)
-    dp = DiracParameter.shifted(1j, 8.0)
-    C = bie.assemble_M3CM3(g, dp).entries
-    N = g.N
-    rng = np.random.default_rng(1)
-    C_junk = C.copy()
-    C_junk[:N, :N] += 0.3 * rng.normal(size=(N, N))  # killed by P3 projection
-    alpha, c = -1.0, 8.0
-    P3 = np.zeros((2 * N, 2 * N))
-    P3[N:, N:] = np.eye(N)
-    R_clean = np.linalg.inv(np.eye(2 * N) - alpha * c ** 2 * C) @ P3
-    R_proj = P3 @ np.linalg.inv(
-        np.eye(2 * N) - alpha * c ** 2 * (P3 @ C_junk @ P3)) @ P3
-    assert np.linalg.norm(R_clean - R_proj) <= 1e-12 * np.linalg.norm(R_proj)
+def _spinor_flatten(K):
+    """(M, N, 2, 2) kernel blocks -> (2M, 2N) matrix, component-major."""
+    M, N = K.shape[:2]
+    return K.transpose(2, 0, 3, 1).reshape(2 * M, 2 * N)
+
+
+def test_compression_resolvent_identity(circle, kite):
+    # the correction kernel on the live M3 block equals the full spinor formula
+    # c Phi_z P3 (I - alpha c^2 M3 C_z M3)^-1 alpha c P3 Phi*_zbar with 2N x 2N
+    # padded boundary matrices
+    alpha, c, lam = -1.0, 8.0, 1 + 2j
+    for curve in (circle, kite):
+        blocks = dirac.dirac_correction(curve, alpha, lam, c, N=32, probe_n=8)
+        g = geometry.grid(curve, 32)
+        vol = bie.make_volume_grid(1.5 * curve.diameter, 8)  # the probe volume
+        N = g.N
+        dp = DiracParameter.shifted(lam, c)
+        dp_bar = DiracParameter.shifted(np.conj(lam), c)
+        C = np.zeros((2 * N, 2 * N), dtype=complex)
+        C[N:, N:] = bie.assemble_M3CM3(g, dp).entries
+        P3 = np.zeros((2 * N, 2 * N))
+        P3[N:, N:] = np.eye(N)
+        diff = vol.points[:, None, :] - g.points[None, :, :]
+        phi = _spinor_flatten(kernel_G(dp, diff)
+                              * (g.weight * g.jacobians)[None, :, None, None])
+        GH = np.conj(np.swapaxes(kernel_G(dp_bar, diff), -1, -2))
+        phi_star = _spinor_flatten(np.swapaxes(GH, 0, 1)) * vol.weight
+        R = np.linalg.inv(np.eye(2 * N) - alpha * c ** 2 * C)
+        ref = (c * phi) @ P3 @ R @ (alpha * c * P3 @ phi_star)
+        assert blocks.dirac_kernel.shape == ref.shape
+        err = np.linalg.norm(blocks.dirac_kernel - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref), curve.name
+
+
+def test_gap_phistar_is_adjoint_at_conjugate_parameters():
+    # on a curve without a mirror axis, gap (c) taken at (zbar, lambdabar)
+    # differs from gap (b) at (z, lambda)
+    curve = geometry.make_curve("custom", x_coeffs=[0, 0.5, 0.1 + 0.05j],
+                                y_coeffs=[0, -0.5j, 0.08 + 0.03j])
+    vol = bie.make_volume_grid(3 * curve.diameter, 24)
+    lam, c = 1j, 8.0
+    _, phi, phistar, _ = dirac.limit_gaps(curve, lam, c, N=64, volume_box=vol)
+    # reference: the adjoint kernel c M3 G*_zbar - M2^T conj(L_lambdabar),
+    # volume index -> boundary index, with both quadrature weights
+    g = geometry.grid(curve, 64)
+    dp_bar = DiracParameter.shifted(np.conj(lam), c)
+    sp_bar = SpectralParameter.make(np.conj(lam))
+    diff = vol.points[:, None, :] - g.points[None, :, :]
+    GH = np.conj(np.swapaxes(kernel_G(dp_bar, diff), -1, -2))
+    K = c * (M3 @ GH) - np.conj(kernel_L(sp_bar, diff))[..., None, None] * M2.T
+    A = _spinor_flatten(np.swapaxes(K, 0, 1)) * np.sqrt(vol.weight)
+    A *= np.sqrt(np.tile(g.weight * g.jacobians, 2))[:, None]
+    ref = np.linalg.svd(A, compute_uv=False)[0]
+    assert phistar == pytest.approx(ref, rel=1e-12)
+    assert abs(phistar - phi) >= 1e-8 * phi
 
 
 def test_gap_sequences_decrease_with_c(circle):
@@ -76,7 +121,6 @@ def test_gap_resolution_stability(circle):
 def test_correction_zero_coupling(circle):
     blocks = dirac.dirac_correction(circle, 0.0, 1j, 16.0, N=48, probe_n=10)
     assert blocks.difference_norm == 0.0
-    assert blocks.m3_block_norm == 0.0
     assert np.all(blocks.dirac_kernel == 0)
 
 
@@ -84,7 +128,6 @@ def test_correction_reference_block_structure(circle):
     blocks = dirac.dirac_correction(circle, -1.0, 1j, 16.0, N=48, probe_n=10)
     M = blocks.schrod_kernel.shape[0] // 2
     # the limit correction lives in the first spinor component only
-    assert blocks.m3_block_norm == 0.0
     assert np.linalg.norm(blocks.schrod_kernel[M:, :]) == 0.0
     assert np.linalg.norm(blocks.schrod_kernel[:, M:]) == 0.0
     assert np.linalg.norm(blocks.schrod_kernel[:M, :M]) > 0

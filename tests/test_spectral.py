@@ -75,6 +75,22 @@ def test_find_eigenvalue_validation(circle):
         spectral.find_eigenvalue(circle, -1.0, 40, N=64)
 
 
+def test_kite_roots_across_assembly_path_switch(kite):
+    # alpha = -1: the root brackets straddle the switch between the MK and
+    # graded-panel paths, Re kappa * diam = log2 N (lambda = -5.44 at N=128,
+    # -9 at N=512).  References are MK-path roots at N=256, where the switch
+    # sits at lambda = -7.11.
+    for n, ref in ((4, -5.400750564951118), (5, -5.705577405102795)):
+        lam, res = spectral.find_eigenvalue(kite, -1.0, n, N=128)
+        assert lam == pytest.approx(ref, rel=1e-8), n
+        assert res <= 1e-8
+    # lambda_10 lies just beyond the switch at N=512; a mismatched panel
+    # assembly makes mu_10 jump there and the root collapse onto the switch
+    lam, res = spectral.find_eigenvalue(kite, -1.0, 10, N=512)
+    assert res <= 1e-8
+    assert lam == pytest.approx(-9.077195050909038, rel=1e-9)
+
+
 def test_bracket_and_solve_seed_independence():
     f = lambda lam: lam + 5.0  # increasing with root -5
     for seed in (0.5, 1000.0):
