@@ -192,8 +192,6 @@ class BoundaryOperatorMatrix:
 
     entries: np.ndarray
     grid: QuadratureGrid
-    param: object
-    kind: str  # "S" or "M3CM3"
 
     @property
     def N(self) -> int:
@@ -224,20 +222,12 @@ class BoundaryOperatorMatrix:
     def operator_norm(self) -> float:
         return float(np.linalg.norm(self.symmetrized(), 2))
 
-    def to_csv(self, path) -> None:
-        """Row-major 're,im' pairs, 17 significant digits."""
-        with open(path, "w") as fh:
-            for row in np.atleast_2d(self.entries):
-                fh.write(",".join(
-                    f"{v.real:.17g},{v.imag:.17g}" for v in np.asarray(row, dtype=complex)
-                ) + "\n")
-
 
 def assemble_S(grid: QuadratureGrid, sp: SpectralParameter) -> BoundaryOperatorMatrix:
     """Single layer boundary operator S(lambda) as an N x N Nystrom matrix."""
     W = single_layer_weights(grid, sp.kappa)
     Q = W * grid.jacobians[None, :]
-    return BoundaryOperatorMatrix(Q, grid, sp, "S")
+    return BoundaryOperatorMatrix(Q, grid)
 
 
 def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperatorMatrix:
@@ -251,7 +241,7 @@ def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperator
     """
     factor = dp.lam / dp.c ** 2 - 0.5
     W = single_layer_weights(grid, dp.kappa)
-    return BoundaryOperatorMatrix(factor * W * grid.jacobians[None, :], grid, dp, "M3CM3")
+    return BoundaryOperatorMatrix(factor * W * grid.jacobians[None, :], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +281,22 @@ def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
     return grid.curve.point(fine_t), fine_vals, 2 * np.pi / M
 
 
+def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
+                values: np.ndarray) -> np.ndarray:
+    """sum_j kernel(sp, targets_i - sources_j) values_j, about 4e6 pairs per step."""
+    out = np.zeros(len(targets), dtype=complex)
+    chunk = max(1, int(4e6 // max(len(sources), 1)))
+    for lo in range(0, len(targets), chunk):
+        hi = min(lo + chunk, len(targets))
+        out[lo:hi] = kernel(sp, targets[lo:hi, None, :] - sources[None, :, :]) @ values
+    return out
+
+
 def _eval_layer(grid, density, sp, points, kernel, upsample):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_points_off_curve(grid, points)
     src, g, w = _upsampled_density(grid, density, upsample)
-    out = np.zeros(len(points), dtype=complex)
-    chunk = max(1, int(4e6 // max(len(src), 1)))
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
-        diff = points[lo:hi, None, :] - src[None, :, :]
-        out[lo:hi] = kernel(sp, diff) @ g
-    return FieldSamples(points, w * out)
+    return FieldSamples(points, w * _kernel_sum(kernel, sp, points, src, g))
 
 
 def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
@@ -352,14 +347,10 @@ def _extrapolated_sides(grid, density, sp, h_seq, evaluator, upsample):
     h_seq = np.asarray(h_seq, dtype=float)
     if np.any(np.diff(h_seq) >= 0):
         raise ConfigurationError("h_sequence must be strictly decreasing")
-    inner = np.stack([
-        evaluator(grid, density, sp, grid.points - h * grid.normals, upsample).values
+    inner, outer = (np.stack([
+        evaluator(grid, density, sp, grid.points + sgn * h * grid.normals, upsample).values
         for h in h_seq
-    ])
-    outer = np.stack([
-        evaluator(grid, density, sp, grid.points + h * grid.normals, upsample).values
-        for h in h_seq
-    ])
+    ]) for sgn in (-1.0, +1.0))
     _ratio_check(h_seq, inner)
     _ratio_check(h_seq, outer)
     return _neville_to_zero(h_seq, inner), _neville_to_zero(h_seq, outer)

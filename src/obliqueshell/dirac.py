@@ -121,7 +121,7 @@ def _gap_c(dp: DiracParameter, sp: SpectralParameter, g: QuadratureGrid) -> floa
     """Norm of c^2 M3 C_z M3 - lambda S(lambda) M3 on the boundary."""
     D = dp.c ** 2 * bie.assemble_M3CM3(g, dp).entries \
         - sp.lam * bie.assemble_S(g, sp).entries
-    return bie.BoundaryOperatorMatrix(D, g, sp, "M3CM3").operator_norm()
+    return bie.BoundaryOperatorMatrix(D, g).operator_norm()
 
 
 def limit_gaps(curve: Curve, lam: complex, c: float, N: int = 128,

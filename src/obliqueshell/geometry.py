@@ -64,9 +64,16 @@ class Curve:
 
     @property
     def diameter(self) -> float:
-        pts = self.point(np.linspace(0.0, 2 * np.pi, 512, endpoint=False))
-        dx = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((dx ** 2).sum(-1)).max())
+        """Largest distance between 512 uniform samples, computed once per curve.
+
+        Cached lazily rather than in ``__post_init__`` so that a malformed
+        curve still fails in ``validate``.
+        """
+        if "_diameter" not in self.__dict__:
+            pts = self.point(np.linspace(0.0, 2 * np.pi, 512, endpoint=False))
+            dx = pts[:, None, :] - pts[None, :, :]
+            object.__setattr__(self, "_diameter", float(np.sqrt((dx ** 2).sum(-1)).max()))
+        return self._diameter
 
     def signed_area(self) -> float:
         t = np.linspace(0.0, 2 * np.pi, _FINE_SAMPLES, endpoint=False)
@@ -103,10 +110,6 @@ class QuadratureGrid:
     @property
     def weight(self) -> float:
         return 2 * np.pi / self.N
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.N, self.weight)
 
     def length(self) -> float:
         return float(self.weight * self.jacobians.sum())

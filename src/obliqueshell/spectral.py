@@ -11,6 +11,7 @@ none.  A delta-interaction comparison spectrum solves alpha mu_n(S(lambda)) =
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import bie
-from .bie import BoundaryOperatorMatrix, FieldSamples, VolumeGrid
+from .bie import VolumeGrid
 from .errors import (
     DivergenceError,
     DomainError,
@@ -56,18 +57,27 @@ def _check_branch(n: int, N: int) -> None:
         raise ResolutionError(f"branch n={n} needs N >= {4 * n}, got N={N}")
 
 
-def _mu_n(curve: Curve, lam: float, n: int, N: int) -> float:
-    sp = SpectralParameter.make(lam)
-    op = bie.assemble_S(make_grid(curve, N), sp)
+def _mu_n(g: QuadratureGrid, lam: float, n: int) -> float:
+    op = bie.assemble_S(g, SpectralParameter.make(lam))
     return float(op.eigenvalues_desc(k=n)[n - 1].real)
+
+
+def _branch(curve: Curve, n: int, N: int):
+    """lambda -> mu_n(S(lambda)) on one N-node grid, assembling each lambda once.
+
+    The only way the spectral routines reach mu_n, so a root finder that
+    revisits an abscissa (a bracket end, the root itself) costs no assembly.
+    """
+    _check_branch(n, N)
+    g = make_grid(curve, N)
+    return functools.cache(lambda lam: _mu_n(g, lam, n))
 
 
 def dispersion(curve: Curve, n: int, lam: float, N: int = 256) -> DispersionSample:
     """Sample of the dispersion function lambda * mu_n(S(lambda)), lambda < 0."""
     if not lam < 0:
         raise DomainError(f"dispersion needs lambda < 0, got {lam}")
-    _check_branch(n, N)
-    return DispersionSample(float(lam), n, float(lam) * _mu_n(curve, lam, n, N))
+    return DispersionSample(float(lam), n, float(lam) * _branch(curve, n, N)(lam))
 
 
 def circle_oracle_mu(n: int, R: float, lam: float) -> float:
@@ -130,22 +140,26 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
                     N: int = 256) -> tuple[float, float]:
     """Unique root of lambda mu_n(S(lambda)) = 1/alpha for alpha < 0.
 
-    Returns (lambda_n, birman_schwinger_residual).
+    Returns (lambda_n, birman_schwinger_residual).  The residual is
+    |alpha lambda_n mu_n(S(lambda_n)) - 1| from the assembly that found the
+    root: it measures how well the root finder solved the discrete equation,
+    not how close lambda_n is to the true eigenvalue.
     """
     if not alpha < 0:
         raise ParameterError(f"find_eigenvalue needs alpha < 0, got {alpha}")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    _check_branch(n, N)
+    mu = _branch(curve, n, N)
 
     def f(lam: float) -> float:
-        return lam * _mu_n(curve, lam, n, N) - 1.0 / alpha
+        return lam * mu(lam) - 1.0 / alpha
 
     seed = max(1.0, 4.0 / alpha ** 2 / 8)
     root = _bracket_and_solve(f, seed, tol, increasing=True)
     if root is None:
         raise DivergenceError("dispersion root escaped toward lambda = 0")
-    residual = abs(alpha * root * _mu_n(curve, root, n, N) - 1.0)
+    # brentq returns an abscissa it evaluated, so this reads the memo
+    residual = abs(alpha * root * mu(root) - 1.0)
     return float(root), float(residual)
 
 
@@ -210,20 +224,25 @@ def _annotate_multiplicities(entries: list[EigenvalueEntry]) -> list[EigenvalueE
     return out
 
 
-def enumerate_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
-                       tol: float = 1e-9) -> SpectrumResult:
-    """First ``count`` discrete eigenvalues, non-increasing; empty for alpha > 0."""
+def _check_count(alpha: float, count: int, N: int) -> None:
     if alpha == 0:
         raise ParameterError("alpha must be nonzero")
     if count < 1:
         raise ParameterError("count must be >= 1")
     if count > N // 8:
         raise ResolutionError(f"count={count} needs N >= {8 * count}, got N={N}")
+
+
+def enumerate_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
+                       tol: float = 1e-9) -> SpectrumResult:
+    """First ``count`` discrete eigenvalues, non-increasing; empty for alpha > 0."""
+    _check_count(alpha, count, N)
     if alpha > 0:
         # verify the mechanism: every eigenvalue of alpha lambda S(lambda)
         # stays below 1 on a probe grid, so 1 is never hit
+        mu = _branch(curve, 1, N)
         for lam in np.geomspace(1e-2, 100, 20):
-            top = alpha * (-lam) * _mu_n(curve, -lam, 1, N)
+            top = alpha * (-lam) * mu(-lam)
             if top >= 1:
                 raise NumericalInstabilityError(
                     f"unexpected unit crossing at lambda={-lam} for alpha={alpha}"
@@ -373,10 +392,7 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     B = np.eye(g.N) - alpha * sp.lam * sym
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     if smin <= POLE_GATE:
-        if np.isrealobj(sym):
-            mu = np.linalg.eigvalsh(sym)[::-1]
-        else:
-            mu = np.sort(np.linalg.eigvals(sym).real)[::-1]
+        mu = op.eigenvalues_desc().real
         raise PoleProximityError(
             _nearest_eigenvalue_message(curve, alpha, sp.lam,
                                         alpha * sp.lam * mu)
@@ -391,13 +407,7 @@ def _direct_volume_field(kernel, sp, vol: VolumeGrid, f: np.ndarray,
                          points: np.ndarray) -> np.ndarray:
     """Integral of kernel(x - y) f(y) dy at points, by direct summation."""
     f = np.asarray(f, dtype=complex).ravel()
-    out = np.zeros(len(points), dtype=complex)
-    chunk = max(1, int(4e6 // max(len(vol.points), 1)))
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
-        diff = points[lo:hi, None, :] - vol.points[None, :, :]
-        out[lo:hi] = kernel(sp, diff) @ f
-    return vol.weight * out
+    return vol.weight * bie._kernel_sum(kernel, sp, points, vol.points, f)
 
 
 def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray,
@@ -441,12 +451,7 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
     Branches with no root are reported in ``empty_branches`` (the delta
     interaction has finitely many eigenvalues), not as errors.
     """
-    if alpha == 0:
-        raise ParameterError("alpha must be nonzero")
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    if count > N // 8:
-        raise ResolutionError(f"count={count} needs N >= {8 * count}, got N={N}")
+    _check_count(alpha, count, N)
     if alpha > 0:
         # alpha S(lambda) is positive, so -1 is never an eigenvalue
         return SpectrumResult(alpha, curve.name, N, tol, (), kind="delta",
@@ -455,15 +460,17 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
     entries = []
     empty = []
     for n in range(1, count + 1):
+        mu = _branch(curve, n, N)
+
         def f(lam: float) -> float:
             # decreasing in lambda: mu_n increases, alpha < 0
-            return alpha * _mu_n(curve, lam, n, N) + 1.0
+            return alpha * mu(lam) + 1.0
 
         root = _bracket_and_solve(f, 1.0, tol, increasing=False)
         if root is None:
             empty.append(n)
             continue
-        residual = abs(alpha * _mu_n(curve, root, n, N) + 1.0)
+        residual = abs(alpha * mu(root) + 1.0)
         entries.append(EigenvalueEntry(n, float(root), float(residual)))
     entries.sort(key=lambda e: -e.lam)
     return SpectrumResult(alpha, curve.name, N, tol, tuple(entries),

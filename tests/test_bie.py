@@ -52,7 +52,7 @@ def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):
             a, b = W_mk @ d, W_loc @ d
             assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a), curve.name
         ev_mk, ev_loc = (
-            bie.BoundaryOperatorMatrix(W * g.jacobians[None, :], g, None, "S")
+            bie.BoundaryOperatorMatrix(W * g.jacobians[None, :], g)
             .eigenvalues_desc(8) for W in (W_mk, W_loc))
         assert np.allclose(ev_mk, ev_loc, rtol=1e-8), curve.name
 
@@ -264,15 +264,3 @@ def test_apply_Psi_star_shape_mismatch(circle):
     vol = bie.make_volume_grid(3.0, 8)
     with pytest.raises(ConfigurationError):
         bie.apply_Psi_star(g, sp, np.ones(5), vol)
-
-
-def test_to_csv_roundtrip(tmp_path, circle):
-    g = geometry.grid(circle, 16)
-    S = bie.assemble_S(g, SpectralParameter.make(-1.0))
-    path = tmp_path / "s.csv"
-    S.to_csv(path)
-    rows = path.read_text().strip().split("\n")
-    assert len(rows) == 16
-    first = [float(v) for v in rows[0].split(",")]
-    assert len(first) == 32
-    assert first[0] == pytest.approx(S.entries[0, 0].real, rel=1e-16)

@@ -67,6 +67,18 @@ def test_bad_parameters():
         geometry.make_curve("hexagon")
     with pytest.raises(ParameterError):
         geometry.make_curve("custom")
+    with pytest.raises(ParameterError):
+        geometry.make_curve("custom", x_coeffs=[], y_coeffs=[])
+
+
+def test_diameter_samples_the_curve_once(monkeypatch):
+    kite = geometry.make_curve("kite")
+    calls = []
+    point = geometry.Curve.point
+    monkeypatch.setattr(geometry.Curve, "point",
+                        lambda self, t: calls.append(len(t)) or point(self, t))
+    assert kite.diameter == kite.diameter == pytest.approx(3.0, rel=1e-12)
+    assert calls == [512]
 
 
 def test_grid_validation(circle):

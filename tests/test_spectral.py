@@ -91,6 +91,42 @@ def test_kite_roots_across_assembly_path_switch(kite):
     assert lam == pytest.approx(-9.077195050909038, rel=1e-9)
 
 
+def test_graded_panel_ground_state_refines_on_non_circles(kite, ellipse):
+    # alpha = -0.2 puts the ground state at kappa * diam = 29.6 on the kite
+    # and 40.0 on the ellipse, far past log2 N: every assembly near the root
+    # takes the graded-panel path, where the circle hides pairing errors
+    roots = {}
+    for curve in (kite, ellipse):
+        lam128, _ = spectral.find_eigenvalue(curve, -0.2, 1, N=128)
+        lam256, res = spectral.find_eigenvalue(curve, -0.2, 1, N=256)
+        assert lam256 == pytest.approx(lam128, rel=1e-12), curve.name
+        assert res <= 1e-8
+        roots[curve.name] = lam256
+    assert roots["kite"] == pytest.approx(-97.542068938, rel=1e-10)
+
+
+def test_no_branch_assembles_a_kappa_twice(monkeypatch, circle, kite):
+    # one list of assembled kappas per root-finder run; the residual at the
+    # root counts toward the run that found it
+    runs = []
+    for name in ("_single_layer_weights_mk", "_single_layer_weights_local"):
+        def record(grid, kappa, assemble=getattr(bie, name)):
+            runs[-1].append(complex(kappa))
+            return assemble(grid, kappa)
+        monkeypatch.setattr(bie, name, record)
+    solve = spectral._bracket_and_solve
+
+    def new_run(*args, **kwargs):
+        runs.append([])
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(spectral, "_bracket_and_solve", new_run)
+    spectral.find_eigenvalue(kite, -1.0, 3, N=64)
+    spectral.delta_spectrum(circle, -0.1, 2, N=64)
+    assert len(runs) == 3
+    for kappas in runs:
+        assert kappas and len(set(kappas)) == len(kappas)
+
+
 def test_bracket_and_solve_seed_independence():
     f = lambda lam: lam + 5.0  # increasing with root -5
     for seed in (0.5, 1000.0):
