@@ -118,9 +118,14 @@ def kernel_L(sp: SpectralParameter, x: np.ndarray) -> np.ndarray:
     r = _radii(x)
     kappa = sp.kappa
     arg = kappa.real * r if kappa.imag == 0 else kappa * r
-    k1 = bessel_k_array(1, arg)
-    out = (sp.sqrt_lam / (2 * np.pi)) * k1 * (x[..., 0] - 1j * x[..., 1]) / r
+    out = _L_body(sp, x, r, bessel_k_array(1, arg))
     return out if out.ndim else out[()]
+
+
+def _L_body(sp: SpectralParameter, x: np.ndarray, r: np.ndarray,
+            k1: np.ndarray) -> np.ndarray:
+    """kernel_L from offsets x, radii r = |x| and k1 = K_1(kappa r)."""
+    return (sp.sqrt_lam / (2 * np.pi)) * k1 * (x[..., 0] - 1j * x[..., 1]) / r
 
 
 def kernel_dzbar_U(sp: SpectralParameter, x: np.ndarray) -> np.ndarray:
@@ -141,14 +146,17 @@ def kernel_G(dp: DiracParameter, x: np.ndarray) -> np.ndarray:
     """Free Dirac resolvent kernel, a 2x2 matrix per point (shape (..., 2, 2))."""
     x = np.asarray(x, dtype=float)
     r = _radii(x)
-    kappa = dp.kappa
-    arg = kappa * r
-    k0 = bessel_k_array(0, arg)
-    k1 = bessel_k_array(1, arg)
+    arg = dp.kappa * r
+    return _G_body(dp, x, r, bessel_k_array(0, arg), bessel_k_array(1, arg))
+
+
+def _G_body(dp: DiracParameter, x: np.ndarray, r: np.ndarray, k0: np.ndarray,
+            k1: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
+    """kernel_G from offsets x, radii r = |x| and k_j = K_j(kappa r), restricted
+    to the given spinor columns (same arithmetic per entry)."""
     c = dp.c
-    sigma_x = (SIGMA_1[..., :, :] * x[..., None, None, 0]
-               + SIGMA_2[..., :, :] * x[..., None, None, 1])
-    diag = (dp.lam / c) * I2 + (c / 2) * SIGMA_3
-    out = (dp.rel_root / (2 * np.pi * c)) * (k1 / r)[..., None, None] * sigma_x \
+    sigma_x = (SIGMA_1[..., :, columns] * x[..., None, None, 0]
+               + SIGMA_2[..., :, columns] * x[..., None, None, 1])
+    diag = ((dp.lam / c) * I2 + (c / 2) * SIGMA_3)[:, columns]
+    return (dp.rel_root / (2 * np.pi * c)) * (k1 / r)[..., None, None] * sigma_x \
         + (1 / (2 * np.pi * c)) * k0[..., None, None] * diag
-    return out

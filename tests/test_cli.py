@@ -150,6 +150,14 @@ def test_nonrel_limit_bad_lam(tmp_path):
     assert rc == 2
 
 
+def test_nonrel_limit_repeated_speed_is_usage_error(tmp_path):
+    # one distinct c gives no slope
+    rc = run(["nonrel-limit", "--lam", "1j", "--c-list", "16,16",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_oracle_check(capsys):
     rc = run(["oracle-check", "--lam", "-2", "--N", "64"])
     assert rc == 0

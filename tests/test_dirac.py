@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obliqueshell import bie, dirac, geometry
+from obliqueshell import bie, dirac, geometry, kernels, specfun
 from obliqueshell.errors import DomainError, ParameterError
 from obliqueshell.kernels import (
     M2,
@@ -26,6 +26,11 @@ def _spinor_flatten(K):
     """(M, N, 2, 2) kernel blocks -> (2M, 2N) matrix, component-major."""
     M, N = K.shape[:2]
     return K.transpose(2, 0, 3, 1).reshape(2 * M, 2 * N)
+
+
+def _mirror_free_curve():
+    return geometry.make_curve("custom", x_coeffs=[0, 0.5, 0.1 + 0.05j],
+                               y_coeffs=[0, -0.5j, 0.08 + 0.03j])
 
 
 def test_compression_resolvent_identity(circle, kite):
@@ -59,8 +64,7 @@ def test_compression_resolvent_identity(circle, kite):
 def test_gap_phistar_is_adjoint_at_conjugate_parameters():
     # on a curve without a mirror axis, gap (c) taken at (zbar, lambdabar)
     # differs from gap (b) at (z, lambda)
-    curve = geometry.make_curve("custom", x_coeffs=[0, 0.5, 0.1 + 0.05j],
-                                y_coeffs=[0, -0.5j, 0.08 + 0.03j])
+    curve = _mirror_free_curve()
     vol = bie.make_volume_grid(3 * curve.diameter, 24)
     lam, c = 1j, 8.0
     _, phi, phistar, _ = dirac.limit_gaps(curve, lam, c, N=64, volume_box=vol)
@@ -109,6 +113,14 @@ def test_limit_study_needs_two_speeds(circle):
         dirac.nonrel_limit_study(circle, 1j, [8.0])
 
 
+@pytest.mark.parametrize("c_values", [[16.0], [16.0, 16.0]])
+def test_slope_fits_need_two_distinct_speeds(circle, c_values):
+    with pytest.raises(ParameterError):
+        dirac.correction_convergence(circle, -1.0, 1j, c_values)
+    with pytest.raises(ParameterError):
+        dirac.nonrel_limit_study(circle, 1j, c_values)
+
+
 def test_gap_resolution_stability(circle):
     # doubling the boundary resolution moves the gaps by < 5%
     vol = bie.make_volume_grid(3.0, 24)
@@ -122,6 +134,64 @@ def test_correction_zero_coupling(circle):
     blocks = dirac.dirac_correction(circle, 0.0, 1j, 16.0, N=48, probe_n=10)
     assert blocks.difference_norm == 0.0
     assert np.all(blocks.dirac_kernel == 0)
+
+
+@pytest.mark.parametrize("lam", [1j, 1 + 2j])
+@pytest.mark.parametrize("c", [8.0, 64.0])
+def test_difference_norm_matches_dense_norm(kite, lam, c):
+    # the norm taken from the rank <= 2N factors equals the dense 2M x 2M one
+    for curve in (kite, _mirror_free_curve()):
+        blocks = dirac.dirac_correction(curve, -1.0, lam, c, N=32, probe_n=8)
+        w = np.sqrt(bie.make_volume_grid(1.5 * curve.diameter, 8).weight)
+        dense = np.linalg.norm(w * (blocks.dirac_kernel - blocks.schrod_kernel) * w, 2)
+        assert blocks.difference_norm == pytest.approx(dense, rel=1e-12), curve.name
+
+
+def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
+    # every K_0/K_1 array is evaluated once per (kappa, geometry); the
+    # (zbar, lambdabar) side conjugates the (z, lambda) side's arrays
+    seen, repeats = set(), []
+    original = specfun.bessel_k_array
+
+    def recording(order, z):
+        z = np.asarray(z)
+        key = (order, z.shape, z.tobytes())
+        if key in seen or (order, z.shape, np.conj(z).tobytes()) in seen:
+            repeats.append((order, z.shape))
+        seen.add(key)
+        return original(order, z)
+
+    for mod in (specfun, kernels, bie):
+        monkeypatch.setattr(mod, "bessel_k_array", recording)
+    vol = bie.make_volume_grid(3 * kite.diameter, 16)
+    study = dirac.nonrel_limit_study(kite, 1j, [8, 16], N=32, volume_box=vol)
+    assert seen and repeats == []
+    seen.clear()
+    dirac.dirac_correction(kite, -1.0, 1j, 16, N=32, probe_n=8)
+    assert seen and repeats == []
+    # limit_gaps is the one-speed case of the study, bit for bit
+    for i, c in enumerate(study.c_values):
+        row = dirac.limit_gaps(kite, 1j, c, N=32, volume_box=vol)
+        assert row == tuple(study.gaps()[k][i] for k in ("a0", "phi", "phistar", "c"))
+
+
+@pytest.mark.parametrize("lam", [1j, 1 + 2j])
+def test_conjugate_side_equals_direct_evaluation(lam):
+    # the (zbar, lambdabar) blocks built from conjugated K_0/K_1 arrays are
+    # bit for bit those of kernel_G and kernel_L evaluated there
+    curve = _mirror_free_curve()
+    g = geometry.grid(curve, 32)
+    vol = bie.make_volume_grid(1.5 * curve.diameter, 8)
+    sp = SpectralParameter.make(lam)
+    pr = dirac._probes(sp, g, vol.points)
+    assert np.array_equal(pr.L, kernel_L(sp, pr.x))
+    assert np.array_equal(pr.L_bar, kernel_L(sp.conjugate, pr.x))
+    for c in (8.0, 64.0):
+        dp = DiracParameter.shifted(lam, c)
+        dp_bar = DiracParameter.make(np.conj(dp.lam), c)
+        for side, p in zip(dirac._phi_m3_sides(dp, pr), (dp, dp_bar)):
+            G = kernel_G(p, pr.x)
+            assert np.array_equal(side, np.concatenate([G[..., 0, 1], G[..., 1, 1]]))
 
 
 def test_correction_reference_block_structure(circle):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from obliqueshell import specfun
+from obliqueshell import bie, geometry, specfun
 from obliqueshell.errors import DomainError
+from obliqueshell.kernels import DiracParameter, SpectralParameter
 
 
 def test_frozen_oracle_k(bessel_oracle):
@@ -56,6 +57,27 @@ def test_conjugate_symmetry():
             a = specfun.bessel_k(order, np.conj(z))
             b = np.conj(specfun.bessel_k(order, z))
             assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300)
+
+
+def test_conjugate_symmetry_is_exact_on_kernel_arguments(kite):
+    # the Dirac layer takes the (zbar, lambdabar) side's K_0/K_1 as the
+    # conjugates of the (z, lambda) side's, so kappa and kv must be
+    # conjugate-symmetric bit for bit on every argument kappa r it meets there
+    g = geometry.grid(kite, 128)
+    vol = bie.make_volume_grid(3 * kite.diameter, 48)
+    r = np.linalg.norm(vol.points[:, None, :] - g.points[None, :, :], axis=-1).ravel()
+    params = [(SpectralParameter.make(lam), SpectralParameter.make(np.conj(lam)))
+              for lam in (1j, 1 + 2j)]
+    for c in (8.0, 64.0, 256.0):
+        dp = DiracParameter.shifted(1j, c)
+        params.append((dp, DiracParameter.make(np.conj(dp.lam), c)))
+    for p, p_bar in params:
+        assert p_bar.kappa == np.conj(p.kappa)
+        z = p.kappa * r
+        for order in (0, 1):
+            a = specfun.bessel_k_array(order, np.conj(z))
+            b = np.conj(specfun.bessel_k_array(order, z))
+            assert np.array_equal(a, b), (p.kappa, order)
 
 
 def test_overlap_annulus_continuity(bessel_oracle):
