@@ -19,6 +19,9 @@ Two assembly paths for the weakly singular single-layer kernel
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,12 +257,15 @@ class FieldSamples:
     values: np.ndarray
 
 
-def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> None:
+def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest of 2048 curve samples; raises
+    SingularityError for a point on the curve."""
     fine_t = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
     d = cKDTree(grid.curve.point(fine_t)).query(points)[0]
     tol = 1e-10 * max(1.0, grid.curve.diameter)
     if np.any(d < tol):
         raise SingularityError("evaluation point lies on the curve")
+    return d
 
 
 def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
@@ -281,22 +287,84 @@ def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
     return grid.curve.point(fine_t), fine_vals, 2 * np.pi / M
 
 
+#: target x source pairs per kernel-sum chunk.  Fixed, so that every chunk
+#: does the same arithmetic whatever the worker count.  At ~90 bytes of
+#: temporaries per pair a chunk's 1 MB complex arrays stay cache-sized; on a
+#: 2-core Xeon with 2 MB L2 per core the resolvent workload ran 5.2-5.5 s at
+#: 2**16 pairs against 6.8 s at 250,000 and 7.7 s at 2**14.
+_CHUNK_PAIRS = 1 << 16
+
+
+def _workers() -> int:
+    """Size of the kernel-sum pool: THREADS capped by the usable cores, else
+    the usable cores."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cores = os.cpu_count() or 1
+    threads = os.environ.get("THREADS")
+    if not threads:
+        return cores
+    try:
+        n = int(threads)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigurationError(f"THREADS must be a positive integer, got {threads!r}")
+    return min(n, cores)
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """Kernel-sum workers, created on first use.  Numpy and scipy.special
+    ufuncs release the GIL, so the chunks run in parallel."""
+    return ThreadPoolExecutor(max_workers=_workers(), thread_name_prefix="obliqueshell")
+
+
+def _map_chunks(fn, n_targets: int, n_sources: int) -> list:
+    """[fn(rows) for rows in consecutive target slices of about _CHUNK_PAIRS
+    pairs], run on the pool; results come back in slice order."""
+    step = max(1, _CHUNK_PAIRS // max(n_sources, 1))
+    return list(_pool().map(fn, [slice(lo, lo + step) for lo in range(0, n_targets, step)]))
+
+
 def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
                 values: np.ndarray) -> np.ndarray:
-    """sum_j kernel(sp, targets_i - sources_j) values_j, about 4e6 pairs per step."""
+    """sum_j kernel(sp, targets_i - sources_j) values_j; each chunk writes its
+    own rows."""
     out = np.zeros(len(targets), dtype=complex)
-    chunk = max(1, int(4e6 // max(len(sources), 1)))
-    for lo in range(0, len(targets), chunk):
-        hi = min(lo + chunk, len(targets))
-        out[lo:hi] = kernel(sp, targets[lo:hi, None, :] - sources[None, :, :]) @ values
+
+    def rows(s: slice) -> None:
+        out[s] = kernel(sp, targets[s, None, :] - sources[None, :, :]) @ values
+
+    _map_chunks(rows, len(targets), len(sources))
     return out
 
 
+#: targets at least this many node spacings from the curve are summed on the
+#: native nodes: for a target d away the trapezoid rule's error decays like
+#: exp(-2 pi d / spacing), below 1e-21 here
+_FAR_SPACINGS = 8
+
+
 def _eval_layer(grid, density, sp, points, kernel, upsample):
+    """Layer potential with the given kernel at points off the curve.
+
+    Targets at least _FAR_SPACINGS node spacings (grid.weight times the largest
+    jacobian) from the curve are summed on the native N nodes.  Nearer targets
+    are summed on the density trig-interpolated to upsample * N nodes.
+    """
+    if not isinstance(upsample, (int, np.integer)) or upsample < 1:
+        raise ConfigurationError(f"upsample must be an integer >= 1, got {upsample!r}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _check_points_off_curve(grid, points)
-    src, g, w = _upsampled_density(grid, density, upsample)
-    return FieldSamples(points, w * _kernel_sum(kernel, sp, points, src, g))
+    dist = _check_points_off_curve(grid, points)
+    far = dist >= _FAR_SPACINGS * grid.weight * grid.jacobians.max()
+    values = np.zeros(len(points), dtype=complex)
+    for mask, factor in ((far, 1), (~far, upsample)):
+        if mask.any():
+            src, g, w = _upsampled_density(grid, density, factor)
+            values[mask] = w * _kernel_sum(kernel, sp, points[mask], src, g)
+    return FieldSamples(points, values)
 
 
 def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
@@ -451,10 +519,11 @@ def apply_Psi_star(grid: QuadratureGrid, sp: SpectralParameter,
     f = np.asarray(f_samples, dtype=complex).ravel()
     if f.shape[0] != len(vol.points):
         raise ConfigurationError("f_samples does not match the volume grid")
-    out = np.zeros(grid.N, dtype=complex)
-    chunk = max(1, int(4e6 // grid.N))
-    for lo in range(0, len(vol.points), chunk):
-        hi = min(lo + chunk, len(vol.points))
-        diff = vol.points[lo:hi, None, :] - grid.points[None, :, :]
-        out += np.conj(kernel_L(sp, diff)).T @ f[lo:hi]
+
+    def partial(s: slice) -> np.ndarray:
+        diff = vol.points[s, None, :] - grid.points[None, :, :]
+        return np.conj(kernel_L(sp, diff)).T @ f[s]
+
+    # partial sums added in chunk order: the result is independent of the pool
+    out = sum(_map_chunks(partial, len(vol.points), grid.N), np.zeros(grid.N, dtype=complex))
     return vol.weight * out

@@ -35,6 +35,14 @@ def kite():
 
 
 @pytest.fixture(scope="session")
+def mirror_free():
+    """A smooth curve with no mirror axis, where adjoint and conjugate-side
+    errors that a symmetric curve hides show up."""
+    return geometry.make_curve("custom", x_coeffs=[0, 0.5, 0.1 + 0.05j],
+                               y_coeffs=[0, -0.5j, 0.08 + 0.03j])
+
+
+@pytest.fixture(scope="session")
 def bessel_oracle():
     with open(FIXTURES / "bessel_oracle.json") as fh:
         return json.load(fh)

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -8,7 +14,7 @@ from obliqueshell.errors import (
     DomainError,
     SingularityError,
 )
-from obliqueshell.kernels import DiracParameter, SpectralParameter, kernel_U
+from obliqueshell.kernels import DiracParameter, SpectralParameter, kernel_L, kernel_U
 from obliqueshell.specfun import bessel_ik_int, bessel_k
 
 
@@ -264,3 +270,112 @@ def test_apply_Psi_star_shape_mismatch(circle):
     vol = bie.make_volume_grid(3.0, 8)
     with pytest.raises(ConfigurationError):
         bie.apply_Psi_star(g, sp, np.ones(5), vol)
+
+
+def _upsampled_reference(g, density, sp, points, kernel, factor):
+    """The layer potential with every target summed on factor * N nodes."""
+    src, vals, w = bie._upsampled_density(g, density, factor)
+    return w * bie._kernel_sum(kernel, sp, points, src, vals)
+
+
+@pytest.mark.parametrize("lam", [-3.0, -97.5, 1 + 2j])
+def test_far_targets_match_upsampled_reference(kite, mirror_free, lam):
+    # targets >= 8 node spacings from the curve are summed on the native
+    # nodes and must agree pointwise with an upsample=16 sum; nearer targets
+    # keep the caller's upsample.  Sets: all near (trace offsets), all far,
+    # and both mixed.
+    sp = SpectralParameter.make(lam)
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, 128)
+        dens = np.exp(np.cos(g.nodes) + 1j * np.sin(2 * g.nodes))
+        far_limit = 8 * g.weight * g.jacobians.max()
+        h = bie.default_h_sequence(curve)[0]
+        traces = np.concatenate([g.points - h * g.normals, g.points + h * g.normals])
+        mixed = np.concatenate([bie.make_volume_grid(1.5 * curve.diameter, 16).points,
+                                traces])
+        far = bie._check_points_off_curve(g, mixed) >= far_limit
+        assert far.sum() > 100 and not far[-len(traces):].any()
+        for evaluator, kernel in ((bie.eval_Psi, kernel_L), (bie.eval_SL, kernel_U)):
+            ref = _upsampled_reference(g, dens, sp, mixed, kernel, 16)
+            for rows in (np.arange(len(mixed)), np.arange(len(mixed) - len(traces),
+                                                          len(mixed)), np.flatnonzero(far)):
+                got = evaluator(g, dens, sp, mixed[rows], upsample=16).values
+                assert np.all(np.abs(got - ref[rows]) <= 1e-12 * np.abs(ref[rows])), \
+                    (curve.name, lam, kernel.__name__)
+
+
+@pytest.mark.parametrize("upsample", [2.5, 4.0, 0, -3, "4"])
+def test_upsample_must_be_a_positive_integer(circle, upsample):
+    g = geometry.grid(circle, 32)
+    sp = SpectralParameter.make(-1.0)
+    pts = np.array([[2.0, 0.5]])
+    for call in (lambda: bie.eval_SL(g, np.ones(g.N), sp, pts, upsample=upsample),
+                 lambda: bie.eval_Psi(g, np.ones(g.N), sp, pts, upsample=upsample),
+                 lambda: bie.eval_dzbar_Psi(g, np.ones(g.N), sp, pts, upsample=upsample),
+                 lambda: bie.jump_traces(g, np.ones(g.N), sp, upsample=upsample)):
+        with pytest.raises(ConfigurationError, match="upsample"):
+            call()
+
+
+def test_worker_count_from_threads(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("THREADS", raising=False)
+    assert bie._workers() == cores
+    for value, expect in (("1", 1), ("", cores), (str(10 ** 6), cores)):
+        monkeypatch.setenv("THREADS", value)
+        assert bie._workers() == expect
+    for value in ("0", "-2", "2.5", "two"):
+        monkeypatch.setenv("THREADS", value)
+        with pytest.raises(ConfigurationError, match=repr(value)):
+            bie._workers()
+
+
+def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
+    # inputs spanning many chunks give the same bits on 1, 2 and 4 workers
+    # (4 > cores), with a short switch interval to shake out lost writes
+    g = geometry.grid(kite, 256)
+    sp = SpectralParameter.make(-3.0)
+    vol = bie.make_volume_grid(2 * kite.diameter, 48)
+    f = np.exp(-(vol.points ** 2).sum(-1)) * np.exp(1j * vol.points[:, 0])
+    dens = np.exp(1j * g.nodes)
+    assert len(vol.points) * g.N > 8 * bie._CHUNK_PAIRS
+    outputs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                monkeypatch.setattr(bie, "_pool", lambda: pool)
+                outputs.append((bie._kernel_sum(kernel_L, sp, vol.points, g.points, dens),
+                                bie.apply_Psi_star(g, sp, f, vol)))
+    finally:
+        sys.setswitchinterval(interval)
+    for sums, adjoint in outputs[1:]:
+        assert sums.tobytes() == outputs[0][0].tobytes()
+        assert adjoint.tobytes() == outputs[0][1].tobytes()
+
+
+_KREIN_DIGEST = """
+import hashlib, numpy as np
+from obliqueshell import bie, geometry, spectral
+from obliqueshell.kernels import SpectralParameter
+vol = bie.make_volume_grid(6.0, 64)
+f = np.exp(-(vol.points ** 2).sum(-1) / 8 + 1j * vol.points[:, 0])
+res = spectral.krein_apply(geometry.make_curve("kite"), -1.0, SpectralParameter.make(-3.0),
+                           f, vol, N=64)
+print(hashlib.sha256(res.values.tobytes() + res.density.tobytes()).hexdigest())
+"""
+
+
+def test_krein_apply_is_bit_identical_for_any_thread_count():
+    # THREADS sizes the kernel-sum pool; the BLAS thread variables are
+    # inherited unchanged by both runs
+    src = str(pathlib.Path(bie.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _KREIN_DIGEST], env=env, text=True,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1] and len(digests[0]) == 64

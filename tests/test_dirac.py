@@ -28,11 +28,6 @@ def _spinor_flatten(K):
     return K.transpose(2, 0, 3, 1).reshape(2 * M, 2 * N)
 
 
-def _mirror_free_curve():
-    return geometry.make_curve("custom", x_coeffs=[0, 0.5, 0.1 + 0.05j],
-                               y_coeffs=[0, -0.5j, 0.08 + 0.03j])
-
-
 def test_compression_resolvent_identity(circle, kite):
     # the correction kernel on the live M3 block equals the full spinor formula
     # c Phi_z P3 (I - alpha c^2 M3 C_z M3)^-1 alpha c P3 Phi*_zbar with 2N x 2N
@@ -61,10 +56,10 @@ def test_compression_resolvent_identity(circle, kite):
         assert err <= 1e-12 * np.linalg.norm(ref), curve.name
 
 
-def test_gap_phistar_is_adjoint_at_conjugate_parameters():
+def test_gap_phistar_is_adjoint_at_conjugate_parameters(mirror_free):
     # on a curve without a mirror axis, gap (c) taken at (zbar, lambdabar)
     # differs from gap (b) at (z, lambda)
-    curve = _mirror_free_curve()
+    curve = mirror_free
     vol = bie.make_volume_grid(3 * curve.diameter, 24)
     lam, c = 1j, 8.0
     _, phi, phistar, _ = dirac.limit_gaps(curve, lam, c, N=64, volume_box=vol)
@@ -138,9 +133,9 @@ def test_correction_zero_coupling(circle):
 
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
 @pytest.mark.parametrize("c", [8.0, 64.0])
-def test_difference_norm_matches_dense_norm(kite, lam, c):
+def test_difference_norm_matches_dense_norm(kite, mirror_free, lam, c):
     # the norm taken from the rank <= 2N factors equals the dense 2M x 2M one
-    for curve in (kite, _mirror_free_curve()):
+    for curve in (kite, mirror_free):
         blocks = dirac.dirac_correction(curve, -1.0, lam, c, N=32, probe_n=8)
         w = np.sqrt(bie.make_volume_grid(1.5 * curve.diameter, 8).weight)
         dense = np.linalg.norm(w * (blocks.dirac_kernel - blocks.schrod_kernel) * w, 2)
@@ -176,10 +171,10 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
-def test_conjugate_side_equals_direct_evaluation(lam):
+def test_conjugate_side_equals_direct_evaluation(mirror_free, lam):
     # the (zbar, lambdabar) blocks built from conjugated K_0/K_1 arrays are
     # bit for bit those of kernel_G and kernel_L evaluated there
-    curve = _mirror_free_curve()
+    curve = mirror_free
     g = geometry.grid(curve, 32)
     vol = bie.make_volume_grid(1.5 * curve.diameter, 8)
     sp = SpectralParameter.make(lam)
