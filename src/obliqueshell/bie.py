@@ -31,7 +31,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, DomainError, NumericalInstabilityError, SingularityError
 from .geometry import Curve, QuadratureGrid
-from .kernels import DiracParameter, SpectralParameter, kernel_L, kernel_U
+from .kernels import DiracParameter, SpectralParameter, _bessel_arg, kernel_L, kernel_U
 from .specfun import EULER_GAMMA, bessel_i_array, bessel_k_array
 
 #: Hard cap on Re(kappa) * diameter for the splitting path.  The splitting's
@@ -67,13 +67,6 @@ def _pairwise_r(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(-1))
 
 
-def _kernel_times(kappa: complex, r: np.ndarray, order: int = 0) -> np.ndarray:
-    """K_order(kappa r) with the real fast path when kappa is real."""
-    if kappa.imag == 0:
-        return bessel_k_array(order, kappa.real * r)
-    return bessel_k_array(order, kappa * r)
-
-
 def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
     """Symmetric weight matrix W of the Martensen-Kussmaul scheme.
 
@@ -86,8 +79,7 @@ def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray
     off = ~np.eye(N, dtype=bool)
 
     real_path = kappa.imag == 0
-    arg = (kappa.real if real_path else kappa) * r
-    i0 = bessel_i_array(0, arg)
+    i0 = bessel_i_array(0, _bessel_arg(kappa, r))
     A = -i0 / (4 * np.pi)
 
     ln4sin2 = np.zeros_like(r)
@@ -95,7 +87,7 @@ def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray
 
     B = np.zeros_like(A, dtype=complex if not real_path else float)
     kern = np.zeros_like(B)
-    kern[off] = _kernel_times(kappa, r[off]) / (2 * np.pi)
+    kern[off] = bessel_k_array(0, _bessel_arg(kappa, r[off])) / (2 * np.pi)
     B[off] = kern[off] - A[off] * ln4sin2[off]
     diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(grid.jacobians)) / (2 * np.pi)
     if real_path:
@@ -160,7 +152,7 @@ def _single_layer_weights_local(grid: QuadratureGrid, kappa: complex) -> np.ndar
         s = (t[:, None] + sgn * offs[None, :]).ravel()
         pts = curve.point(s).reshape(N, Q, 2)
         r = np.linalg.norm(pts - grid.points[:, None, :], axis=-1)
-        kern = _kernel_times(kappa, r) / (2 * np.pi)
+        kern = bessel_k_array(0, _bessel_arg(kappa, r)) / (2 * np.pi)
         jac_s = curve.jacobian(s).reshape(N, Q)
         A = kern * jac_s * wts[None, :]
         C = _trig_interp_kernel(sgn * offs[:, None] - t[None, :], N)
@@ -249,12 +241,6 @@ def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperator
 
 # ---------------------------------------------------------------------------
 # off-curve evaluation
-
-
-@dataclass(frozen=True)
-class FieldSamples:
-    points: np.ndarray
-    values: np.ndarray
 
 
 def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndarray:
@@ -364,26 +350,25 @@ def _eval_layer(grid, density, sp, points, kernel, upsample):
         if mask.any():
             src, g, w = _upsampled_density(grid, density, factor)
             values[mask] = w * _kernel_sum(kernel, sp, points[mask], src, g)
-    return FieldSamples(points, values)
+    return values
 
 
 def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
-            points: np.ndarray, upsample: int = 1) -> FieldSamples:
+            points: np.ndarray, upsample: int = 1) -> np.ndarray:
     """Single layer potential SL(lambda) density at points off the curve."""
     return _eval_layer(grid, density, sp, points, kernel_U, upsample)
 
 
 def eval_Psi(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
-             points: np.ndarray, upsample: int = 1) -> FieldSamples:
+             points: np.ndarray, upsample: int = 1) -> np.ndarray:
     """Potential with the oblique kernel at points off the curve."""
     return _eval_layer(grid, density, sp, points, kernel_L, upsample)
 
 
 def eval_dzbar_Psi(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
-                   points: np.ndarray, upsample: int = 1) -> FieldSamples:
+                   points: np.ndarray, upsample: int = 1) -> np.ndarray:
     """d/dzbar of the oblique potential; equals (i lambda / 2) SL(lambda)."""
-    sl = eval_SL(grid, density, sp, points, upsample=upsample)
-    return FieldSamples(sl.points, 0.5j * sp.lam * sl.values)
+    return 0.5j * sp.lam * eval_SL(grid, density, sp, points, upsample=upsample)
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +395,22 @@ def default_h_sequence(curve: Curve) -> np.ndarray:
     return curve.diameter * np.array([1e-2, 5e-3, 2.5e-3])
 
 
-def _extrapolated_sides(grid, density, sp, h_seq, evaluator, upsample):
-    """One-sided boundary limits of a field, inside (+) and outside (-)."""
-    h_seq = np.asarray(h_seq, dtype=float)
-    if np.any(np.diff(h_seq) >= 0):
-        raise ConfigurationError("h_sequence must be strictly decreasing")
-    inner, outer = (np.stack([
-        evaluator(grid, density, sp, grid.points + sgn * h * grid.normals, upsample).values
-        for h in h_seq
-    ]) for sgn in (-1.0, +1.0))
+def _extrapolated_sides(grid: QuadratureGrid, field) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided boundary limits of a field, inside (+) and outside (-).
+
+    ``field`` maps an (M, 2) point array to M values.  It is sampled at
+    grid.points -/+ h grid.normals for each h of default_h_sequence, and each
+    side is ratio-tested and extrapolated to h = 0.
+    """
+    h_seq = default_h_sequence(grid.curve)
+    inner, outer = (np.stack([field(grid.points + sgn * h * grid.normals) for h in h_seq])
+                    for sgn in (-1.0, +1.0))
     _ratio_check(h_seq, inner)
     _ratio_check(h_seq, outer)
     return _neville_to_zero(h_seq, inner), _neville_to_zero(h_seq, outer)
 
 
 def _ratio_check(h_seq, stack) -> None:
-    if len(h_seq) < 3:
-        return
     d1 = np.linalg.norm(stack[0] - stack[1])
     d2 = np.linalg.norm(stack[1] - stack[2])
     scale = np.linalg.norm(stack[-1])
@@ -442,17 +426,20 @@ def _ratio_check(h_seq, stack) -> None:
         )
 
 
-def jump_traces(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
-                h_sequence: np.ndarray | None = None, upsample: int = 16):
+#: density upsampling for the trace offsets, at most 0.01 diameters from the curve
+_TRACE_UPSAMPLE = 16
+
+
+def jump_traces(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter):
     """Extrapolated jump identities of the oblique potential.
 
     Returns (i (nu1 + i nu2)(trace_+ - trace_-),  -i (dzbar trace sum));
     these approach the density and lambda S(lambda) density respectively.
     """
-    if h_sequence is None:
-        h_sequence = default_h_sequence(grid.curve)
-    psi_in, psi_out = _extrapolated_sides(grid, density, sp, h_sequence, eval_Psi, upsample)
-    dz_in, dz_out = _extrapolated_sides(grid, density, sp, h_sequence, eval_dzbar_Psi, upsample)
+    psi_in, psi_out = _extrapolated_sides(
+        grid, lambda p: eval_Psi(grid, density, sp, p, _TRACE_UPSAMPLE))
+    dz_in, dz_out = _extrapolated_sides(
+        grid, lambda p: eval_dzbar_Psi(grid, density, sp, p, _TRACE_UPSAMPLE))
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
     jump = 1j * nu * (psi_in - psi_out)
     dzbar_sum = -1j * (dz_in + dz_out)

@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  The THREADS
-environment variable caps BLAS/OpenMP worker counts (speed only, never
-values), so it is applied before numpy is imported.
+environment variable caps the kernel-sum pool and the BLAS/OpenMP worker
+counts, so it is applied before numpy is imported.  The pool size never
+changes results; the BLAS thread count can change the last bits of LAPACK
+results.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _parse_branches(text: str) -> list[int]:
             return list(range(int(lo), int(hi) + 1))
         return [int(p) for p in text.split(",")]
     except ValueError as exc:
-        raise ParameterError(f"bad branch spec {text!r}") from exc
+        raise ParameterError(f"bad --n branch spec {text!r}") from exc
 
 
 def _positive(name: str, value: float) -> float:
@@ -95,14 +97,17 @@ def _positive(name: str, value: float) -> float:
 
 def cmd_dispersion(args) -> int:
     from . import spectral
+    from .errors import ParameterError
     curve = _load_curve(args.curve)
-    _positive("--tol", args.tol)
     if not (args.lambda_min < 0 and args.lambda_max < 0):
-        from .errors import ParameterError
         raise ParameterError("lambda grid must be negative")
+    if args.lambda_steps < 1:
+        raise ParameterError(f"--lambda-steps must be >= 1, got {args.lambda_steps}")
+    branches = _parse_branches(args.n)
+    if not branches:
+        raise ParameterError(f"--n {args.n!r} names no branch")
     import numpy as np
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
-    branches = _parse_branches(args.n)
     t0 = time.time()
     with open(args.out, "w") as fh:
         for row in spectral.dispersion_csv_rows(curve, branches, lams, N=args.N):
@@ -243,16 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
+    def common(sp, tol=False, out=True):
         sp.add_argument("--curve", default="circle",
                         help="circle | ellipse | kite | JSON file | inline JSON")
         sp.add_argument("--N", type=int, default=256, help="boundary nodes")
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="relative root tolerance")
+        if tol:
+            sp.add_argument("--tol", type=float, default=1e-9,
+                            help="relative root tolerance")
         if out:
             sp.add_argument("--out", required=True, help="output path")
-        sp.add_argument("--manifest", default=None,
-                        help="write a reproducibility manifest here")
+            sp.add_argument("--manifest", default=None,
+                            help="write a reproducibility manifest here")
 
     d = sub.add_parser("dispersion", help="sweep lambda mu_n(S(lambda))")
     common(d)
@@ -263,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_dispersion)
 
     s = sub.add_parser("spectrum", help="enumerate the discrete spectrum")
-    common(s)
+    common(s, tol=True)
     s.add_argument("--alpha", type=float, required=True)
     s.add_argument("--count", type=int, default=10)
     s.set_defaults(func=cmd_spectrum)
 
     e = sub.add_parser("eigenfunction", help="sample an eigenfunction field")
-    common(e)
+    common(e, tol=True)
     e.add_argument("--alpha", type=float, required=True)
     e.add_argument("--branch", type=int, default=1, help="dispersion branch n")
     e.add_argument("--box-n", type=int, default=64,
@@ -278,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dc = sub.add_parser("delta-compare",
                         help="delta-interaction vs oblique spectrum report")
-    common(dc)
+    common(dc, tol=True)
     dc.add_argument("--alpha", type=float, required=True)
     dc.add_argument("--count", type=int, default=3)
     dc.set_defaults(func=cmd_delta_compare)

@@ -293,9 +293,12 @@ class DiracResolventBlocks:
     difference_norm: float
 
 
+#: half-width of the correction's probe box, in curve diameters
+CORRECTION_PROBE_HALFWIDTH = 1.5
+
+
 def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
-                     N: int = 128, probe_n: int = 24,
-                     probe_halfwidth_factor: float = 1.5) -> DiracResolventBlocks:
+                     N: int = 128, probe_n: int = 24) -> DiracResolventBlocks:
     """Correction kernels of the shifted Dirac resolvent and its limit.
 
     Dirac side: c Phi_z M3 (I - alpha c^2 M3 C_z M3)^-1 alpha c M3 Phi*_zbar,
@@ -308,7 +311,7 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     """
     lam = _require_nonreal(lam)
     g = make_grid(curve, N)
-    vol = _probe_volume(curve, probe_n, probe_halfwidth_factor)
+    vol = _probe_volume(curve, probe_n, CORRECTION_PROBE_HALFWIDTH)
     bie.check_volume_clear_of_curve(vol, g)
     M = len(vol.points)
     Nn = g.N

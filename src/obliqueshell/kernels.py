@@ -100,15 +100,19 @@ def _radii(x: np.ndarray) -> np.ndarray:
     return r
 
 
+def _bessel_arg(kappa: complex, r: np.ndarray) -> np.ndarray:
+    """kappa r, kept real when kappa is real so the Bessel functions take
+    their real fast path."""
+    return kappa.real * r if kappa.imag == 0 else kappa * r
+
+
 def kernel_U(sp: SpectralParameter, x: np.ndarray) -> np.ndarray:
     """Free-resolvent kernel (1/2pi) K_0(-i sqrt(lambda) |x|).
 
     Accepts a single 2-vector or an (..., 2) array; scalar in, scalar out.
     """
     r = _radii(x)
-    kappa = sp.kappa
-    arg = kappa.real * r if kappa.imag == 0 else kappa * r
-    out = bessel_k_array(0, arg) / (2 * np.pi)
+    out = bessel_k_array(0, _bessel_arg(sp.kappa, r)) / (2 * np.pi)
     return out if out.ndim else out[()]
 
 
@@ -116,9 +120,7 @@ def kernel_L(sp: SpectralParameter, x: np.ndarray) -> np.ndarray:
     """Oblique kernel (sqrt(lambda)/2pi) K_1(-i sqrt(lambda)|x|) (x1-ix2)/|x|."""
     x = np.asarray(x, dtype=float)
     r = _radii(x)
-    kappa = sp.kappa
-    arg = kappa.real * r if kappa.imag == 0 else kappa * r
-    out = _L_body(sp, x, r, bessel_k_array(1, arg))
+    out = _L_body(sp, x, r, bessel_k_array(1, _bessel_arg(sp.kappa, r)))
     return out if out.ndim else out[()]
 
 
@@ -136,8 +138,7 @@ def kernel_dzbar_U(sp: SpectralParameter, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     r = _radii(x)
     kappa = sp.kappa
-    arg = kappa.real * r if kappa.imag == 0 else kappa * r
-    k1 = bessel_k_array(1, arg)
+    k1 = bessel_k_array(1, _bessel_arg(kappa, r))
     out = -(kappa / (4 * np.pi)) * k1 * (x[..., 0] + 1j * x[..., 1]) / r
     return out if out.ndim else out[()]
 

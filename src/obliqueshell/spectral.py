@@ -29,7 +29,7 @@ from .errors import (
     ResolutionError,
 )
 from .geometry import Curve, QuadratureGrid, grid as make_grid
-from .kernels import SpectralParameter, kernel_U, kernel_dzbar_U
+from .kernels import SpectralParameter, _bessel_arg, kernel_U, kernel_dzbar_U
 from .specfun import bessel_ik_int
 
 #: smallest lambda the bracket expansion may visit before giving up
@@ -297,20 +297,19 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     phi = phi / norm
     pts = spatial_grid.points if isinstance(spatial_grid, VolumeGrid) \
         else np.atleast_2d(np.asarray(spatial_grid, dtype=float))
-    fs = bie.eval_Psi(g, phi, sp, pts, upsample=upsample)
-    return EigenfunctionField(fs.points, fs.values, phi, float(lambda_n), n, g)
+    values = bie.eval_Psi(g, phi, sp, pts, upsample=upsample)
+    return EigenfunctionField(pts, values, phi, float(lambda_n), n, g)
 
 
 def oblique_residual(g: QuadratureGrid, density: np.ndarray,
-                     sp: SpectralParameter, alpha: float,
-                     h_sequence=None, upsample: int = 16) -> float:
+                     sp: SpectralParameter, alpha: float) -> float:
     """Relative residual of the oblique transmission condition for Psi density.
 
     The condition (nu1 + i nu2)(f_+ - f_-) = -alpha (dzbar f_+ + dzbar f_-)
     reduces, through the extrapolated jump identities, to
     jump_estimate = alpha * dzbar_sum.
     """
-    jump, dzbar_sum = bie.jump_traces(g, density, sp, h_sequence, upsample)
+    jump, dzbar_sum = bie.jump_traces(g, density, sp)
     num = np.linalg.norm(jump - alpha * dzbar_sum)
     den = max(np.linalg.norm(jump), np.linalg.norm(alpha * dzbar_sum))
     return float(num / den)
@@ -349,8 +348,7 @@ def _free_resolvent_on_grid(sp: SpectralParameter, vol: VolumeGrid,
     kap = sp.kappa
     kern = np.zeros_like(R, dtype=complex)
     mask = R > 0
-    arg = (kap.real if kap.imag == 0 else kap) * R[mask]
-    kern[mask] = bessel_k_array(0, arg) / (2 * np.pi)
+    kern[mask] = bessel_k_array(0, _bessel_arg(kap, R[mask])) / (2 * np.pi)
     a = vol.h / np.sqrt(np.pi)
     ka = kap * a
     self_cell = (1.0 - ka * bessel_k_array(1, np.array([ka]))[0]) / kap ** 2
@@ -399,7 +397,7 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
         )
     rhs = bie.apply_Psi_star(g, sp.conjugate, f, vol)
     eta = np.linalg.solve(np.eye(g.N) - alpha * sp.lam * op.entries, rhs)
-    corr = bie.eval_Psi(g, eta, sp, vol.points, upsample=upsample).values
+    corr = bie.eval_Psi(g, eta, sp, vol.points, upsample=upsample)
     return KreinResult(vol, free + alpha * corr, free, eta, g, sp, alpha)
 
 
@@ -410,28 +408,18 @@ def _direct_volume_field(kernel, sp, vol: VolumeGrid, f: np.ndarray,
     return vol.weight * bie._kernel_sum(kernel, sp, points, vol.points, f)
 
 
-def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray,
-                                h_sequence=None, upsample: int = 16) -> float:
+def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray) -> float:
     """Relative residual of the oblique transmission condition for g.
 
     The free part is trace-continuous, so it drops from the jump on the left
     and contributes twice its dzbar trace on the right.
     """
     g, sp, alpha, vol = result.grid, result.sp, result.alpha, result.volume
-    if h_sequence is None:
-        h_sequence = bie.default_h_sequence(g.curve)
-    jump, dzbar_sum = bie.jump_traces(g, result.density, sp, h_sequence, upsample)
+    jump, dzbar_sum = bie.jump_traces(g, result.density, sp)
     # dzbar of the free part on the curve, extrapolated from both sides
-    f = np.asarray(f_samples, dtype=complex).ravel()
-    stacks = []
-    for sgn in (-1.0, +1.0):
-        vals = np.stack([
-            _direct_volume_field(kernel_dzbar_U, sp, vol, f,
-                                 g.points + sgn * h * g.normals)
-            for h in h_sequence
-        ])
-        stacks.append(bie._neville_to_zero(np.asarray(h_sequence, float), vals))
-    dz_free = 0.5 * (stacks[0] + stacks[1])
+    free_in, free_out = bie._extrapolated_sides(
+        g, lambda p: _direct_volume_field(kernel_dzbar_U, sp, vol, f_samples, p))
+    dz_free = 0.5 * (free_in + free_out)
     # lhs = nu (g_+ - g_-) = -i alpha jump ;  rhs = -alpha (dzbar g_+ + dzbar g_-)
     lhs = -1j * alpha * jump
     rhs = -alpha * (2 * dz_free + alpha * 1j * dzbar_sum)

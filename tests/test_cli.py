@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import obliqueshell
 from obliqueshell import cli
 
 
@@ -51,9 +56,34 @@ def test_dispersion_rejects_positive_lambda(tmp_path, capsys):
 
 
 def test_bad_tol_is_usage_error(tmp_path):
-    rc = run(["dispersion", "--tol", "0", "--lambda-min", "-2",
-              "--lambda-max", "-1", "--out", str(tmp_path / "x.csv")])
+    rc = run(["spectrum", "--tol", "0", "--alpha", "-1", "--count", "1",
+              "--N", "32", "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--lambda-steps", "-1"),
+                                         ("--lambda-steps", "0"),
+                                         ("--n", "1..0")])
+def test_empty_dispersion_sweep_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    rc = run(["dispersion", "--lambda-min", "-2", "--lambda-max", "-1", "--N", "32",
+              flag, value, "--out", str(out)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--tol", "1e-9", "--lambda-min", "-2", "--lambda-max", "-1",
+     "--out", "x.csv"],
+    ["nonrel-limit", "--tol", "1e-9", "--out", "x.csv"],
+    ["oracle-check", "--tol", "1e-9"],
+    ["oracle-check", "--manifest", "m.json"],
+])
+def test_flags_are_registered_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
 
 
 def test_bad_branch_spec(tmp_path):
@@ -164,3 +194,18 @@ def test_oracle_check(capsys):
     assert "mismatch" in capsys.readouterr().out
     rc = run(["oracle-check", "--curve", "kite"])
     assert rc == 2
+
+
+def test_cli_import_defers_numpy_and_every_export_resolves():
+    # the CLI copies THREADS into the BLAS variables, which only takes effect
+    # if numpy is not loaded yet
+    src = str(Path(obliqueshell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import obliqueshell.cli, sys; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+    assert "FieldSamples" not in obliqueshell.__all__
+    missing = [name for name in obliqueshell.__all__ if not hasattr(obliqueshell, name)]
+    assert missing == [] and len(obliqueshell.__all__) == 60

@@ -1,0 +1,32 @@
+"""The benchmark's tracer (bench/tracer.py) wraps library functions by name;
+a refactor that renames or deletes one of them silently drops a layer metric.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _current(owner, attr):
+    return vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_every_trace_target_exists_and_is_restored():
+    tracer_module = _load_tracer()
+    with tracer_module.instrument(tracer_module.Tracer()) as tracer:
+        assert tracer.missing == []
+        patches = list(tracer._patches)
+        assert patches
+        assert all(_current(owner, attr) is not original
+                   for owner, attr, original in patches)
+    assert all(_current(owner, attr) is original for owner, attr, original in patches)
