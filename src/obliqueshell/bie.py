@@ -67,35 +67,69 @@ def _pairwise_r(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(-1))
 
 
+@dataclass(frozen=True)
+class _MKBlocks:
+    """The kappa-independent part of the Martensen-Kussmaul scheme on the
+    strict lower triangle i > j: node indices, distances r, ln 4 sin^2 of the
+    parameter differences and the log weights R, plus R on the diagonal."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    r: np.ndarray
+    ln4sin2: np.ndarray
+    R: np.ndarray
+    R_diag: float
+
+
+def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
+    rows, cols = np.tril_indices(grid.N, -1)
+    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    diff = grid.points[rows] - grid.points[cols]
+    r = np.sqrt((diff ** 2).sum(-1))
+    theta = grid.nodes[rows] - grid.nodes[cols]
+    ln4sin2 = np.log(4 * np.sin(theta / 2) ** 2)
+    # R is circulant: R[i, j] = col[(i - j) mod N], and i - j > 0 here
+    col = log_quadrature_weights(grid.N)[:, 0]
+    return _MKBlocks(rows, cols, r, ln4sin2, col[rows - cols], float(col[0]))
+
+
+def _mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
+    """_build_mk_blocks(grid), built on first use and kept on the grid."""
+    if "_mk_blocks" not in grid.__dict__:
+        object.__setattr__(grid, "_mk_blocks", _build_mk_blocks(grid))
+    return grid._mk_blocks
+
+
+def _drop_mk_blocks(grid: QuadratureGrid) -> None:
+    """Free the blocks cached on a grid that a result keeps after its last
+    assembly (N(N-1)/2 * 32 bytes, 4 MB at N = 512)."""
+    grid.__dict__.pop("_mk_blocks", None)
+
+
 def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
     """Symmetric weight matrix W of the Martensen-Kussmaul scheme.
 
-    (S phi)(t_i) ~ sum_j W[i,j] jac_j phi_j.
+    (S phi)(t_i) ~ sum_j W[i,j] jac_j phi_j.  The kernel is evaluated on the
+    strict lower triangle and mirrored, so W is exactly symmetric.
     """
-    N = grid.N
-    t = grid.nodes
-    r = _pairwise_r(grid.points)
-    theta = t[:, None] - t[None, :]
-    off = ~np.eye(N, dtype=bool)
-
+    blocks = _mk_blocks(grid)
     real_path = kappa.imag == 0
-    i0 = bessel_i_array(0, _bessel_arg(kappa, r))
-    A = -i0 / (4 * np.pi)
 
-    ln4sin2 = np.zeros_like(r)
-    ln4sin2[off] = np.log(4 * np.sin(theta[off] / 2) ** 2)
+    A = -bessel_i_array(0, _bessel_arg(kappa, blocks.r)) / (4 * np.pi)
+    kern = bessel_k_array(0, _bessel_arg(kappa, blocks.r)) / (2 * np.pi)
+    B = kern - A * blocks.ln4sin2
+    lower = blocks.R * A + grid.weight * B
 
-    B = np.zeros_like(A, dtype=complex if not real_path else float)
-    kern = np.zeros_like(B)
-    kern[off] = bessel_k_array(0, _bessel_arg(kappa, r[off])) / (2 * np.pi)
-    B[off] = kern[off] - A[off] * ln4sin2[off]
+    W = np.empty((grid.N, grid.N), dtype=lower.dtype)
+    W[blocks.rows, blocks.cols] = lower
+    W[blocks.cols, blocks.rows] = lower
+    # diagonal: A at r = 0, and the limit of the smooth remainder B
+    a_diag = -bessel_i_array(0, _bessel_arg(kappa, np.zeros(1))) / (4 * np.pi)
     diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(grid.jacobians)) / (2 * np.pi)
     if real_path:
         diag = diag.real
-    np.fill_diagonal(B, diag)
-
-    R = log_quadrature_weights(N)
-    return R * A + grid.weight * B
+    np.fill_diagonal(W, blocks.R_diag * a_diag + grid.weight * diag)
+    return W
 
 
 def _trig_interp_kernel(theta: np.ndarray, N: int) -> np.ndarray:
@@ -148,15 +182,24 @@ def _single_layer_weights_local(grid: QuadratureGrid, kappa: complex) -> np.ndar
     # d = (j - i) mod N.
     idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
     rows = np.arange(N)[:, None]
+    # the per-side temporaries are updated in place and dropped early: this
+    # assembly sets the peak memory of a spectrum run
     for sgn in (+1.0, -1.0):
         s = (t[:, None] + sgn * offs[None, :]).ravel()
         pts = curve.point(s).reshape(N, Q, 2)
-        r = np.linalg.norm(pts - grid.points[:, None, :], axis=-1)
-        kern = bessel_k_array(0, _bessel_arg(kappa, r)) / (2 * np.pi)
-        jac_s = curve.jacobian(s).reshape(N, Q)
-        A = kern * jac_s * wts[None, :]
-        C = _trig_interp_kernel(sgn * offs[:, None] - t[None, :], N)
-        W += (A @ C)[rows, idx]
+        pts -= grid.points[:, None, :]
+        r = np.linalg.norm(pts, axis=-1)
+        del pts
+        A = bessel_k_array(0, _bessel_arg(kappa, r))
+        del r
+        A /= 2 * np.pi
+        A *= curve.jacobian(s).reshape(N, Q)
+        A *= wts[None, :]
+        del s
+        AC = A @ _trig_interp_kernel(sgn * offs[:, None] - t[None, :], N)
+        del A
+        W += AC[rows, idx]
+        del AC
     # innermost [0, delta]: kernel ~ K_0(kappa jac sigma), density frozen.
     a = kappa * grid.jacobians
     x = a * delta
@@ -168,8 +211,10 @@ def _single_layer_weights_local(grid: QuadratureGrid, kappa: complex) -> np.ndar
         inner = inner.real
     W[np.arange(N), np.arange(N)] += inner
     # divide out the jacobian column factor applied by the caller
-    W = W / grid.jacobians[None, :]
-    return 0.5 * (W + W.T)
+    W /= grid.jacobians[None, :]
+    W += W.T
+    W *= 0.5
+    return W
 
 
 def single_layer_weights(grid: QuadratureGrid, kappa: complex) -> np.ndarray:

@@ -109,8 +109,10 @@ def cmd_dispersion(args) -> int:
     import numpy as np
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
     t0 = time.time()
+    # computed in full first: a failing sweep leaves no partial CSV behind
+    rows = spectral.dispersion_csv_rows(curve, branches, lams, N=args.N)
     with open(args.out, "w") as fh:
-        for row in spectral.dispersion_csv_rows(curve, branches, lams, N=args.N):
+        for row in rows:
             fh.write(row + "\n")
     _write_manifest(args.manifest, "dispersion", _params(args), [args.out], t0)
     return 0

@@ -11,7 +11,8 @@ none.  A delta-interaction comparison spectrum solves alpha mu_n(S(lambda)) =
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import contextvars
 import json
 from dataclasses import dataclass, field
 
@@ -57,27 +58,69 @@ def _check_branch(n: int, N: int) -> None:
         raise ResolutionError(f"branch n={n} needs N >= {4 * n}, got N={N}")
 
 
-def _mu_n(g: QuadratureGrid, lam: float, n: int) -> float:
+def _mu_n(g: QuadratureGrid, lam: float, k: int) -> np.ndarray:
+    """mu_1 >= ... >= mu_k of S(lambda) on g: the one assembly and eigensolve
+    behind every dispersion branch."""
     op = bie.assemble_S(g, SpectralParameter.make(lam))
-    return float(op.eigenvalues_desc(k=n)[n - 1].real)
+    return op.eigenvalues_desc(k=k).real
 
 
+class _Memo:
+    """mu_1..mu_k of S(lambda) on one grid, keyed by lambda alone, so that
+    every branch n <= k reads the same assemblies."""
+
+    def __init__(self, grid: QuadratureGrid, k: int) -> None:
+        self.grid = grid
+        self.k = k
+        self.mus: dict[float, np.ndarray] = {}
+
+    def mu(self, lam: float, n: int) -> float:
+        lam = float(lam)
+        if lam not in self.mus:
+            self.mus[lam] = _mu_n(self.grid, lam, self.k)
+        return float(self.mus[lam][n - 1])
+
+
+#: the memo of the spectral call in progress, if any
+_SHARED: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar(
+    "obliqueshell_spectral_memo", default=None)
+
+
+@contextlib.contextmanager
 def _branch(curve: Curve, n: int, N: int):
-    """lambda -> mu_n(S(lambda)) on one N-node grid, assembling each lambda once.
+    """The memo through which branches 1..n on an N-node grid reach mu_n.
 
     The only way the spectral routines reach mu_n, so a root finder that
-    revisits an abscissa (a bracket end, the root itself) costs no assembly.
+    revisits an abscissa (a bracket end, the root itself, another branch's
+    abscissa) costs no assembly.  Inside the memo of an enclosing block that
+    serves the same curve, N and branch, that memo is reused; otherwise a new
+    one is shared with every call made inside this block and dropped when it
+    ends, so nothing outlives the public call that opened it.
     """
     _check_branch(n, N)
-    g = make_grid(curve, N)
-    return functools.cache(lambda lam: _mu_n(g, lam, n))
+    memo = _SHARED.get()
+    if memo is not None and memo.grid.curve is curve and memo.grid.N == N \
+            and n <= memo.k:
+        yield memo
+        return
+    memo = _Memo(make_grid(curve, N), n)
+    token = _SHARED.set(memo)
+    try:
+        yield memo
+    finally:
+        _SHARED.reset(token)
+        # brentq leaves a reference cycle around the function it solved,
+        # which holds this memo until the cyclic collector runs: free the
+        # grid, with its cached MK blocks, and the eigenvalues now
+        memo.grid = memo.mus = None
 
 
 def dispersion(curve: Curve, n: int, lam: float, N: int = 256) -> DispersionSample:
     """Sample of the dispersion function lambda * mu_n(S(lambda)), lambda < 0."""
     if not lam < 0:
         raise DomainError(f"dispersion needs lambda < 0, got {lam}")
-    return DispersionSample(float(lam), n, float(lam) * _branch(curve, n, N)(lam))
+    with _branch(curve, n, N) as memo:
+        return DispersionSample(float(lam), n, float(lam) * memo.mu(lam, n))
 
 
 def circle_oracle_mu(n: int, R: float, lam: float) -> float:
@@ -100,28 +143,37 @@ def circle_oracle_mu(n: int, R: float, lam: float) -> float:
 # root finding on a monotone branch
 
 
-def _bracket_and_solve(f, seed: float, tol: float, increasing: bool):
+def _bracket_and_solve(f, seed: float, tol: float, increasing: bool, known=()):
     """Root of the monotone function f on (-inf, 0); f is in lambda < 0.
 
-    ``seed`` is a negative starting abscissa.  Expands geometrically until a
-    sign change is bracketed, then runs Brent's method.
+    ``known`` lists abscissae where f costs nothing (memoized assemblies):
+    the nearest of them on each side of the sign change bound the bracket.
+    A side with no such abscissa is found by geometric expansion from the
+    other end, or from the negative starting abscissa -|seed| when nothing
+    is known.  Brent's method then solves on the bracket.
     """
-    lo = -abs(seed)
-    f_lo = f(lo)
     sign_at_left = -1.0 if increasing else 1.0  # sign of f near -infinity
-    if np.sign(f_lo) == sign_at_left or f_lo == 0:
-        # seed is already on the -infinity side; march toward 0
-        hi = lo
-        f_hi = f_lo
-        while np.sign(f_hi) == sign_at_left and f_hi != 0:
+    lo = hi = None
+    for lam in sorted(known) or [-abs(seed)]:
+        v = f(lam)
+        if v == 0:
+            return lam
+        if np.sign(v) == sign_at_left:
+            lo, f_lo, hi = lam, v, None
+        elif hi is None:
+            hi, f_hi = lam, v
+    if hi is None:
+        # lo is on the -infinity side; march toward 0
+        hi, f_hi = lo, f_lo
+        while np.sign(f_hi) == sign_at_left:
             lo, f_lo = hi, f_hi
             hi = hi / 8
             if hi > -1e-14:
                 return None  # no crossing before lambda -> 0-
             f_hi = f(hi)
-    else:
-        hi, f_hi = lo, f_lo
-        while np.sign(f_lo) != sign_at_left:
+    elif lo is None:
+        lo, f_lo = hi, f_hi
+        while np.sign(f_lo) != sign_at_left and f_lo != 0:
             hi, f_hi = lo, f_lo
             lo = lo * 8
             if lo < BRACKET_FLOOR:
@@ -149,17 +201,17 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
         raise ParameterError(f"find_eigenvalue needs alpha < 0, got {alpha}")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    mu = _branch(curve, n, N)
+    with _branch(curve, n, N) as memo:
 
-    def f(lam: float) -> float:
-        return lam * mu(lam) - 1.0 / alpha
+        def f(lam: float) -> float:
+            return lam * memo.mu(lam, n) - 1.0 / alpha
 
-    seed = max(1.0, 4.0 / alpha ** 2 / 8)
-    root = _bracket_and_solve(f, seed, tol, increasing=True)
-    if root is None:
-        raise DivergenceError("dispersion root escaped toward lambda = 0")
-    # brentq returns an abscissa it evaluated, so this reads the memo
-    residual = abs(alpha * root * mu(root) - 1.0)
+        seed = max(1.0, 4.0 / alpha ** 2 / 8)
+        root = _bracket_and_solve(f, seed, tol, increasing=True, known=list(memo.mus))
+        if root is None:
+            raise DivergenceError("dispersion root escaped toward lambda = 0")
+        # brentq returns an abscissa it evaluated, so this reads the memo
+        residual = abs(alpha * root * memo.mu(root, n) - 1.0)
     return float(root), float(residual)
 
 
@@ -235,24 +287,30 @@ def _check_count(alpha: float, count: int, N: int) -> None:
 
 def enumerate_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
                        tol: float = 1e-9) -> SpectrumResult:
-    """First ``count`` discrete eigenvalues, non-increasing; empty for alpha > 0."""
+    """First ``count`` discrete eigenvalues, non-increasing; empty for alpha > 0.
+
+    The branches share one memo of S(lambda), so each lambda is assembled
+    once: branch n brackets its root between abscissae that branches 1..n-1
+    already evaluated, lambda_{n-1} among them.
+    """
     _check_count(alpha, count, N)
     if alpha > 0:
         # verify the mechanism: every eigenvalue of alpha lambda S(lambda)
         # stays below 1 on a probe grid, so 1 is never hit
-        mu = _branch(curve, 1, N)
-        for lam in np.geomspace(1e-2, 100, 20):
-            top = alpha * (-lam) * mu(-lam)
-            if top >= 1:
-                raise NumericalInstabilityError(
-                    f"unexpected unit crossing at lambda={-lam} for alpha={alpha}"
-                )
+        with _branch(curve, 1, N) as memo:
+            for lam in np.geomspace(1e-2, 100, 20):
+                top = alpha * (-lam) * memo.mu(-lam, 1)
+                if top >= 1:
+                    raise NumericalInstabilityError(
+                        f"unexpected unit crossing at lambda={-lam} for alpha={alpha}"
+                    )
         return SpectrumResult(alpha, curve.name, N, tol, ())
 
     entries = []
-    for n in range(1, count + 1):
-        lam_n, res = find_eigenvalue(curve, alpha, n, tol=tol, N=N)
-        entries.append(EigenvalueEntry(n, lam_n, res))
+    with _branch(curve, count, N):
+        for n in range(1, count + 1):
+            lam_n, res = find_eigenvalue(curve, alpha, n, tol=tol, N=N)
+            entries.append(EigenvalueEntry(n, lam_n, res))
     entries = _annotate_multiplicities(entries)
     return SpectrumResult(alpha, curve.name, N, tol, tuple(entries))
 
@@ -284,6 +342,7 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     g = make_grid(curve, N)
     sp = SpectralParameter.make(lambda_n)
     op = bie.assemble_S(g, sp)
+    bie._drop_mk_blocks(g)  # the returned field keeps g
     w_all, V = np.linalg.eigh(op.symmetrized())
     bs_vals = alpha * lambda_n * w_all
     idx = int(np.argmin(np.abs(bs_vals - 1.0)))
@@ -386,6 +445,7 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
         return KreinResult(vol, free.copy(), free, np.zeros(g.N, complex), g, sp, alpha)
 
     op = bie.assemble_S(g, sp)
+    bie._drop_mk_blocks(g)  # the returned result keeps g
     sym = op.symmetrized()
     B = np.eye(g.N) - alpha * sp.lam * sym
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
@@ -437,7 +497,8 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
     """Eigenvalues of the delta interaction: roots of alpha mu_n(S(lambda)) = -1.
 
     Branches with no root are reported in ``empty_branches`` (the delta
-    interaction has finitely many eigenvalues), not as errors.
+    interaction has finitely many eigenvalues), not as errors.  As in
+    enumerate_spectrum, the branches share one memo of S(lambda).
     """
     _check_count(alpha, count, N)
     if alpha > 0:
@@ -447,19 +508,20 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
 
     entries = []
     empty = []
-    for n in range(1, count + 1):
-        mu = _branch(curve, n, N)
+    with _branch(curve, count, N) as memo:
+        for n in range(1, count + 1):
 
-        def f(lam: float) -> float:
-            # decreasing in lambda: mu_n increases, alpha < 0
-            return alpha * mu(lam) + 1.0
+            def f(lam: float) -> float:
+                # decreasing in lambda: mu_n increases, alpha < 0
+                return alpha * memo.mu(lam, n) + 1.0
 
-        root = _bracket_and_solve(f, 1.0, tol, increasing=False)
-        if root is None:
-            empty.append(n)
-            continue
-        residual = abs(alpha * mu(root) + 1.0)
-        entries.append(EigenvalueEntry(n, float(root), float(residual)))
+            root = _bracket_and_solve(f, 1.0, tol, increasing=False,
+                                      known=list(memo.mus))
+            if root is None:
+                empty.append(n)
+                continue
+            residual = abs(alpha * memo.mu(root, n) + 1.0)
+            entries.append(EigenvalueEntry(n, float(root), float(residual)))
     entries.sort(key=lambda e: -e.lam)
     return SpectrumResult(alpha, curve.name, N, tol, tuple(entries),
                           kind="delta", empty_branches=tuple(empty))
@@ -469,10 +531,21 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
 # CSV emission
 
 
-def dispersion_csv_rows(curve: Curve, branches, lambdas, N: int = 256):
-    """Rows 'lambda,n,value' for a sweep, header included."""
-    yield "lambda,n,value"
+def dispersion_csv_rows(curve: Curve, branches, lambdas, N: int = 256) -> list[str]:
+    """Rows 'lambda,n,value' for a sweep, header included.
+
+    Every branch is checked before any assembly, and the rows are computed
+    in full before they are returned, so a caller writing them to a file
+    writes nothing when the sweep fails.  The branches share one memo of
+    S(lambda): B branches over L values of lambda cost L assemblies.
+    """
+    branches = list(branches)
     for n in branches:
-        for lam in lambdas:
-            s = dispersion(curve, n, lam, N)
-            yield f"{s.lam:.17g},{s.n},{s.value:.17g}"
+        _check_branch(n, N)
+    rows = ["lambda,n,value"]
+    with _branch(curve, max(branches, default=1), N):
+        for n in branches:
+            for lam in lambdas:
+                s = dispersion(curve, n, lam, N)
+                rows.append(f"{s.lam:.17g},{s.n},{s.value:.17g}")
+    return rows

@@ -15,7 +15,7 @@ from obliqueshell.errors import (
     SingularityError,
 )
 from obliqueshell.kernels import DiracParameter, SpectralParameter, kernel_L, kernel_U
-from obliqueshell.specfun import bessel_ik_int, bessel_k
+from obliqueshell.specfun import EULER_GAMMA, bessel_ik_int, bessel_k
 
 
 def test_log_quadrature_weights_reproduce_log_integral():
@@ -40,6 +40,61 @@ def test_single_layer_symmetry_and_positivity(kite):
     assert np.linalg.norm(sym - sym.T) <= 1e-10 * np.linalg.norm(sym)
     vals = S.eigenvalues_desc()
     assert np.all(vals > 0)
+
+
+def _mk_reference(g, kappa):
+    """The Martensen-Kussmaul weights on the full N x N grid: every pair
+    (i, j) evaluated on its own, in the order of the scheme's formula."""
+    N = g.N
+    r = bie._pairwise_r(g.points)
+    theta = g.nodes[:, None] - g.nodes[None, :]
+    off = ~np.eye(N, dtype=bool)
+    real_path = kappa.imag == 0
+    arg = kappa.real * r if real_path else kappa * r
+    A = -bie.bessel_i_array(0, arg) / (4 * np.pi)
+    ln4sin2 = np.zeros_like(r)
+    ln4sin2[off] = np.log(4 * np.sin(theta[off] / 2) ** 2)
+    B = np.zeros_like(A, dtype=float if real_path else complex)
+    kern = np.zeros_like(B)
+    kern[off] = bie.bessel_k_array(0, arg[off]) / (2 * np.pi)
+    B[off] = kern[off] - A[off] * ln4sin2[off]
+    diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(g.jacobians)) / (2 * np.pi)
+    np.fill_diagonal(B, diag.real if real_path else diag)
+    return bie.log_quadrature_weights(N) * A + g.weight * B
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_mk_weights_symmetric_and_match_full_reference(kite, mirror_free, N):
+    # the kernel is evaluated on the strict lower triangle and mirrored:
+    # W is exactly symmetric, and its lower triangle, the part LAPACK's
+    # symmetric eigensolvers read, is bit-identical to the full reference
+    low = np.tril_indices(N)
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, N)
+        for kappa in (0.8 / curve.diameter, 5.0 / curve.diameter,
+                      complex(1.2, -0.7), complex(0.3, 2.5)):
+            kappa = complex(kappa)
+            W = bie._single_layer_weights_mk(g, kappa)
+            assert np.array_equal(W, W.T), (curve.name, kappa)
+            ref = _mk_reference(g, kappa)
+            assert W.dtype == ref.dtype
+            assert np.array_equal(W[low], ref[low]), (curve.name, kappa)
+            # the reference's upper triangle differs only by the rounding of
+            # the log weights R[i, j] = col[i - j] against col[N + i - j]
+            assert np.abs(W - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_mk_blocks_are_built_once_per_grid(monkeypatch, kite):
+    built = []
+    build = bie._build_mk_blocks
+    monkeypatch.setattr(bie, "_build_mk_blocks", lambda g: built.append(g) or build(g))
+    g = geometry.grid(kite, 64)
+    for lam in (-0.5, -2.0, 1j):
+        bie.assemble_S(g, SpectralParameter.make(lam))
+    assert built == [g]
+    # a new grid on the same curve builds its own
+    bie.assemble_S(geometry.grid(kite, 64), SpectralParameter.make(-1.0))
+    assert len(built) == 2
 
 
 def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):

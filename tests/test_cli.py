@@ -48,6 +48,18 @@ def test_dispersion_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("branches, code", [("0", 2), ("1,9", 1)])
+def test_rejected_dispersion_branch_writes_no_file(tmp_path, capsys, branches, code):
+    # n = 0 is a usage error; n = 9 needs N >= 36, a resolution limit
+    out = tmp_path / "disp.csv"
+    rc = run(["dispersion", "--curve", "circle", "--N", "32", "--n", branches,
+              "--lambda-min", "-2", "--lambda-max", "-1", "--lambda-steps", "3",
+              "--out", str(out)])
+    assert rc == code
+    assert "branch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dispersion_rejects_positive_lambda(tmp_path, capsys):
     rc = run(["dispersion", "--lambda-min", "-1", "--lambda-max", "1",
               "--out", str(tmp_path / "x.csv")])

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -105,26 +106,96 @@ def test_graded_panel_ground_state_refines_on_non_circles(kite, ellipse):
     assert roots["kite"] == pytest.approx(-97.542068938, rel=1e-10)
 
 
-def test_no_branch_assembles_a_kappa_twice(monkeypatch, circle, kite):
-    # one list of assembled kappas per root-finder run; the residual at the
-    # root counts toward the run that found it
-    runs = []
+def _record_assemblies(monkeypatch) -> list[complex]:
+    """Every kappa assembled from now on, by either quadrature path."""
+    kappas = []
     for name in ("_single_layer_weights_mk", "_single_layer_weights_local"):
         def record(grid, kappa, assemble=getattr(bie, name)):
-            runs[-1].append(complex(kappa))
+            kappas.append(complex(kappa))
             return assemble(grid, kappa)
         monkeypatch.setattr(bie, name, record)
-    solve = spectral._bracket_and_solve
+    return kappas
 
-    def new_run(*args, **kwargs):
-        runs.append([])
-        return solve(*args, **kwargs)
-    monkeypatch.setattr(spectral, "_bracket_and_solve", new_run)
-    spectral.find_eigenvalue(kite, -1.0, 3, N=64)
-    spectral.delta_spectrum(circle, -0.1, 2, N=64)
-    assert len(runs) == 3
-    for kappas in runs:
+
+def test_no_branch_assembles_a_kappa_twice(monkeypatch, circle, kite):
+    # the branches of one public call share their assemblies: no kappa is
+    # assembled twice within a whole enumerate_spectrum or delta_spectrum
+    # call, and each assembly is one _mu_n evaluation
+    kappas = _record_assemblies(monkeypatch)
+    mu_n_calls = []
+    mu_n = spectral._mu_n
+    monkeypatch.setattr(spectral, "_mu_n",
+                        lambda *args: mu_n_calls.append(1) or mu_n(*args))
+    for run in (lambda: spectral.enumerate_spectrum(kite, -1.0, 6, N=64),
+                lambda: spectral.delta_spectrum(circle, -0.1, 3, N=64),
+                lambda: spectral.find_eigenvalue(kite, -1.0, 3, N=64)):
+        kappas.clear()
+        mu_n_calls.clear()
+        run()
         assert kappas and len(set(kappas)) == len(kappas)
+        assert len(mu_n_calls) == len(kappas)
+
+
+def test_branches_bracket_from_the_shared_memo(monkeypatch, kite):
+    # branch n starts from abscissae earlier branches evaluated, so the
+    # whole spectrum costs fewer assemblies than its branches solved alone
+    kappas = _record_assemblies(monkeypatch)
+    spectral.enumerate_spectrum(kite, -1.0, 6, N=64)
+    shared = len(kappas)
+    kappas.clear()
+    for n in range(1, 7):
+        spectral.find_eigenvalue(kite, -1.0, n, N=64)
+    assert shared < 0.8 * len(kappas)
+
+
+def test_no_memo_outlives_a_call(monkeypatch, kite):
+    kappas = _record_assemblies(monkeypatch)
+    counts = []
+    for _ in range(2):
+        kappas.clear()
+        spectral.enumerate_spectrum(kite, -1.0, 3, N=64)
+        counts.append(len(kappas))
+    assert counts[0] == counts[1] > 0
+    assert spectral._SHARED.get() is None
+
+
+def test_no_grid_outlives_a_spectral_call(circle, kite):
+    # brentq leaves a reference cycle around the function it solved; the
+    # grid with its MK blocks must not wait for the cyclic collector
+    def grids():
+        return [o for o in gc.get_objects() if isinstance(o, geometry.QuadratureGrid)]
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(grids())
+        spectral.enumerate_spectrum(kite, -1.0, 3, N=64)
+        spectral.find_eigenvalue(kite, -1.0, 2, N=64)
+        spectral.delta_spectrum(circle, -0.1, 2, N=64)
+        assert len(grids()) == before
+    finally:
+        gc.enable()
+
+
+def test_results_keep_their_grid_without_mk_blocks(circle):
+    # one assembly per call: the grid a result keeps carries no cache
+    vol = bie.make_volume_grid(2.0, 16)
+    f = np.exp(-(vol.points ** 2).sum(-1))
+    res = spectral.krein_apply(circle, -1.0, SpectralParameter.make(-2.0), f, vol, N=64)
+    lam1, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=64)
+    ef = spectral.eigenfunction(circle, -1.0, lam1, 1, np.array([[0.0, 0.0]]), N=64)
+    for g in (res.grid, ef.grid):
+        assert "_mk_blocks" not in vars(g)
+
+
+def test_shared_memo_results_match_lone_branches(kite):
+    # the roots of one call agree with each branch solved on its own
+    # (own memo, own eigensolve subset) to the requested tolerance
+    res = spectral.enumerate_spectrum(kite, -1.0, 6, N=64, tol=1e-11)
+    for e in res.eigenvalues:
+        lam, _ = spectral.find_eigenvalue(kite, -1.0, e.n, tol=1e-11, N=64)
+        assert e.lam == pytest.approx(lam, rel=1e-10), e.n
+        assert e.residual <= 1e-9
 
 
 def test_bracket_and_solve_seed_independence():
@@ -135,6 +206,29 @@ def test_bracket_and_solve_seed_independence():
     # decreasing function with no root on (-inf, 0)
     g = lambda lam: 1.0 + 1.0 / (1.0 - lam)
     assert spectral._bracket_and_solve(g, 1.0, 1e-12, increasing=False) is None
+
+
+def test_bracket_from_known_abscissae():
+    # the nearest known abscissa on each side of the root bounds the
+    # bracket; no expansion step runs, and one known side suffices
+    seen = []
+
+    def f(lam):
+        seen.append(lam)
+        return lam + 5.0
+
+    known = [-100.0, -7.0, -6.0, -2.0, -1.0]
+    root = spectral._bracket_and_solve(f, 1.0, 1e-12, increasing=True, known=known)
+    assert root == pytest.approx(-5.0, rel=1e-10)
+    assert all(-6.0 <= lam <= -2.0 for lam in seen[len(known):])
+    for one_side in ([-2.0, -1.0], [-7.0]):
+        seen.clear()
+        root = spectral._bracket_and_solve(f, 1.0, 1e-12, increasing=True,
+                                           known=one_side)
+        assert root == pytest.approx(-5.0, rel=1e-10)
+        assert -1.0 not in seen[len(one_side):]  # the seed was not used
+    assert spectral._bracket_and_solve(f, 1.0, 1e-12, increasing=True,
+                                       known=[-5.0]) == -5.0
 
 
 def test_enumerate_spectrum_circle(circle, circle_roots):
@@ -270,10 +364,28 @@ def test_delta_spectrum_positive_coupling(circle):
         spectral.delta_spectrum(circle, 0.0, 3)
 
 
-def test_dispersion_csv_rows(circle):
+def test_dispersion_csv_rows(monkeypatch, circle):
+    # three branches over four lambdas: one assembly per lambda, shared
+    mu_n_calls = []
+    mu_n = spectral._mu_n
+    monkeypatch.setattr(spectral, "_mu_n",
+                        lambda *args: mu_n_calls.append(args[1]) or mu_n(*args))
     rows = list(spectral.dispersion_csv_rows(
-        circle, [1, 2], np.linspace(-5, -1, 4), N=32))
+        circle, [1, 2, 3], np.linspace(-5, -1, 4), N=32))
     assert rows[0] == "lambda,n,value"
-    assert len(rows) == 1 + 2 * 4
+    assert len(rows) == 1 + 3 * 4
     lam, n, val = rows[1].split(",")
     assert float(lam) == -5.0 and int(n) == 1 and float(val) < 0
+    assert sorted(mu_n_calls) == list(np.linspace(-5, -1, 4))
+    # every row matches the branch sampled on its own
+    for row in rows[1:]:
+        lam, n, val = row.split(",")
+        assert float(val) == spectral.dispersion(circle, int(n), float(lam), N=32).value
+
+
+def test_dispersion_csv_rows_checks_every_branch_first(monkeypatch, circle):
+    monkeypatch.setattr(spectral, "_mu_n", lambda *args: pytest.fail("assembled"))
+    with pytest.raises(ResolutionError):
+        spectral.dispersion_csv_rows(circle, [1, 9], [-1.0], N=32)
+    with pytest.raises(ParameterError):
+        spectral.dispersion_csv_rows(circle, [2, 0], [-1.0], N=32)

@@ -30,3 +30,23 @@ def test_every_trace_target_exists_and_is_restored():
         assert all(_current(owner, attr) is not original
                    for owner, attr, original in patches)
     assert all(_current(owner, attr) is original for owner, attr, original in patches)
+
+
+def test_traced_spectrum_reaches_every_branch_and_assembles_once_per_root_eval(tmp_path):
+    # the benchmark's spectrum workload reads the find_eigenvalue span and
+    # requires one assembly per _mu_n evaluation; a shared memo that
+    # bypassed either would silently empty those metrics
+    from obliqueshell import cli
+
+    tracer_module = _load_tracer()
+    out = tmp_path / "spectrum.json"
+    with tracer_module.instrument(tracer_module.Tracer()) as tracer:
+        code = cli.main(["spectrum", "--curve", "kite", "--alpha", "-1", "--N", "64",
+                         "--count", "3", "--out", str(out)])
+    assert code == 0
+    m = tracer.summary()
+    assert m["spectral.find_eigenvalue.calls"] == 3
+    assert m["spectral.eigenvalues"] == 3
+    assert m["bie.assemble.mk.calls"] + m.get("bie.assemble.panel.calls", 0) \
+        == m["spectral.root_evals"] > 0
+    assert m["geometry.grid.calls"] == 1
