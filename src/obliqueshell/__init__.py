@@ -13,8 +13,8 @@ _EXPORTS = {
     "bie": ("BoundaryOperatorMatrix", "VolumeGrid", "apply_Psi_star", "assemble_M3CM3",
             "assemble_S", "default_volume_grid", "eval_Psi", "eval_SL", "jump_traces",
             "make_volume_grid"),
-    "dirac": ("DiracResolventBlocks", "LimitStudyResult", "correction_convergence",
-              "dirac_correction", "limit_gaps", "nonrel_limit_study", "sqrt_shift_bounds"),
+    "dirac": ("LimitStudyResult", "correction_convergence", "dirac_correction",
+              "limit_gaps", "nonrel_limit_study", "sqrt_shift_bounds"),
     "errors": ("ConfigurationError", "DivergenceError", "DomainError",
                "NumericalInstabilityError", "ObliqueShellError", "ParameterError",
                "PoleProximityError", "ResolutionError", "SingularityError"),

@@ -532,10 +532,8 @@ def default_volume_grid(curve: Curve, n: int = 96) -> VolumeGrid:
     return make_volume_grid(3.0 * curve.diameter, n)
 
 
-def check_volume_clear_of_curve(vol: VolumeGrid, grid: QuadratureGrid,
-                                tol: float | None = None) -> None:
-    if tol is None:
-        tol = 1e-9 * grid.curve.diameter
+def check_volume_clear_of_curve(vol: VolumeGrid, grid: QuadratureGrid) -> None:
+    tol = 1e-9 * grid.curve.diameter
     fine_t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     dmin = float(cKDTree(grid.curve.point(fine_t)).query(vol.points)[0].min())
     if dmin < tol:

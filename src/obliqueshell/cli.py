@@ -140,7 +140,7 @@ def cmd_eigenfunction(args) -> int:
                                         tol=args.tol, N=args.N)
     vol = bie.default_volume_grid(curve, n=args.box_n)
     field = spectral.eigenfunction(curve, args.alpha, lam_n, args.branch, vol,
-                                   N=args.N)
+                                   N=args.N, tol=args.tol)
     with open(args.out, "w") as fh:
         fh.write("x,y,re,im\n")
         for p, v in zip(field.points, field.values):

@@ -20,13 +20,15 @@ projects onto the second spinor component, so every boundary operator acts
 on scalar densities of that component only and is stored as its live block.
 
 Every K_0/K_1 array is evaluated once per (kappa, geometry).  The blocks that
-do not depend on c (probe-to-node offsets and radii, L(lambda), L(lambdabar),
-S(lambda), U on the gap (a) lattice) are built once per study.  The (zbar,
-lambdabar) side of gap (c) and of the correction conjugates the Bessel arrays
-of the (z, lambda) side: kappa(zbar) = conj kappa(z), kappa(lambdabar) =
-conj kappa(lambda) and K_j(conj w) = conj K_j(w) hold exactly in floating
-point.  The correction difference has rank <= 2N, so its norm is taken from
-the triangular factors of its two low-rank factors, not from a 2M x 2M SVD.
+do not depend on c (the grid, probe-to-node offsets and radii, L(lambda),
+L(lambdabar), S(lambda)) come from one helper shared by the gap study and the
+correction; the study builds them, and U on the gap (a) lattice, once.  The
+(zbar, lambdabar) side of gap (c) and of the correction conjugates the Bessel
+arrays of the (z, lambda) side: kappa(zbar) = conj kappa(z), kappa(lambdabar)
+= conj kappa(lambda) and K_j(conj w) = conj K_j(w) hold exactly in floating
+point.  The correction is reported as its norm only: the difference has rank
+<= 2N, so the norm is taken from the triangular factors of its two low-rank
+factors, and no 2M x 2M kernel is formed.
 """
 
 from __future__ import annotations
@@ -182,24 +184,32 @@ def _gap_c(dp: DiracParameter, lam_S: np.ndarray, g: QuadratureGrid) -> float:
     return bie.BoundaryOperatorMatrix(D, g).operator_norm()
 
 
+def _c_free_blocks(curve: Curve, sp: SpectralParameter, N: int, vol: VolumeGrid):
+    """The blocks of the gap study and the correction that do not depend on
+    c: the boundary grid, the probe kernels L(lambda), L(lambdabar) at the
+    nodes of ``vol`` (checked clear of the curve) and the entries of S(lambda).
+    """
+    g = make_grid(curve, N)
+    bie.check_volume_clear_of_curve(vol, g)
+    return g, _probes(sp, g, vol.points), bie.assemble_S(g, sp).entries
+
+
 def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
               volume_box: VolumeGrid | None, check_box: bool):
     """Yield the gap row (a0, phi, phi_star, c) for each speed in c_values.
 
-    The blocks that do not depend on c (probe offsets, L at lambda and
-    lambdabar, S(lambda), U on the gap (a) lattice) are built once; per c,
-    K_0/K_1 are evaluated once at kappa(z) and conjugated for the (zbar,
-    lambdabar) side.  ``check_box`` tests the box at the first speed.
+    The blocks that do not depend on c (``_c_free_blocks`` and U on the gap
+    (a) lattice) are built once; per c, K_0/K_1 are evaluated once at
+    kappa(z) and conjugated for the (zbar, lambdabar) side.  ``check_box``
+    tests the box at the first speed.
     """
     lam = _require_nonreal(lam)
     sp = SpectralParameter.make(lam)
     dps = [DiracParameter.shifted(lam, c) for c in c_values]
-    g = make_grid(curve, N)
     vol = volume_box if volume_box is not None else _probe_volume(curve, 48)
-    bie.check_volume_clear_of_curve(vol, g)
+    g, pr, S = _c_free_blocks(curve, sp, N, vol)
     lattice = _a0_lattice(sp, vol)
-    pr = _probes(sp, g, vol.points)
-    lam_S = sp.lam * bie.assemble_S(g, sp).entries
+    lam_S = sp.lam * S
 
     for i, dp in enumerate(dps):
         a0 = _gap_a0(dp, vol, lattice)
@@ -247,9 +257,9 @@ class LimitStudyResult:
             yield (f"{c:.17g},{self.gap_a0[i]:.17g},{self.gap_phi[i]:.17g},"
                    f"{self.gap_phistar[i]:.17g},{self.gap_c[i]:.17g}")
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps({"c_values": list(self.c_values),
-                           "slopes": self.slopes}, indent=indent)
+                           "slopes": self.slopes}, indent=2)
 
 
 def _speeds(c_values) -> list[float]:
@@ -281,47 +291,34 @@ def nonrel_limit_study(curve: Curve, lam: complex, c_values, N: int = 128,
 # resolvent correction convergence
 
 
-@dataclass(frozen=True)
-class DiracResolventBlocks:
-    c: float
-    alpha: float
-    lam: complex
-    dirac_kernel: np.ndarray      # (2M, 2M) correction kernel between probes
-    schrod_kernel: np.ndarray     # (2M, 2M) reference, supported in the M1 block
-    #: ||sqrt(w) (dirac_kernel - schrod_kernel) sqrt(w)||_2 with w the probe
-    #: weight, taken from the rank <= 2N factors of the difference
-    difference_norm: float
-
-
 #: half-width of the correction's probe box, in curve diameters
 CORRECTION_PROBE_HALFWIDTH = 1.5
 
 
 def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
-                     N: int = 128, probe_n: int = 24) -> DiracResolventBlocks:
-    """Correction kernels of the shifted Dirac resolvent and its limit.
+                     N: int = 128, probe_n: int = 24) -> float:
+    """Norm of the difference of the shifted Dirac resolvent's correction
+    term and its non-relativistic limit, between probes of a box.
 
-    Dirac side: c Phi_z M3 (I - alpha c^2 M3 C_z M3)^-1 alpha c M3 Phi*_zbar,
-    z = lambda + c^2/2.  Limit side: Psi M2 (I - alpha lambda S M3)^-1
-    alpha M2^T Psi*_lambdabar, supported in the first spinor component.
-    The (zbar, lambdabar) factors conjugate the Bessel arrays of the (z,
-    lambda) ones.  The difference is [c Phi | -Psi] [X; Y] with 2N inner
-    columns, so its norm is that of R1 R2^H, where R1 and R2 are the QR
-    triangles of the left factor and of the adjoint of the right one.
+    Dirac side: K_D = c Phi_z M3 (I - alpha c^2 M3 C_z M3)^-1 alpha c M3
+    Phi*_zbar, z = lambda + c^2/2.  Limit side: K_S = Psi M2 (I - alpha
+    lambda S M3)^-1 alpha M2^T Psi*_lambdabar, supported in the first spinor
+    component.  Returns ||sqrt(w) (K_D - K_S) sqrt(w)||_2 with w the probe
+    weight; neither 2M x 2M kernel is formed.  The difference is
+    [c Phi | -Psi] [X; Y] with 2N inner columns, so its norm is that of
+    R1 R2^H, where R1 and R2 are the QR triangles of the left factor and of
+    the adjoint of the right one.  The (zbar, lambdabar) factors conjugate
+    the Bessel arrays of the (z, lambda) ones.  Zero coupling gives 0.0.
     """
     lam = _require_nonreal(lam)
-    g = make_grid(curve, N)
-    vol = _probe_volume(curve, probe_n, CORRECTION_PROBE_HALFWIDTH)
-    bie.check_volume_clear_of_curve(vol, g)
-    M = len(vol.points)
-    Nn = g.N
-
     sp = SpectralParameter.make(lam)
     dp = DiracParameter.shifted(lam, c)
-
+    vol = _probe_volume(curve, probe_n, CORRECTION_PROBE_HALFWIDTH)
+    g, pr, S = _c_free_blocks(curve, sp, N, vol)
     if alpha == 0:
-        zero = np.zeros((2 * M, 2 * M), dtype=complex)
-        return DiracResolventBlocks(c, alpha, lam, zero, zero.copy(), 0.0)
+        return 0.0
+    M = len(vol.points)
+    Nn = g.N
 
     # Dirac side: the boundary maps act on M3-component densities, N x N
     w_b = g.weight * g.jacobians
@@ -332,22 +329,17 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
             f"I - alpha c^2 M3 C M3 nearly singular at c={c} "
             f"(smallest singular value {smin:.3g})"
         )
-    pr = _probes(sp, g, vol.points)
     phi_z, phi_zbar = _phi_m3_sides(dp, pr)
     phi = c * (phi_z * w_b)
     phi_star = np.conj(phi_zbar).T * vol.weight
     X = np.linalg.solve(B, alpha * c * phi_star)
-    K_dirac = phi @ X
 
-    # Schrodinger reference: Psi M2 and M2^T Psi* live in the M1 block
-    S = bie.assemble_S(g, sp).entries
+    # limit side: Psi M2 and M2^T Psi* act on the first spinor component
     psi = pr.L * w_b
     psi_star = np.conj(pr.L_bar).T * vol.weight
     Y = np.linalg.solve(np.eye(Nn) - alpha * lam * S, alpha * psi_star)
-    K_schrod = np.zeros((2 * M, 2 * M), dtype=complex)
-    K_schrod[:M, :M] = psi @ Y
 
-    # K_dirac - K_schrod = [phi | -psi] [X; Y], psi and Y zero-padded
+    # K_D - K_S = [phi | -psi] [X; Y], psi and Y zero-padded
     left = np.zeros((2 * M, 2 * Nn), dtype=complex)
     left[:, :Nn] = phi
     left[:M, Nn:] = -psi
@@ -356,16 +348,14 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     right[Nn:, :M] = Y
     R1 = np.linalg.qr(left, mode="r")
     R2 = np.linalg.qr(right.conj().T, mode="r")
-    diff_norm = vol.weight * float(np.linalg.norm(R1 @ R2.conj().T, 2))
-    return DiracResolventBlocks(c, alpha, lam, K_dirac, K_schrod, diff_norm)
+    return vol.weight * float(np.linalg.norm(R1 @ R2.conj().T, 2))
 
 
 def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,
                            N: int = 128, probe_n: int = 24) -> tuple[list, float]:
     """Difference norms of dirac_correction over a c-list and the fitted slope."""
     c_values = _speeds(c_values)
-    norms = [dirac_correction(curve, alpha, lam, c, N, probe_n).difference_norm
-             for c in c_values]
+    norms = [dirac_correction(curve, alpha, lam, c, N, probe_n) for c in c_values]
     return norms, _fit_slope(c_values, norms)
 
 
@@ -373,8 +363,8 @@ def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,
 # square-root shift diagnostics
 
 
-def sqrt_shift_bounds(lam: complex, c: float, samples: int = 201) -> dict:
-    """Sampled check of the two-sided root bounds along t in [0, 1].
+def sqrt_shift_bounds(lam: complex, c: float) -> dict:
+    """Sampled check (201 points) of the two-sided root bounds along t in [0, 1].
 
     Verifies |sqrt(lambda)|/2 <= |sqrt(lambda + t lambda^2/c^2)| <=
     3|sqrt(lambda)|/2 and Im sqrt(lambda + t lambda^2/c^2) >= Im sqrt(lambda)/2.
@@ -386,7 +376,7 @@ def sqrt_shift_bounds(lam: complex, c: float, samples: int = 201) -> dict:
         raise ParameterError("c must be positive")
 
     def holds(cc: float) -> tuple[bool, float, float, float]:
-        t = np.linspace(0.0, 1.0, samples)
+        t = np.linspace(0.0, 1.0, 201)
         roots = np.array([branch_sqrt(lam + tt * lam * lam / cc ** 2) for tt in t])
         base = branch_sqrt(lam)
         amin, amax = float(np.abs(roots).min()), float(np.abs(roots).max())

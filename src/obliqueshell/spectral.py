@@ -255,8 +255,8 @@ class SpectrumResult:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _annotate_multiplicities(entries: list[EigenvalueEntry]) -> list[EigenvalueEntry]:
@@ -330,12 +330,14 @@ class EigenfunctionField:
 
 
 def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
-                  spatial_grid, N: int = 256, tol: float = 1e-6,
-                  upsample: int = 8) -> EigenfunctionField:
+                  spatial_grid, N: int = 256, tol: float = 1e-6) -> EigenfunctionField:
     """Field Psi_lambda phi of the eigenfunction on branch n at lambda_n.
 
     phi is the eigenvector of alpha lambda S(lambda) for the eigenvalue nearest
-    1, normalized to unit L2 norm on the curve.
+    1, normalized to unit L2 norm on the curve, and the field is summed on the
+    8-fold upsampled density near the curve.  That eigenvalue must lie within
+    10 tol of 1, so tol is the root tolerance lambda_n was found with;
+    otherwise lambda_n and n are reported as inconsistent.
     """
     if not lambda_n < 0:
         raise DomainError("lambda_n must be negative")
@@ -356,7 +358,7 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     phi = phi / norm
     pts = spatial_grid.points if isinstance(spatial_grid, VolumeGrid) \
         else np.atleast_2d(np.asarray(spatial_grid, dtype=float))
-    values = bie.eval_Psi(g, phi, sp, pts, upsample=upsample)
+    values = bie.eval_Psi(g, phi, sp, pts, upsample=8)
     return EigenfunctionField(pts, values, phi, float(lambda_n), n, g)
 
 
@@ -417,24 +419,16 @@ def _free_resolvent_on_grid(sp: SpectralParameter, vol: VolumeGrid,
     return out.ravel()
 
 
-def _nearest_eigenvalue_message(curve: Curve, alpha: float, lam: complex,
-                                bs_vals: np.ndarray) -> str:
-    n_star = int(np.argmin(np.abs(bs_vals - 1.0))) + 1
-    try:
-        lam_near, _ = find_eigenvalue(curve, alpha, n_star, tol=1e-6, N=128)
-        where = f"nearest eigenvalue approximately {lam_near:.9g} (branch {n_star})"
-    except Exception:
-        where = f"nearest unit crossing on branch {n_star}"
-    return (f"resolvent parameter lambda={lam} too close to the point "
-            f"spectrum; {where}")
-
-
 def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
                 f_samples: np.ndarray, vol: VolumeGrid | None = None,
-                N: int = 256, upsample: int = 4) -> KreinResult:
+                N: int = 256) -> KreinResult:
     """Resolvent of the transmission operator applied to volume samples f.
 
-    g = free + alpha Psi_lambda (I - alpha lambda S(lambda))^-1 Psi*_lambdabar f.
+    g = free + alpha Psi_lambda (I - alpha lambda S(lambda))^-1 Psi*_lambdabar f,
+    the correction summed on the 4-fold upsampled density near the curve.
+    When I - alpha lambda S is nearly singular, the PoleProximityError names
+    the branch n whose alpha lambda mu_n lies nearest 1, taken from the same
+    assembly.
     """
     if vol is None:
         vol = bie.default_volume_grid(curve)
@@ -450,14 +444,17 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     B = np.eye(g.N) - alpha * sp.lam * sym
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     if smin <= POLE_GATE:
-        mu = op.eigenvalues_desc().real
+        bs_vals = alpha * sp.lam * op.eigenvalues_desc()
+        n = int(np.argmin(np.abs(bs_vals - 1.0)))
         raise PoleProximityError(
-            _nearest_eigenvalue_message(curve, alpha, sp.lam,
-                                        alpha * sp.lam * mu)
+            f"resolvent parameter lambda={sp.lam} too close to the point "
+            f"spectrum: nearest eigenvalue on branch {n + 1}, "
+            f"|1 - alpha lambda mu_{n + 1}| = {abs(1.0 - bs_vals[n]):.3g}, "
+            f"smallest singular value of I - alpha lambda S {smin:.3g}"
         )
     rhs = bie.apply_Psi_star(g, sp.conjugate, f, vol)
     eta = np.linalg.solve(np.eye(g.N) - alpha * sp.lam * op.entries, rhs)
-    corr = bie.eval_Psi(g, eta, sp, vol.points, upsample=upsample)
+    corr = bie.eval_Psi(g, eta, sp, vol.points, upsample=4)
     return KreinResult(vol, free + alpha * corr, free, eta, g, sp, alpha)
 
 

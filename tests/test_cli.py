@@ -158,6 +158,16 @@ def test_eigenfunction_csv(tmp_path):
     x, y, re, im = (float(v) for v in lines[1].split(","))
 
 
+def test_eigenfunction_consistency_gate_follows_tol(tmp_path):
+    # the root is found to --tol, and the eigenfunction's check that
+    # alpha lambda mu_n is 1 uses the same tolerance
+    out = tmp_path / "ef.csv"
+    rc = run(["eigenfunction", "--curve", "kite", "--alpha", "-1", "--branch", "2",
+              "--N", "64", "--box-n", "8", "--tol", "1e-3", "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().strip().split("\n")) == 1 + 8 * 8
+
+
 def test_delta_compare_report(tmp_path):
     out = tmp_path / "cmp.json"
     rc = run(["delta-compare", "--alpha", "-50", "--count", "1", "--N", "64",
@@ -219,5 +229,6 @@ def test_cli_import_defers_numpy_and_every_export_resolves():
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
     assert "FieldSamples" not in obliqueshell.__all__
+    assert "DiracResolventBlocks" not in obliqueshell.__all__
     missing = [name for name in obliqueshell.__all__ if not hasattr(obliqueshell, name)]
-    assert missing == [] and len(obliqueshell.__all__) == 60
+    assert missing == [] and len(obliqueshell.__all__) == 59

@@ -50,3 +50,18 @@ def test_traced_spectrum_reaches_every_branch_and_assembles_once_per_root_eval(t
     assert m["bie.assemble.mk.calls"] + m.get("bie.assemble.panel.calls", 0) \
         == m["spectral.root_evals"] > 0
     assert m["geometry.grid.calls"] == 1
+
+
+def test_traced_correction_keeps_one_span_and_one_assembly_per_speed():
+    # the benchmark's nonrel workload reads the dirac.correction span and
+    # the M3 C M3 assemblies; a per-study correction path that bypassed
+    # dirac_correction would silently empty them
+    from obliqueshell import dirac, geometry
+
+    tracer_module = _load_tracer()
+    kite = geometry.make_curve("kite")
+    with tracer_module.instrument(tracer_module.Tracer()) as tracer:
+        dirac.correction_convergence(kite, -1.0, 1j, [16, 64], N=32, probe_n=8)
+    m = tracer.summary()
+    assert m["dirac.correction.calls"] == 2
+    assert m["bie.assemble_M3CM3.calls"] == 2
