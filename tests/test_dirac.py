@@ -28,6 +28,41 @@ def _spinor_flatten(K):
     return K.transpose(2, 0, 3, 1).reshape(2 * M, 2 * N)
 
 
+def test_compression_resolvent_identity(circle, kite):
+    # the correction's Dirac factors on the live M3 block, as dirac_correction
+    # forms them, equal the full spinor formula
+    # c Phi_z P3 (I - alpha c^2 M3 C_z M3)^-1 alpha c P3 Phi*_zbar with 2N x 2N
+    # padded boundary matrices
+    alpha, c, lam = -1.0, 8.0, 1 + 2j
+    for curve in (circle, kite):
+        g = geometry.grid(curve, 32)
+        vol = bie.make_volume_grid(1.5 * curve.diameter, 8)  # the probe volume
+        N = g.N
+        w_b = g.weight * g.jacobians
+        dp = DiracParameter.shifted(lam, c)
+        dp_bar = DiracParameter.shifted(np.conj(lam), c)
+        M3CM3 = bie.assemble_M3CM3(g, dp).entries
+        C = np.zeros((2 * N, 2 * N), dtype=complex)
+        C[N:, N:] = M3CM3
+        P3 = np.zeros((2 * N, 2 * N))
+        P3[N:, N:] = np.eye(N)
+        diff = vol.points[:, None, :] - g.points[None, :, :]
+        phi = _spinor_flatten(kernel_G(dp, diff) * w_b[None, :, None, None])
+        GH = np.conj(np.swapaxes(kernel_G(dp_bar, diff), -1, -2))
+        phi_star = _spinor_flatten(np.swapaxes(GH, 0, 1)) * vol.weight
+        R = np.linalg.inv(np.eye(2 * N) - alpha * c ** 2 * C)
+        ref = (c * phi) @ P3 @ R @ (alpha * c * P3 @ phi_star)
+
+        phi_z, phi_zbar = dirac._phi_m3_sides(
+            dp, dirac._probes(SpectralParameter.make(lam), g, vol.points))
+        live = (c * phi_z * w_b) @ np.linalg.solve(
+            np.eye(N) - alpha * c ** 2 * M3CM3,
+            alpha * c * np.conj(phi_zbar).T * vol.weight)
+        assert live.shape == ref.shape
+        err = np.linalg.norm(live - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref), curve.name
+
+
 def test_gap_phistar_is_adjoint_at_conjugate_parameters(mirror_free):
     # on a curve without a mirror axis, gap (c) taken at (zbar, lambdabar)
     # differs from gap (b) at (z, lambda)
