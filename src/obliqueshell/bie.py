@@ -26,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import fft2, ifft2, next_fast_len
 from scipy.linalg import circulant
 from scipy.spatial import cKDTree
 
+from . import kernels
 from .errors import ConfigurationError, DomainError, NumericalInstabilityError, SingularityError
 from .geometry import Curve, QuadratureGrid
 from .kernels import DiracParameter, SpectralParameter, _bessel_arg, kernel_L, kernel_U
@@ -352,23 +354,18 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=_workers(), thread_name_prefix="obliqueshell")
 
 
-def _map_chunks(fn, n_targets: int, n_sources: int) -> list:
-    """[fn(rows) for rows in consecutive target slices of about _CHUNK_PAIRS
-    pairs], run on the pool; results come back in slice order."""
-    step = max(1, _CHUNK_PAIRS // max(n_sources, 1))
-    return list(_pool().map(fn, [slice(lo, lo + step) for lo in range(0, n_targets, step)]))
-
-
 def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
                 values: np.ndarray) -> np.ndarray:
-    """sum_j kernel(sp, targets_i - sources_j) values_j; each chunk writes its
-    own rows."""
+    """sum_j kernel(sp, targets_i - sources_j) values_j, in consecutive
+    target slices of about _CHUNK_PAIRS pairs run on the pool; each slice
+    writes its own rows."""
     out = np.zeros(len(targets), dtype=complex)
 
     def rows(s: slice) -> None:
         out[s] = kernel(sp, targets[s, None, :] - sources[None, :, :]) @ values
 
-    _map_chunks(rows, len(targets), len(sources))
+    step = max(1, _CHUNK_PAIRS // max(len(sources), 1))
+    list(_pool().map(rows, [slice(lo, lo + step) for lo in range(0, len(targets), step)]))
     return out
 
 
@@ -542,18 +539,75 @@ def check_volume_clear_of_curve(vol: VolumeGrid, grid: QuadratureGrid) -> None:
         )
 
 
+def _lattice_convolve(vol: VolumeGrid, kernel_at, self_cell: complex,
+                      f: np.ndarray) -> np.ndarray:
+    """h^2 sum_j k(x_i - x_j) f_j at every node x_i, as an (nx, ny) array.
+
+    The kernel is sampled once on the (2 nx - 1) x (2 ny - 1) lattice of
+    node offsets and convolved with the samples by FFT; at a transform length
+    of at least 2 n - 1 per axis the products wanted do not wrap around.
+    ``kernel_at`` maps the nonzero offsets, an (M, 2) array, to kernel
+    values; ``self_cell`` is the value that stands for the kernel at offset 0.
+    """
+    nx, ny = vol.shape
+    dx = vol.h * np.arange(-(nx - 1), nx)
+    dy = vol.h * np.arange(-(ny - 1), ny)
+    offsets = np.stack(np.meshgrid(dx, dy, indexing="ij"), axis=-1)
+    off_centre = np.ones(offsets.shape[:2], dtype=bool)
+    off_centre[nx - 1, ny - 1] = False
+    kern = np.empty(off_centre.shape, dtype=complex)
+    kern[off_centre] = kernel_at(offsets[off_centre])
+    kern[nx - 1, ny - 1] = self_cell
+    fg = np.asarray(f, dtype=complex).reshape(vol.shape)
+    shape = [next_fast_len(n) for n in kern.shape]
+    conv = ifft2(fft2(kern, shape) * fft2(fg, shape))
+    return conv[nx - 1:2 * nx - 1, ny - 1:2 * ny - 1] * vol.weight
+
+
+#: degree of the interpolating spline that traces volume fields on the curve;
+#: its stencil reaches _SPLINE_DEGREE // 2 node spacings to either side
+_SPLINE_DEGREE = 5
+
+
 def apply_Psi_star(grid: QuadratureGrid, sp: SpectralParameter,
                    f_samples: np.ndarray, vol: VolumeGrid) -> np.ndarray:
-    """Adjoint map: density y -> integral of conj(L(x - y)) f(x) dx."""
+    """Adjoint map: density y -> integral of conj(L(x - y)) f(x) dx.
+
+    With lambda = conj(sp.lam), conj L at sp equals 2i dzbar U at lambda,
+    and dzbar U is odd, so the map is -2i dzbar (R_lambda f) traced on the
+    curve, R_lambda the free resolvent.  That field is an FFT convolution of
+    f with dzbar U on the volume grid's offset lattice, where the odd
+    kernel's self cell is 0 (second order in h for smooth f), traced on the
+    curve nodes by a degree-5 interpolating spline.  Raises
+    ConfigurationError when the volume grid touches the curve or a curve
+    node lies outside the box or within the spline stencil's reach of its
+    edge.
+    """
+    from scipy.interpolate import RectBivariateSpline
+
     check_volume_clear_of_curve(vol, grid)
     f = np.asarray(f_samples, dtype=complex).ravel()
     if f.shape[0] != len(vol.points):
         raise ConfigurationError("f_samples does not match the volume grid")
-
-    def partial(s: slice) -> np.ndarray:
-        diff = vol.points[s, None, :] - grid.points[None, :, :]
-        return np.conj(kernel_L(sp, diff)).T @ f[s]
-
-    # partial sums added in chunk order: the result is independent of the pool
-    out = sum(_map_chunks(partial, len(vol.points), grid.N), np.zeros(grid.N, dtype=complex))
-    return vol.weight * out
+    if min(vol.shape) <= _SPLINE_DEGREE:
+        raise ConfigurationError(
+            f"the spline trace of Psi* f needs more than {_SPLINE_DEGREE} volume "
+            f"nodes per axis, got {vol.shape}"
+        )
+    reach = _SPLINE_DEGREE // 2
+    lo = np.array([vol.xs[reach], vol.ys[reach]])
+    hi = np.array([vol.xs[-1 - reach], vol.ys[-1 - reach]])
+    outside = np.any((grid.points < lo) | (grid.points > hi), axis=1)
+    if outside.any():
+        x, y = grid.points[np.argmax(outside)]
+        raise ConfigurationError(
+            f"curve node ({x:.4g}, {y:.4g}) lies outside the volume box or within "
+            f"{reach} node spacings of its edge, where the spline trace of "
+            f"Psi* f has no full stencil"
+        )
+    sp_lam = sp.conjugate
+    # looked up on the kernels module, whose kernel_dzbar_U bench/tracer.py wraps
+    field = -2j * _lattice_convolve(vol, lambda x: kernels.kernel_dzbar_U(sp_lam, x), 0.0, f)
+    trace = [RectBivariateSpline(vol.xs, vol.ys, part, kx=_SPLINE_DEGREE, ky=_SPLINE_DEGREE)
+             .ev(grid.points[:, 0], grid.points[:, 1]) for part in (field.real, field.imag)]
+    return trace[0] + 1j * trace[1]

@@ -22,6 +22,7 @@ from scipy.optimize import brentq
 from . import bie
 from .bie import VolumeGrid
 from .errors import (
+    ConfigurationError,
     DivergenceError,
     DomainError,
     NumericalInstabilityError,
@@ -30,7 +31,9 @@ from .errors import (
     ResolutionError,
 )
 from .geometry import Curve, QuadratureGrid, grid as make_grid
-from .kernels import SpectralParameter, _bessel_arg, kernel_U, kernel_dzbar_U
+# kernel_dzbar_U is unused here but stays a module attribute: bench/tracer.py
+# wraps spectral.kernel_dzbar_U alongside kernels.kernel_dzbar_U.
+from .kernels import SpectralParameter, _bessel_arg, kernel_U, kernel_dzbar_U  # noqa: F401
 from .specfun import bessel_ik_int
 
 #: smallest lambda the bracket expansion may visit before giving up
@@ -384,7 +387,6 @@ def oblique_residual(g: QuadratureGrid, density: np.ndarray,
 class KreinResult:
     volume: VolumeGrid
     values: np.ndarray
-    free_values: np.ndarray
     density: np.ndarray
     grid: QuadratureGrid = field(repr=False)
     sp: SpectralParameter = field(repr=False)
@@ -398,25 +400,18 @@ def _free_resolvent_on_grid(sp: SpectralParameter, vol: VolumeGrid,
     The self-cell weight integrates the kernel exactly over a disc of equal
     area: int_0^a K_0(k rho) rho d rho = (1 - k a K_1(k a)) / k^2.
     """
-    from scipy.signal import fftconvolve
     from .specfun import bessel_k_array
 
-    nx, ny = vol.shape
-    dx = vol.h * np.arange(-(nx - 1), nx)
-    dy = vol.h * np.arange(-(ny - 1), ny)
-    DX, DY = np.meshgrid(dx, dy, indexing="ij")
-    R = np.sqrt(DX ** 2 + DY ** 2)
     kap = sp.kappa
-    kern = np.zeros_like(R, dtype=complex)
-    mask = R > 0
-    kern[mask] = bessel_k_array(0, _bessel_arg(kap, R[mask])) / (2 * np.pi)
     a = vol.h / np.sqrt(np.pi)
     ka = kap * a
     self_cell = (1.0 - ka * bessel_k_array(1, np.array([ka]))[0]) / kap ** 2
-    kern[nx - 1, ny - 1] = self_cell / vol.weight
-    fg = np.asarray(f, dtype=complex).reshape(vol.shape)
-    out = fftconvolve(kern, fg, mode="valid") * vol.weight
-    return out.ravel()
+
+    def kernel_at(x: np.ndarray) -> np.ndarray:
+        r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2)
+        return bessel_k_array(0, _bessel_arg(kap, r)) / (2 * np.pi)
+
+    return bie._lattice_convolve(vol, kernel_at, self_cell / vol.weight, f).ravel()
 
 
 def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
@@ -424,8 +419,12 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
                 N: int = 256) -> KreinResult:
     """Resolvent of the transmission operator applied to volume samples f.
 
-    g = free + alpha Psi_lambda (I - alpha lambda S(lambda))^-1 Psi*_lambdabar f,
-    the correction summed on the 4-fold upsampled density near the curve.
+    g = free + alpha Psi_lambda (I - alpha lambda S(lambda))^-1 Psi*_lambdabar f.
+    The free part R_lambda f and the right-hand side Psi*_lambdabar f =
+    -2i dzbar (R_lambda f) on the curve are FFT convolutions on the volume
+    grid (bie.apply_Psi_star); the correction is summed on the 4-fold
+    upsampled density near the curve.  The curve must lie at least two node
+    spacings inside the outermost volume nodes, else ConfigurationError.
     When I - alpha lambda S is nearly singular, the PoleProximityError names
     the branch n whose alpha lambda mu_n lies nearest 1, taken from the same
     assembly.
@@ -436,7 +435,7 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     f = np.asarray(f_samples, dtype=complex).ravel()
     free = _free_resolvent_on_grid(sp, vol, f)
     if alpha == 0:
-        return KreinResult(vol, free.copy(), free, np.zeros(g.N, complex), g, sp, alpha)
+        return KreinResult(vol, free, np.zeros(g.N, complex), g, sp, alpha)
 
     op = bie.assemble_S(g, sp)
     bie._drop_mk_blocks(g)  # the returned result keeps g
@@ -455,7 +454,7 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     rhs = bie.apply_Psi_star(g, sp.conjugate, f, vol)
     eta = np.linalg.solve(np.eye(g.N) - alpha * sp.lam * op.entries, rhs)
     corr = bie.eval_Psi(g, eta, sp, vol.points, upsample=4)
-    return KreinResult(vol, free + alpha * corr, free, eta, g, sp, alpha)
+    return KreinResult(vol, free + alpha * corr, eta, g, sp, alpha)
 
 
 def _direct_volume_field(kernel, sp, vol: VolumeGrid, f: np.ndarray,
@@ -465,18 +464,49 @@ def _direct_volume_field(kernel, sp, vol: VolumeGrid, f: np.ndarray,
     return vol.weight * bie._kernel_sum(kernel, sp, points, vol.points, f)
 
 
+#: largest |f| on the outermost ring of volume nodes, relative to max |f|,
+#: that the residual's free part accepts: it integrates by parts over the box
+#: and differentiates the samples spectrally, and both assume f vanishes at
+#: the edge
+EDGE_DECAY = 1e-6
+
+
+def _dzbar_samples(vol: VolumeGrid, f: np.ndarray) -> np.ndarray:
+    """dzbar f = (d_x + i d_y) f / 2 of grid samples, by FFT differentiation;
+    raises ConfigurationError when f does not decay at the box edge."""
+    fg = np.asarray(f, dtype=complex).reshape(vol.shape)
+    ring = max(np.abs(fg[[0, -1], :]).max(), np.abs(fg[:, [0, -1]]).max())
+    peak = np.abs(fg).max()
+    if ring > EDGE_DECAY * peak:
+        raise ConfigurationError(
+            f"f_samples do not decay at the volume box edge: max |f| there is "
+            f"{ring / peak:.3g} of max |f|, above {EDGE_DECAY:g}"
+        )
+    k = []
+    for n in vol.shape:
+        kn = 2 * np.pi * np.fft.fftfreq(n, vol.h)
+        if n % 2 == 0:
+            kn[n // 2] = 0.0  # the Nyquist mode has no derivative
+        k.append(kn)
+    symbol = 0.5j * (k[0][:, None] + 1j * k[1][None, :])
+    return np.fft.ifft2(symbol * np.fft.fft2(fg)).ravel()
+
+
 def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray) -> float:
     """Relative residual of the oblique transmission condition for g.
 
-    The free part is trace-continuous, so it drops from the jump on the left
-    and contributes twice its dzbar trace on the right.
+    The free part R_lambda f is continuous with its first derivatives across
+    the curve, so it drops from the jump on the left and contributes twice
+    its dzbar on the right.  That dzbar is taken in the log-kernel form
+    integral of U(y - x) dzbar f(x) dx, summed once at the curve nodes on the
+    volume grid with dzbar f from the samples: a quadrature independent of
+    the FFT route of the adjoint map, so the residual still tests Psi* f.
+    f must decay at the box edge (EDGE_DECAY), else ConfigurationError.
     """
     g, sp, alpha, vol = result.grid, result.sp, result.alpha, result.volume
+    dzbar_f = _dzbar_samples(vol, f_samples)
     jump, dzbar_sum = bie.jump_traces(g, result.density, sp)
-    # dzbar of the free part on the curve, extrapolated from both sides
-    free_in, free_out = bie._extrapolated_sides(
-        g, lambda p: _direct_volume_field(kernel_dzbar_U, sp, vol, f_samples, p))
-    dz_free = 0.5 * (free_in + free_out)
+    dz_free = _direct_volume_field(kernel_U, sp, vol, dzbar_f, g.points)
     # lhs = nu (g_+ - g_-) = -i alpha jump ;  rhs = -alpha (dzbar g_+ + dzbar g_-)
     lhs = -1j * alpha * jump
     rhs = -alpha * (2 * dz_free + alpha * 1j * dzbar_sum)

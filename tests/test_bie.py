@@ -14,7 +14,13 @@ from obliqueshell.errors import (
     DomainError,
     SingularityError,
 )
-from obliqueshell.kernels import DiracParameter, SpectralParameter, kernel_L, kernel_U
+from obliqueshell.kernels import (
+    DiracParameter,
+    SpectralParameter,
+    kernel_dzbar_U,
+    kernel_L,
+    kernel_U,
+)
 from obliqueshell.specfun import EULER_GAMMA, bessel_ik_int, bessel_k
 
 
@@ -318,6 +324,81 @@ def test_apply_Psi_star_shape_mismatch(circle):
     vol = bie.make_volume_grid(3.0, 8)
     with pytest.raises(ConfigurationError):
         bie.apply_Psi_star(g, sp, np.ones(5), vol)
+
+
+@pytest.mark.parametrize("lam", [-3.0, 1j, 1 + 2j])
+def test_adjoint_kernel_is_the_dzbar_of_the_free_kernel(kite, lam):
+    # conj L at conj(lambda) equals 2i dzbar U at lambda, on the kite's
+    # node-to-volume offsets: the identity behind the FFT adjoint map
+    g = geometry.grid(kite, 64)
+    vol = bie.make_volume_grid(3.0, 24)
+    x = vol.points[:, None, :] - g.points[None, :, :]
+    sp = SpectralParameter.make(lam)
+    lhs = np.conj(kernel_L(sp.conjugate, x))
+    rhs = 2j * kernel_dzbar_U(sp, x)
+    assert np.abs(lhs - rhs).max() <= 1e-15 * np.abs(rhs).max()
+
+
+def _radial_gaussian_adjoint(points, centre, sigma, lam):
+    """Psi*_{conj lambda} f = -2i dzbar (R_lambda f) at points, for the
+    Gaussian f of width sigma at centre.  R_lambda f is radial about the
+    centre, so its derivative is kappa (-K_1(kappa r) A(r) + I_1(kappa r) B(r)),
+    A = int_0^r I_0(kappa s) f s ds and B = int_r^inf K_0(kappa s) f s ds."""
+    from scipy import special
+
+    kap = -1j * SpectralParameter.make(lam).sqrt_lam
+    d = points - centre
+    rho = np.hypot(d[:, 0], d[:, 1])
+
+    def fs(s):
+        return np.exp(-s * s / (2 * sigma ** 2)) * s
+
+    def quad(fn, a, b):
+        return scipy.integrate.quad(fn, a, b, epsabs=0, epsrel=1e-13, limit=200,
+                                    complex_func=True)[0]
+
+    du = []
+    for r in rho:
+        A = quad(lambda s: special.iv(0, kap * s) * fs(s), 0, r)
+        # beyond r + 12 sigma the Gaussian is below exp(-72)
+        B = quad(lambda s: special.kv(0, kap * s) * fs(s), r, r + 12 * sigma)
+        du.append(kap * (-special.kv(1, kap * r) * A + special.iv(1, kap * r) * B))
+    return -2j * np.array(du) * (d[:, 0] + 1j * d[:, 1]) / (2 * rho)
+
+
+@pytest.mark.parametrize("lam", [-3.0, 1 + 2j])
+def test_apply_Psi_star_converges_at_second_order_on_the_kite(kite, lam):
+    # an off-centre Gaussian on the 12 x 12 box, 128^2 -> 256^2 -> 512^2,
+    # against the exact radial-integral value of -2i dzbar (R_lambda f)
+    g = geometry.grid(kite, 64)
+    centre, sigma = np.array([0.25, 0.0]), 0.25
+    sp = SpectralParameter.make(lam)
+    ref = _radial_gaussian_adjoint(g.points, centre, sigma, lam)
+    errs = []
+    for n in (128, 256, 512):
+        vol = bie.make_volume_grid(6.0, n)
+        f = np.exp(-((vol.points - centre) ** 2).sum(-1) / (2 * sigma ** 2))
+        got = bie.apply_Psi_star(g, sp.conjugate, f, vol)
+        errs.append(np.abs(got - ref).max() / np.abs(ref).max())
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert errs[0] <= 5e-3 and np.all(orders >= 1.8), (errs, orders)
+
+
+@pytest.mark.parametrize("halfwidth, n, cause", [
+    (1.2, 32, "within 2 node spacings of its edge"),
+    (1.6, 32, "within 2 node spacings of its edge"),
+    (6.0, 2, "more than 5 volume nodes per axis"),
+])
+def test_apply_Psi_star_needs_the_spline_stencil_inside_the_box(kite, halfwidth, n, cause):
+    # the kite reaches y = +-1.5: a 2.4-wide box cuts it, and on the
+    # 3.2-wide box at h = 0.1 its top lies 0.05 below the outermost nodes,
+    # inside the box but within the degree-5 spline's reach of the edge;
+    # a 2 x 2 grid cannot carry the spline at all
+    g = geometry.grid(kite, 64)
+    sp = SpectralParameter.make(-3.0)
+    vol = bie.make_volume_grid(halfwidth, n)
+    with pytest.raises(ConfigurationError, match=cause):
+        bie.apply_Psi_star(g, sp, np.ones(len(vol.points)), vol)
 
 
 def _upsampled_reference(g, density, sp, points, kernel, factor):

@@ -4,15 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from obliqueshell import bie, geometry, spectral
+from obliqueshell import bie, geometry, kernels, spectral
 from obliqueshell.errors import (
+    ConfigurationError,
     DomainError,
     NumericalInstabilityError,
     ParameterError,
     PoleProximityError,
     ResolutionError,
 )
-from obliqueshell.kernels import SpectralParameter
+from obliqueshell.kernels import SpectralParameter, kernel_U
 
 
 def test_dispersion_matches_circle_oracle(circle):
@@ -307,7 +308,7 @@ def test_krein_zero_coupling_is_free_resolvent(circle):
     f = np.exp(-r2)
     sp = SpectralParameter.make(-2.0)
     res = spectral.krein_apply(circle, 0.0, sp, f, vol, N=64)
-    assert np.array_equal(res.values, res.free_values)
+    assert np.array_equal(res.values, spectral._free_resolvent_on_grid(sp, vol, f))
     assert np.all(res.density == 0)
 
 
@@ -348,9 +349,71 @@ def test_krein_correction_nontrivial(circle):
     f = np.exp(-r2 / 0.1)
     sp = SpectralParameter.make(-2.0)
     res = spectral.krein_apply(circle, -1.0, sp, f, vol, N=64)
+    free = spectral.krein_apply(circle, 0.0, sp, f, vol, N=64).values
     assert np.all(np.isfinite(res.values))
-    diff = np.linalg.norm(res.values - res.free_values)
-    assert diff > 1e-6 * np.linalg.norm(res.free_values)
+    assert np.linalg.norm(res.values - free) > 1e-6 * np.linalg.norm(free)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_krein_transmission_residual_off_centre(kite, k):
+    # criterion 7's Gaussian moved 0.25 from the origin at k * 45 degrees, on
+    # the benchmark's kite resolvent inputs: the 1e-3 bound holds off centre
+    vol = bie.make_volume_grid(6.0, 128)
+    angle = k * np.pi / 4
+    centre = 0.25 * np.array([np.cos(angle), np.sin(angle)])
+    f = np.exp(-((vol.points - centre) ** 2).sum(-1) / (2 * 0.25 ** 2))
+    res = spectral.krein_apply(kite, -1.0, SpectralParameter.make(-3.0), f, vol, N=256)
+    assert spectral.krein_transmission_residual(res, f) <= 1e-3
+
+
+def test_krein_transmission_residual_needs_decaying_samples(circle):
+    # the residual's free part integrates by parts over the box; samples that
+    # do not vanish at its edge are a typed error, not a wrong number
+    vol = bie.make_volume_grid(2.0, 24)
+    f = np.exp(-(vol.points ** 2).sum(-1) / 8)
+    res = spectral.krein_apply(circle, -1.0, SpectralParameter.make(-2.0), f, vol, N=64)
+    with pytest.raises(ConfigurationError, match="do not decay at the volume box edge"):
+        spectral.krein_transmission_residual(res, f)
+
+
+def test_resolvent_volume_sums(kite, monkeypatch):
+    # the adjoint map makes no direct kernel sum: it evaluates dzbar U once,
+    # on the (2n - 1)^2 offset lattice less its centre, and never the oblique
+    # kernel; the residual's free part is one sum of U over the N curve
+    # nodes x n^2 volume nodes
+    calls, phase = [], ["apply"]
+    kernel_sum, psi_star = bie._kernel_sum, bie.apply_Psi_star
+    kernel_L, dzbar_U = bie.kernel_L, kernels.kernel_dzbar_U
+
+    def counted_sum(kernel, sp, targets, sources, values):
+        calls.append((phase[0], kernel, len(targets), sources))
+        return kernel_sum(kernel, sp, targets, sources, values)
+
+    def counted(kernel):
+        def wrapper(sp, x):
+            calls.append((phase[0], kernel, np.size(x) // 2))
+            return kernel(sp, x)
+        return wrapper
+
+    def marked_psi_star(*args):
+        phase[0] = "adjoint"
+        try:
+            return psi_star(*args)
+        finally:
+            phase[0] = "apply"
+
+    monkeypatch.setattr(bie, "_kernel_sum", counted_sum)
+    monkeypatch.setattr(bie, "kernel_L", counted(kernel_L))
+    monkeypatch.setattr(kernels, "kernel_dzbar_U", counted(dzbar_U))
+    monkeypatch.setattr(bie, "apply_Psi_star", marked_psi_star)
+    vol = bie.make_volume_grid(6.0, 32)
+    f = np.exp(-(vol.points ** 2).sum(-1) / (2 * 0.25 ** 2))
+    res = spectral.krein_apply(kite, -1.0, SpectralParameter.make(-3.0), f, vol, N=64)
+    assert [c for c in calls if c[0] == "adjoint"] == [("adjoint", dzbar_U, 63 ** 2 - 1)]
+    calls.clear()
+    spectral.krein_transmission_residual(res, f)
+    volume = [c[:3] + (len(c[3]),) for c in calls if len(c) == 4 and c[3] is vol.points]
+    assert volume == [("apply", kernel_U, 64, 32 * 32)]
 
 
 def test_delta_spectrum_against_fixture(circle, circle_roots):
