@@ -19,9 +19,6 @@ Two assembly paths for the weakly singular single-layer kernel
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +31,7 @@ from . import kernels
 from .errors import ConfigurationError, DomainError, NumericalInstabilityError, SingularityError
 from .geometry import Curve, QuadratureGrid
 from .kernels import DiracParameter, SpectralParameter, _bessel_arg, kernel_L, kernel_U
-from .specfun import EULER_GAMMA, bessel_i_array, bessel_k_array
+from .specfun import EULER_GAMMA, _run_chunks, bessel_i_array, bessel_k_array
 
 #: Hard cap on Re(kappa) * diameter for the splitting path.  The splitting's
 #: smooth remainder carries Fourier tails of size e^{2 kappa d}; the trapezoid
@@ -290,11 +287,39 @@ def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperator
 # off-curve evaluation
 
 
+#: Newton steps of the distance refinement; from within one sample spacing
+#: they converge quadratically to the foot point to rounding
+_NEWTON_STEPS = 5
+
+
+def _curve_distance(curve: Curve, points: np.ndarray, samples: int) -> np.ndarray:
+    """Distance from each point to the curve.
+
+    The distance to the nearest of ``samples`` uniform curve samples
+    overestimates by up to half a sample spacing, so a point on the curve
+    between two samples would read as off it.  Points nearer than one
+    spacing are refined by Newton steps on (p(t) - x) . p'(t) = 0 from
+    their nearest sample's t, and keep the smaller of the two distances.
+    """
+    t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+    d, idx = cKDTree(curve.point(t)).query(points)
+    spacing = 2 * np.pi / samples * float(curve.jacobian(t).max())
+    near = d < spacing
+    if near.any():
+        x, s = points[near], t[idx[near]]
+        for _ in range(_NEWTON_STEPS):
+            e = curve.point(s) - x
+            dp, d2 = curve.derivative(s), curve.derivative(s, 2)
+            s = s - (e * dp).sum(-1) / ((dp * dp).sum(-1) + (e * d2).sum(-1))
+        # fmin: a step that failed (nan) leaves the sample distance
+        d[near] = np.fmin(d[near], np.linalg.norm(curve.point(s) - x, axis=-1))
+    return d
+
+
 def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest of 2048 curve samples; raises
-    SingularityError for a point on the curve."""
-    fine_t = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
-    d = cKDTree(grid.curve.point(fine_t)).query(points)[0]
+    """Distance from each point to the curve (``_curve_distance`` on 2048
+    samples); raises SingularityError for a point on the curve."""
+    d = _curve_distance(grid.curve, points, 2048)
     tol = 1e-10 * max(1.0, grid.curve.diameter)
     if np.any(d < tol):
         raise SingularityError("evaluation point lies on the curve")
@@ -328,44 +353,18 @@ def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
 _CHUNK_PAIRS = 1 << 16
 
 
-def _workers() -> int:
-    """Size of the kernel-sum pool: THREADS capped by the usable cores, else
-    the usable cores."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cores = os.cpu_count() or 1
-    threads = os.environ.get("THREADS")
-    if not threads:
-        return cores
-    try:
-        n = int(threads)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigurationError(f"THREADS must be a positive integer, got {threads!r}")
-    return min(n, cores)
-
-
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """Kernel-sum workers, created on first use.  Numpy and scipy.special
-    ufuncs release the GIL, so the chunks run in parallel."""
-    return ThreadPoolExecutor(max_workers=_workers(), thread_name_prefix="obliqueshell")
-
-
 def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
                 values: np.ndarray) -> np.ndarray:
     """sum_j kernel(sp, targets_i - sources_j) values_j, in consecutive
-    target slices of about _CHUNK_PAIRS pairs run on the pool; each slice
-    writes its own rows."""
+    target slices of about _CHUNK_PAIRS pairs run on the pool of ``specfun``;
+    each slice writes its own rows."""
     out = np.zeros(len(targets), dtype=complex)
 
     def rows(s: slice) -> None:
         out[s] = kernel(sp, targets[s, None, :] - sources[None, :, :]) @ values
 
     step = max(1, _CHUNK_PAIRS // max(len(sources), 1))
-    list(_pool().map(rows, [slice(lo, lo + step) for lo in range(0, len(targets), step)]))
+    _run_chunks(rows, [slice(lo, lo + step) for lo in range(0, len(targets), step)])
     return out
 
 
@@ -531,8 +530,7 @@ def default_volume_grid(curve: Curve, n: int = 96) -> VolumeGrid:
 
 def check_volume_clear_of_curve(vol: VolumeGrid, grid: QuadratureGrid) -> None:
     tol = 1e-9 * grid.curve.diameter
-    fine_t = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-    dmin = float(cKDTree(grid.curve.point(fine_t)).query(vol.points)[0].min())
+    dmin = float(_curve_distance(grid.curve, vol.points, 4096).min())
     if dmin < tol:
         raise ConfigurationError(
             f"volume grid touches the curve (min distance {dmin:.3g} < {tol:.3g})"

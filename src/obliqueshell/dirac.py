@@ -26,9 +26,12 @@ correction; the study builds them, and U on the gap (a) lattice, once.  The
 (zbar, lambdabar) side of gap (c) and of the correction conjugates the Bessel
 arrays of the (z, lambda) side: kappa(zbar) = conj kappa(z), kappa(lambdabar)
 = conj kappa(lambda) and K_j(conj w) = conj K_j(w) hold exactly in floating
-point.  The correction is reported as its norm only: the difference has rank
-<= 2N, so the norm is taken from the triangular factors of its two low-rank
-factors, and no 2M x 2M kernel is formed.
+point.  Phi M3 is built from the two live entries of the kernel's M3
+column, and gaps (b) and (c) take the largest singular value of their tall
+weighted blocks from the small Gram matrix.  The correction is reported as
+its norm only: the difference has rank <= 2N, so the norm is taken from the
+triangular factors of its two low-rank factors, and no 2M x 2M kernel is
+formed.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .geometry import Curve, QuadratureGrid, grid as make_grid
 from .kernels import (  # noqa: F401
     DiracParameter,
     SpectralParameter,
-    _G_body,
     _L_body,
     _radii,
     branch_sqrt,
@@ -139,11 +141,20 @@ def _phi_m3(dp: DiracParameter, pr: _Probes, k0: np.ndarray,
     """(2M, N) kernel matrix of Phi_z M3 from boundary nodes to probes, from
     k_j = K_j(kappa(z) r).
 
-    M3 keeps the second column of the Dirac kernel only; rows are
-    component-major (first spinor component, then second).  No weights.
+    M3 keeps the second column of the Dirac kernel G only, and each of its
+    entries has one live term: G_12 = (rho/2pi c)(K_1/r)(x1 - i x2) and
+    G_22 = (1/2pi c) K_0 (z/c - c/2), rho the relativistic root, computed in
+    the order of operations of kernel_G.  Rows are component-major (first
+    spinor component, then second).  No weights.
     """
-    G = _G_body(dp, pr.x, pr.r, k0, k1, columns=slice(1, 2))
-    return np.concatenate([G[..., 0, 0], G[..., 1, 0]])
+    c = dp.c
+    # a named array, not a temporary: numpy may evaluate scalar * temporary
+    # in place as temporary * scalar, and with FMA a complex product's last
+    # bits depend on the operand order
+    k1_r = k1 / pr.r
+    top = (dp.rel_root / (2 * np.pi * c)) * k1_r * (pr.x[..., 0] - 1j * pr.x[..., 1])
+    bottom = (1 / (2 * np.pi * c)) * k0 * (dp.lam / c - c / 2)
+    return np.concatenate([top, bottom])
 
 
 def _phi_m3_sides(dp: DiracParameter, pr: _Probes):
@@ -162,13 +173,17 @@ def _gap_phi(c: float, phi: np.ndarray, L: np.ndarray, g: QuadratureGrid,
     """Largest singular value of c Phi_z M3 - Psi_lambda M2 (boundary to volume),
     phi = Phi_z M3 and L the kernel of Psi_lambda M2, both quadrature weights.
 
-    Psi M2 takes the M3 density to the first spinor component.
+    Psi M2 takes the M3 density to the first spinor component.  The weighted
+    block A is 2M x N with 2M >> N, so sigma_max(A) is taken as the square
+    root of the largest eigenvalue of the N x N Gram matrix A^H A: that
+    eigenvalue carries a rounding error of order eps ||A||^2, which is
+    relative precision for sigma_max, at a fraction of an SVD's cost.
     """
     A = c * phi
     A[:len(vol.points)] -= L
     A *= np.sqrt(g.weight * g.jacobians)[None, :]
     A *= np.sqrt(vol.weight)
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return float(np.sqrt(np.linalg.eigvalsh(A.conj().T @ A)[-1]))
 
 
 #: Gap (c), c M3 Phi*_zbar - M2^T Psi*_lambdabar (volume to boundary), is the

@@ -148,16 +148,9 @@ def kernel_G(dp: DiracParameter, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     r = _radii(x)
     arg = dp.kappa * r
-    return _G_body(dp, x, r, bessel_k_array(0, arg), bessel_k_array(1, arg))
-
-
-def _G_body(dp: DiracParameter, x: np.ndarray, r: np.ndarray, k0: np.ndarray,
-            k1: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
-    """kernel_G from offsets x, radii r = |x| and k_j = K_j(kappa r), restricted
-    to the given spinor columns (same arithmetic per entry)."""
+    k0, k1 = bessel_k_array(0, arg), bessel_k_array(1, arg)
     c = dp.c
-    sigma_x = (SIGMA_1[..., :, columns] * x[..., None, None, 0]
-               + SIGMA_2[..., :, columns] * x[..., None, None, 1])
-    diag = ((dp.lam / c) * I2 + (c / 2) * SIGMA_3)[:, columns]
+    sigma_x = SIGMA_1 * x[..., None, None, 0] + SIGMA_2 * x[..., None, None, 1]
+    diag = (dp.lam / c) * I2 + (c / 2) * SIGMA_3
     return (dp.rel_root / (2 * np.pi * c)) * (k1 / r)[..., None, None] * sigma_x \
         + (1 / (2 * np.pi * c)) * k0[..., None, None] * diag

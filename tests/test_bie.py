@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from obliqueshell import bie, geometry
+from obliqueshell import bie, geometry, specfun
 from obliqueshell.errors import (
     ConfigurationError,
     DomainError,
@@ -252,6 +252,22 @@ def test_on_curve_point_rejected(circle, kite):
             bie.eval_SL(g, np.ones(g.N), sp, pts)
 
 
+def test_curve_points_between_samples_are_rejected(kite, mirror_free):
+    # points on the curve halfway between two of the proximity checks' curve
+    # samples (2048 for layer potentials, 4096 for volume grids) lie half a
+    # sample spacing from the nearest one, and must still read as on the curve
+    sp = SpectralParameter.make(-3.0)
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, 256)
+        point = curve.point(np.array([2 * np.pi * 300.5 / 2048]))
+        with pytest.raises(SingularityError):
+            bie.eval_Psi(g, np.ones(g.N), sp, point)
+        node = curve.point(np.array([2 * np.pi * 600.5 / 4096]))
+        vol = bie.VolumeGrid(node[:, 0], node[:, 1], node, 1.0)
+        with pytest.raises(ConfigurationError):
+            bie.check_volume_clear_of_curve(vol, g)
+
+
 def test_jump_identities(circle):
     # i (nu1 + i nu2)(jump of the oblique potential) recovers the density and
     # -i (sum of one-sided dzbar traces) recovers lambda S(lambda) density
@@ -448,14 +464,14 @@ def test_upsample_must_be_a_positive_integer(circle, upsample):
 def test_worker_count_from_threads(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     monkeypatch.delenv("THREADS", raising=False)
-    assert bie._workers() == cores
+    assert specfun._workers() == cores
     for value, expect in (("1", 1), ("", cores), (str(10 ** 6), cores)):
         monkeypatch.setenv("THREADS", value)
-        assert bie._workers() == expect
+        assert specfun._workers() == expect
     for value in ("0", "-2", "2.5", "two"):
         monkeypatch.setenv("THREADS", value)
         with pytest.raises(ConfigurationError, match=repr(value)):
-            bie._workers()
+            specfun._workers()
 
 
 def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
@@ -473,7 +489,7 @@ def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
         sys.setswitchinterval(1e-6)
         for workers in (1, 2, 4):
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                monkeypatch.setattr(bie, "_pool", lambda: pool)
+                monkeypatch.setattr(specfun, "_pool", lambda: pool)
                 outputs.append((bie._kernel_sum(kernel_L, sp, vol.points, g.points, dens),
                                 bie.apply_Psi_star(g, sp, f, vol)))
     finally:

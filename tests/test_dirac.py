@@ -208,19 +208,42 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
 def test_conjugate_side_equals_direct_evaluation(mirror_free, lam):
     # the (zbar, lambdabar) blocks built from conjugated K_0/K_1 arrays are
     # bit for bit those of kernel_G and kernel_L evaluated there
+    # (the 24^2-probe box gives arrays above numpy's 256 kB threshold for
+    # reusing temporaries in place, where operand order can change bits)
     curve = mirror_free
     g = geometry.grid(curve, 32)
-    vol = bie.make_volume_grid(1.5 * curve.diameter, 8)
     sp = SpectralParameter.make(lam)
-    pr = dirac._probes(sp, g, vol.points)
-    assert np.array_equal(pr.L, kernel_L(sp, pr.x))
-    assert np.array_equal(pr.L_bar, kernel_L(sp.conjugate, pr.x))
-    for c in (8.0, 64.0):
-        dp = DiracParameter.shifted(lam, c)
-        dp_bar = DiracParameter.make(np.conj(dp.lam), c)
-        for side, p in zip(dirac._phi_m3_sides(dp, pr), (dp, dp_bar)):
-            G = kernel_G(p, pr.x)
-            assert np.array_equal(side, np.concatenate([G[..., 0, 1], G[..., 1, 1]]))
+    for n in (8, 24):
+        vol = bie.make_volume_grid(1.5 * curve.diameter, n)
+        pr = dirac._probes(sp, g, vol.points)
+        assert np.array_equal(pr.L, kernel_L(sp, pr.x))
+        assert np.array_equal(pr.L_bar, kernel_L(sp.conjugate, pr.x))
+        for c in (8.0, 64.0):
+            dp = DiracParameter.shifted(lam, c)
+            dp_bar = DiracParameter.make(np.conj(dp.lam), c)
+            for side, p in zip(dirac._phi_m3_sides(dp, pr), (dp, dp_bar)):
+                G = kernel_G(p, pr.x)
+                assert np.array_equal(side, np.concatenate([G[..., 0, 1], G[..., 1, 1]]))
+
+
+@pytest.mark.parametrize("c", [8.0, 128.0])
+def test_gap_phi_from_gram_matrix_equals_svd(kite, mirror_free, c):
+    # sigma_max from the N x N Gram matrix equals the SVD's on the same
+    # weighted 2M x N block, on both sides (gap (b) at (z, lambda), gap (c)
+    # at (zbar, lambdabar))
+    lam = 1j
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, 64)
+        vol = bie.make_volume_grid(3 * curve.diameter, 24)
+        pr = dirac._probes(SpectralParameter.make(lam), g, vol.points)
+        sides = dirac._phi_m3_sides(DiracParameter.shifted(lam, c), pr)
+        for phi, L in zip(sides, (pr.L, pr.L_bar)):
+            A = c * phi
+            A[:len(vol.points)] -= L
+            A *= np.sqrt(g.weight * g.jacobians * vol.weight)[None, :]
+            ref = np.linalg.svd(A, compute_uv=False)[0]
+            got = dirac._gap_phi(c, phi, L, g, vol)
+            assert abs(got - ref) <= 1e-13 * ref, (curve.name, c)
 
 
 def test_correction_reference_block_structure(circle):

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import special
 
 from obliqueshell import bie, geometry, specfun
 from obliqueshell.errors import DomainError
@@ -144,3 +151,71 @@ def test_domain_errors_and_underflow():
         specfun.bessel_ik_int(300, 1.0)
     with pytest.warns(specfun.BesselUnderflowWarning):
         assert specfun.bessel_k(0, 800.0) == 0j
+
+
+def _multi_chunk_arguments():
+    """Real and complex right-half-plane arguments over 3.8 chunks, 2-d."""
+    rng = np.random.default_rng(7)
+    x = rng.uniform(1e-3, 40.0, (5, 49807))
+    z = x * np.exp(1j * rng.uniform(-1.5, 1.5, x.shape))
+    return x, z
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_chunked_bessel_arrays_equal_the_whole_array_ufunc(workers, monkeypatch):
+    # the chunks run on the pool and write into one output: bit for bit the
+    # ufunc on the whole array, whatever the pool size (4 > cores)
+    x, z = _multi_chunk_arguments()
+    refs = {("k", 0, "real"): special.k0(x), ("k", 1, "real"): special.k1(x),
+            ("k", 0, "complex"): special.kv(0, z), ("k", 1, "complex"): special.kv(1, z),
+            ("i", 0, "real"): special.i0(x), ("i", 1, "real"): special.i1(x),
+            ("i", 0, "complex"): special.iv(0, z), ("i", 1, "complex"): special.iv(1, z)}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(specfun, "_pool", lambda: pool)
+        for (kind, order, field), ref in refs.items():
+            fn = specfun.bessel_k_array if kind == "k" else specfun.bessel_i_array
+            got = fn(order, x if field == "real" else z)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), (kind, order, field)
+
+        # an element beyond the overflow radius, in the last chunk, is 0
+        far = z.copy()
+        far.flat[-3] = 800.0 + 1.0j
+        got = specfun.bessel_k_array(0, far)
+        assert got.flat[-3] == 0
+        mask = np.ones(far.size, dtype=bool)
+        mask[-3] = False
+        assert got.ravel()[mask].tobytes() == refs[("k", 0, "complex")].ravel()[mask].tobytes()
+
+        # Re z <= 0 in a later chunk still raises
+        for bad in (-1.0, 0.0):
+            arg = x.copy()
+            arg.flat[2 * specfun._CHUNK + 11] = bad
+            with pytest.raises(DomainError):
+                specfun.bessel_k_array(1, arg)
+
+
+_NESTED_KERNEL_SUM = """
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from obliqueshell import bie, specfun
+from obliqueshell.kernels import SpectralParameter, kernel_U
+with ThreadPoolExecutor(max_workers=1) as pool:
+    specfun._pool = lambda: pool
+    sources = np.stack([np.linspace(1, 2, 3 * specfun._CHUNK), np.zeros(3 * specfun._CHUNK)], -1)
+    # one target per task; each task's kernel evaluates a 3-chunk Bessel array
+    out = bie._kernel_sum(kernel_U, SpectralParameter.make(-1.0), -np.ones((4, 2)), sources,
+                          np.ones(len(sources)))
+print(np.isfinite(out).all() and len(out) == 4)
+"""
+
+
+def test_kernel_sum_tasks_with_multi_chunk_bessel_arrays_finish_on_one_worker():
+    # a pool task that submitted its Bessel chunks to a one-worker pool would
+    # wait for itself; in a subprocess, a deadlock fails by the timeout
+    src = str(Path(specfun.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NESTED_KERNEL_SUM], text=True,
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

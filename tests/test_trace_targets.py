@@ -4,6 +4,7 @@ a refactor that renames or deletes one of them silently drops a layer metric.
 
 import importlib.util
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -65,3 +66,33 @@ def test_traced_correction_keeps_one_span_and_one_assembly_per_speed():
     m = tracer.summary()
     assert m["dirac.correction.calls"] == 2
     assert m["bie.assemble_M3CM3.calls"] == 2
+
+
+class _CountingPool(ThreadPoolExecutor):
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def test_traced_bessel_spans_do_not_depend_on_the_pool(monkeypatch):
+    # Bessel arrays longer than one chunk run their chunks on the pool, but
+    # the tracer's spans (which it does not guard across threads) stay on the
+    # calling thread: a 4-worker pool records what a 1-worker pool records.
+    # With 48^2 probes, the K_0/K_1 arrays on 2304 x 32 pairs span 2 chunks.
+    from obliqueshell import dirac, geometry, specfun
+
+    tracer_module = _load_tracer()
+    kite = geometry.make_curve("kite")
+    readings = []
+    for workers in (1, 4):
+        with _CountingPool(max_workers=workers) as pool:
+            monkeypatch.setattr(specfun, "_pool", lambda: pool)
+            with tracer_module.instrument(tracer_module.Tracer()) as tracer:
+                dirac.correction_convergence(kite, -1.0, 1j, [16, 64], N=32, probe_n=48)
+        assert pool.submitted > 0
+        m = tracer.summary()
+        readings.append((m["specfun.bessel_k.calls"], m["specfun.bessel_k.evals"],
+                         len(tracer.spans)))
+    assert readings[0] == readings[1]
