@@ -14,7 +14,7 @@ _EXPORTS = {
             "assemble_S", "default_volume_grid", "eval_Psi", "eval_SL", "jump_traces",
             "make_volume_grid"),
     "dirac": ("LimitStudyResult", "correction_convergence", "dirac_correction",
-              "limit_gaps", "nonrel_limit_study", "sqrt_shift_bounds"),
+              "nonrel_limit_study"),
     "errors": ("ConfigurationError", "DivergenceError", "DomainError",
                "NumericalInstabilityError", "ObliqueShellError", "ParameterError",
                "PoleProximityError", "ResolutionError", "SingularityError"),

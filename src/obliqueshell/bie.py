@@ -61,11 +61,6 @@ def log_quadrature_weights(N: int) -> np.ndarray:
     return circulant(col)
 
 
-def _pairwise_r(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff ** 2).sum(-1))
-
-
 @dataclass(frozen=True)
 class _MKBlocks:
     """The kappa-independent part of the Martensen-Kussmaul scheme on the
@@ -373,43 +368,57 @@ def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
 #: exp(-2 pi d / spacing), below 1e-21 here
 _FAR_SPACINGS = 8
 
+#: largest density refinement a near target gets.  On the resolvent
+#: benchmark's 128^2 grid around the kite (N = 256), against sums at twice
+#: the uncapped factor, a cap of 16 leaves 6 of the 930 near nodes off by
+#: more than 1e-3 of max |g|, 64 leaves 2 (the two nodes 2e-4 from the
+#: curve, worst 0.135), and 256 leaves none but adds 4.4 MB (4%) to the
+#: peak memory of a krein_apply and residual call.
+_MAX_UPSAMPLE = 64
+
+
+def _upsample_factors(grid: QuadratureGrid, dist: np.ndarray) -> np.ndarray:
+    """Density refinement for targets ``dist`` from the curve: 1 at least
+    _FAR_SPACINGS node spacings s (grid.weight times the largest jacobian)
+    away, else 2^ceil(log2(_FAR_SPACINGS s / d)) capped at _MAX_UPSAMPLE: below
+    the cap, a target d away sees a refined spacing of at most
+    d / _FAR_SPACINGS, as a far target sees on the native nodes."""
+    limit = _FAR_SPACINGS * grid.weight * grid.jacobians.max()
+    factors = np.ones(len(dist), dtype=int)
+    near = dist < limit
+    factors[near] = np.minimum(np.exp2(np.ceil(np.log2(limit / dist[near]))), _MAX_UPSAMPLE)
+    return factors
+
 
 def _eval_layer(grid, density, sp, points, kernel, upsample):
-    """Layer potential with the given kernel at points off the curve.
+    """Layer potential with the given kernel at points off the curve, summed
+    on the density trig-interpolated to upsample * N nodes."""
+    src, g, w = _upsampled_density(grid, density, upsample)
+    return w * _kernel_sum(kernel, sp, points, src, g)
 
-    Targets at least _FAR_SPACINGS node spacings (grid.weight times the largest
-    jacobian) from the curve are summed on the native N nodes.  Nearer targets
-    are summed on the density trig-interpolated to upsample * N nodes.
-    """
-    if not isinstance(upsample, (int, np.integer)) or upsample < 1:
-        raise ConfigurationError(f"upsample must be an integer >= 1, got {upsample!r}")
+
+def _eval_refined(grid, density, sp, points, kernel):
+    """Layer potential with the given kernel at points off the curve, each
+    target summed at its own _upsample_factors refinement."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = _check_points_off_curve(grid, points)
-    far = dist >= _FAR_SPACINGS * grid.weight * grid.jacobians.max()
+    factors = _upsample_factors(grid, _check_points_off_curve(grid, points))
     values = np.zeros(len(points), dtype=complex)
-    for mask, factor in ((far, 1), (~far, upsample)):
-        if mask.any():
-            src, g, w = _upsampled_density(grid, density, factor)
-            values[mask] = w * _kernel_sum(kernel, sp, points[mask], src, g)
+    for factor in np.unique(factors):
+        group = factors == factor
+        values[group] = _eval_layer(grid, density, sp, points[group], kernel, int(factor))
     return values
 
 
 def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
-            points: np.ndarray, upsample: int = 1) -> np.ndarray:
+            points: np.ndarray) -> np.ndarray:
     """Single layer potential SL(lambda) density at points off the curve."""
-    return _eval_layer(grid, density, sp, points, kernel_U, upsample)
+    return _eval_refined(grid, density, sp, points, kernel_U)
 
 
 def eval_Psi(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
-             points: np.ndarray, upsample: int = 1) -> np.ndarray:
+             points: np.ndarray) -> np.ndarray:
     """Potential with the oblique kernel at points off the curve."""
-    return _eval_layer(grid, density, sp, points, kernel_L, upsample)
-
-
-def eval_dzbar_Psi(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
-                   points: np.ndarray, upsample: int = 1) -> np.ndarray:
-    """d/dzbar of the oblique potential; equals (i lambda / 2) SL(lambda)."""
-    return 0.5j * sp.lam * eval_SL(grid, density, sp, points, upsample=upsample)
+    return _eval_refined(grid, density, sp, points, kernel_L)
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +445,6 @@ def default_h_sequence(curve: Curve) -> np.ndarray:
     return curve.diameter * np.array([1e-2, 5e-3, 2.5e-3])
 
 
-def _extrapolated_sides(grid: QuadratureGrid, field) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided boundary limits of a field, inside (+) and outside (-).
-
-    ``field`` maps an (M, 2) point array to M values.  It is sampled at
-    grid.points -/+ h grid.normals for each h of default_h_sequence, and each
-    side is ratio-tested and extrapolated to h = 0.
-    """
-    h_seq = default_h_sequence(grid.curve)
-    inner, outer = (np.stack([field(grid.points + sgn * h * grid.normals) for h in h_seq])
-                    for sgn in (-1.0, +1.0))
-    _ratio_check(h_seq, inner)
-    _ratio_check(h_seq, outer)
-    return _neville_to_zero(h_seq, inner), _neville_to_zero(h_seq, outer)
-
-
 def _ratio_check(h_seq, stack) -> None:
     d1 = np.linalg.norm(stack[0] - stack[1])
     d2 = np.linalg.norm(stack[1] - stack[2])
@@ -467,7 +461,9 @@ def _ratio_check(h_seq, stack) -> None:
         )
 
 
-#: density upsampling for the trace offsets, at most 0.01 diameters from the curve
+#: density upsampling of every Richardson trace offset, at most 0.01
+#: diameters from the curve.  Fixed: _upsample_factors would give the three
+#: offsets 16, 32 and 64 at N = 256, 2.3 times the pairs summed here.
 _TRACE_UPSAMPLE = 16
 
 
@@ -476,11 +472,26 @@ def jump_traces(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter
 
     Returns (i (nu1 + i nu2)(trace_+ - trace_-),  -i (dzbar trace sum));
     these approach the density and lambda S(lambda) density respectively.
+    Both fields are sampled at grid.points -/+ h grid.normals for each h of
+    default_h_sequence (inside, then outside), summed on the _TRACE_UPSAMPLE
+    times upsampled density; dzbar Psi is (i lambda / 2) SL.  Each side is
+    ratio-tested and extrapolated to h = 0.
     """
-    psi_in, psi_out = _extrapolated_sides(
-        grid, lambda p: eval_Psi(grid, density, sp, p, _TRACE_UPSAMPLE))
-    dz_in, dz_out = _extrapolated_sides(
-        grid, lambda p: eval_dzbar_Psi(grid, density, sp, p, _TRACE_UPSAMPLE))
+    h_seq = default_h_sequence(grid.curve)
+    offsets = np.concatenate([-h_seq, h_seq])
+    points = (grid.points[None] + offsets[:, None, None] * grid.normals[None]).reshape(-1, 2)
+    _check_points_off_curve(grid, points)
+
+    def sides(values: np.ndarray) -> list[np.ndarray]:
+        stacks = values.reshape(2, len(h_seq), grid.N)
+        for stack in stacks:
+            _ratio_check(h_seq, stack)
+        return [_neville_to_zero(h_seq, stack) for stack in stacks]
+
+    psi_in, psi_out = sides(
+        _eval_layer(grid, density, sp, points, kernel_L, _TRACE_UPSAMPLE))
+    dz_in, dz_out = sides(
+        0.5j * sp.lam * _eval_layer(grid, density, sp, points, kernel_U, _TRACE_UPSAMPLE))
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
     jump = 1j * nu * (psi_in - psi_out)
     dzbar_sum = -1j * (dz_in + dz_out)
@@ -512,19 +523,18 @@ class VolumeGrid:
         return np.asarray(flat).reshape(self.shape)
 
 
-def make_volume_grid(halfwidth: float, n: int, center=(0.0, 0.0)) -> VolumeGrid:
+def make_volume_grid(halfwidth: float, n: int) -> VolumeGrid:
     if halfwidth <= 0 or n < 2:
         raise ConfigurationError("volume grid needs halfwidth > 0 and n >= 2")
     # cell-centered nodes: generic curves are not hit exactly
     h = 2 * halfwidth / n
-    xs = center[0] - halfwidth + h * (np.arange(n) + 0.5)
-    ys = center[1] - halfwidth + h * (np.arange(n) + 0.5)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    xs = -halfwidth + h * (np.arange(n) + 0.5)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    return VolumeGrid(xs, ys, pts, h)
+    return VolumeGrid(xs, xs, pts, h)
 
 
-def default_volume_grid(curve: Curve, n: int = 96) -> VolumeGrid:
+def default_volume_grid(curve: Curve, n: int) -> VolumeGrid:
     return make_volume_grid(3.0 * curve.diameter, n)
 
 

@@ -52,7 +52,6 @@ from .kernels import (  # noqa: F401
     SpectralParameter,
     _L_body,
     _radii,
-    branch_sqrt,
     kernel_G,
     kernel_L,
     kernel_U,
@@ -246,13 +245,6 @@ def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
         )
 
 
-def limit_gaps(curve: Curve, lam: complex, c: float, N: int = 128,
-               volume_box: VolumeGrid | None = None,
-               check_box: bool = False) -> tuple[float, float, float, float]:
-    """The four discretized gap values (a0, phi, phi_star, c) at speed c."""
-    return next(_gap_rows(curve, lam, [c], N, volume_box, check_box))
-
-
 @dataclass(frozen=True)
 class LimitStudyResult:
     c_values: tuple[float, ...]
@@ -372,46 +364,3 @@ def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,
     c_values = _speeds(c_values)
     norms = [dirac_correction(curve, alpha, lam, c, N, probe_n) for c in c_values]
     return norms, _fit_slope(c_values, norms)
-
-
-# ---------------------------------------------------------------------------
-# square-root shift diagnostics
-
-
-def sqrt_shift_bounds(lam: complex, c: float) -> dict:
-    """Sampled check (201 points) of the two-sided root bounds along t in [0, 1].
-
-    Verifies |sqrt(lambda)|/2 <= |sqrt(lambda + t lambda^2/c^2)| <=
-    3|sqrt(lambda)|/2 and Im sqrt(lambda + t lambda^2/c^2) >= Im sqrt(lambda)/2.
-    If they fail at this c, reports the minimal c (power-of-two search) at
-    which they start holding.
-    """
-    lam = _require_nonreal(lam)
-    if c <= 0:
-        raise ParameterError("c must be positive")
-
-    def holds(cc: float) -> tuple[bool, float, float, float]:
-        t = np.linspace(0.0, 1.0, 201)
-        roots = np.array([branch_sqrt(lam + tt * lam * lam / cc ** 2) for tt in t])
-        base = branch_sqrt(lam)
-        amin, amax = float(np.abs(roots).min()), float(np.abs(roots).max())
-        imin = float(roots.imag.min())
-        ok = (amin >= abs(base) / 2 and amax <= 1.5 * abs(base)
-              and imin >= base.imag / 2)
-        return ok, amin, amax, imin
-
-    ok, amin, amax, imin = holds(c)
-    out = {
-        "lambda": lam, "c": c, "bounds_hold": ok,
-        "min_abs": amin, "max_abs": amax, "min_im": imin,
-        "abs_sqrt_lambda": abs(branch_sqrt(lam)),
-        "im_sqrt_lambda": branch_sqrt(lam).imag,
-    }
-    if not ok:
-        cc = c
-        for _ in range(60):
-            cc *= 2
-            if holds(cc)[0]:
-                out["minimal_c"] = cc
-                break
-    return out

@@ -111,9 +111,6 @@ class QuadratureGrid:
     def weight(self) -> float:
         return 2 * np.pi / self.N
 
-    def length(self) -> float:
-        return float(self.weight * self.jacobians.sum())
-
 
 def make_curve(kind: str, *, R: float = 1.0, a: float = 2.0, b: float = 1.0,
                x_coeffs=None, y_coeffs=None, name: str | None = None) -> Curve:

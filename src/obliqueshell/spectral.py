@@ -337,10 +337,11 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     """Field Psi_lambda phi of the eigenfunction on branch n at lambda_n.
 
     phi is the eigenvector of alpha lambda S(lambda) for the eigenvalue nearest
-    1, normalized to unit L2 norm on the curve, and the field is summed on the
-    8-fold upsampled density near the curve.  That eigenvalue must lie within
-    10 tol of 1, so tol is the root tolerance lambda_n was found with;
-    otherwise lambda_n and n are reported as inconsistent.
+    1, normalized to unit L2 norm on the curve, and the field is summed by
+    bie.eval_Psi, on a density refined by each target's distance to the curve.
+    That eigenvalue must lie within 10 tol of 1, so tol is the root tolerance
+    lambda_n was found with; otherwise lambda_n and n are reported as
+    inconsistent.
     """
     if not lambda_n < 0:
         raise DomainError("lambda_n must be negative")
@@ -361,7 +362,7 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     phi = phi / norm
     pts = spatial_grid.points if isinstance(spatial_grid, VolumeGrid) \
         else np.atleast_2d(np.asarray(spatial_grid, dtype=float))
-    values = bie.eval_Psi(g, phi, sp, pts, upsample=8)
+    values = bie.eval_Psi(g, phi, sp, pts)
     return EigenfunctionField(pts, values, phi, float(lambda_n), n, g)
 
 
@@ -415,22 +416,20 @@ def _free_resolvent_on_grid(sp: SpectralParameter, vol: VolumeGrid,
 
 
 def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
-                f_samples: np.ndarray, vol: VolumeGrid | None = None,
-                N: int = 256) -> KreinResult:
+                f_samples: np.ndarray, vol: VolumeGrid, N: int = 256) -> KreinResult:
     """Resolvent of the transmission operator applied to volume samples f.
 
     g = free + alpha Psi_lambda (I - alpha lambda S(lambda))^-1 Psi*_lambdabar f.
     The free part R_lambda f and the right-hand side Psi*_lambdabar f =
     -2i dzbar (R_lambda f) on the curve are FFT convolutions on the volume
-    grid (bie.apply_Psi_star); the correction is summed on the 4-fold
-    upsampled density near the curve.  The curve must lie at least two node
+    grid (bie.apply_Psi_star); the correction is summed by bie.eval_Psi, on a
+    density refined by each node's distance to the curve.  f_samples are the
+    values of f at the nodes of vol.  The curve must lie at least two node
     spacings inside the outermost volume nodes, else ConfigurationError.
     When I - alpha lambda S is nearly singular, the PoleProximityError names
     the branch n whose alpha lambda mu_n lies nearest 1, taken from the same
     assembly.
     """
-    if vol is None:
-        vol = bie.default_volume_grid(curve)
     g = make_grid(curve, N)
     f = np.asarray(f_samples, dtype=complex).ravel()
     free = _free_resolvent_on_grid(sp, vol, f)
@@ -453,7 +452,7 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
         )
     rhs = bie.apply_Psi_star(g, sp.conjugate, f, vol)
     eta = np.linalg.solve(np.eye(g.N) - alpha * sp.lam * op.entries, rhs)
-    corr = bie.eval_Psi(g, eta, sp, vol.points, upsample=4)
+    corr = bie.eval_Psi(g, eta, sp, vol.points)
     return KreinResult(vol, free + alpha * corr, eta, g, sp, alpha)
 
 

@@ -231,4 +231,4 @@ def test_cli_import_defers_numpy_and_every_export_resolves():
     assert "FieldSamples" not in obliqueshell.__all__
     assert "DiracResolventBlocks" not in obliqueshell.__all__
     missing = [name for name in obliqueshell.__all__ if not hasattr(obliqueshell, name)]
-    assert missing == [] and len(obliqueshell.__all__) == 59
+    assert missing == [] and len(obliqueshell.__all__) == 57

@@ -8,6 +8,7 @@ from obliqueshell.kernels import (
     M3,
     DiracParameter,
     SpectralParameter,
+    branch_sqrt,
     kernel_G,
     kernel_L,
 )
@@ -15,11 +16,9 @@ from obliqueshell.kernels import (
 
 def test_real_lambda_rejected(circle):
     with pytest.raises(DomainError):
-        dirac.limit_gaps(circle, -1.0, 16.0)
+        next(dirac._gap_rows(circle, -1.0, [16.0], 128, None, False))
     with pytest.raises(DomainError):
         dirac.dirac_correction(circle, -1.0, -1.0, 16.0)
-    with pytest.raises(DomainError):
-        dirac.sqrt_shift_bounds(-1.0, 16.0)
 
 
 def _spinor_flatten(K):
@@ -69,7 +68,7 @@ def test_gap_phistar_is_adjoint_at_conjugate_parameters(mirror_free):
     curve = mirror_free
     vol = bie.make_volume_grid(3 * curve.diameter, 24)
     lam, c = 1j, 8.0
-    _, phi, phistar, _ = dirac.limit_gaps(curve, lam, c, N=64, volume_box=vol)
+    _, phi, phistar, _ = next(dirac._gap_rows(curve, lam, [c], 64, vol, False))
     # reference: the adjoint kernel c M3 G*_zbar - M2^T conj(L_lambdabar),
     # volume index -> boundary index, with both quadrature weights
     g = geometry.grid(curve, 64)
@@ -86,10 +85,9 @@ def test_gap_phistar_is_adjoint_at_conjugate_parameters(mirror_free):
 
 
 def test_gap_sequences_decrease_with_c(circle):
-    g1 = dirac.limit_gaps(circle, 1j, 8.0, N=64,
-                          volume_box=bie.make_volume_grid(3.0, 24))
-    g2 = dirac.limit_gaps(circle, 1j, 32.0, N=64,
-                          volume_box=bie.make_volume_grid(3.0, 24))
+    vol = bie.make_volume_grid(3.0, 24)
+    g1 = next(dirac._gap_rows(circle, 1j, [8.0], 64, vol, False))
+    g2 = next(dirac._gap_rows(circle, 1j, [32.0], 64, vol, False))
     for a, b in zip(g1, g2):
         assert b < a
         assert a > 0 and np.isfinite(a)
@@ -126,8 +124,8 @@ def test_slope_fits_need_two_distinct_speeds(circle, c_values):
 def test_gap_resolution_stability(circle):
     # doubling the boundary resolution moves the gaps by < 5%
     vol = bie.make_volume_grid(3.0, 24)
-    a = dirac.limit_gaps(circle, 1j, 16.0, N=64, volume_box=vol)
-    b = dirac.limit_gaps(circle, 1j, 16.0, N=128, volume_box=vol)
+    a = next(dirac._gap_rows(circle, 1j, [16.0], 64, vol, False))
+    b = next(dirac._gap_rows(circle, 1j, [16.0], 128, vol, False))
     for x, y in zip(a, b):
         assert abs(x - y) <= 0.05 * abs(x)
 
@@ -198,9 +196,9 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
     seen.clear()
     dirac.dirac_correction(kite, -1.0, 1j, 16, N=32, probe_n=8)
     assert seen and repeats == []
-    # limit_gaps is the one-speed case of the study, bit for bit
+    # a one-speed gap row is the study's row, bit for bit
     for i, c in enumerate(study.c_values):
-        row = dirac.limit_gaps(kite, 1j, c, N=32, volume_box=vol)
+        row = next(dirac._gap_rows(kite, 1j, [c], 32, vol, False))
         assert row == tuple(study.gaps()[k][i] for k in ("a0", "phi", "phistar", "c"))
 
 
@@ -257,22 +255,20 @@ def test_correction_convergence_rate(circle):
     assert slope <= -0.8
 
 
+def _shifted_roots(lam, c):
+    """sqrt(lambda + t lambda^2 / c^2) at 201 points t of [0, 1]."""
+    return np.array([branch_sqrt(lam + t * lam * lam / c ** 2)
+                     for t in np.linspace(0.0, 1.0, 201)])
+
+
 def test_sqrt_shift_bounds_hold():
-    out = dirac.sqrt_shift_bounds(1j, 100.0)
-    assert out["bounds_hold"]
-    out2 = dirac.sqrt_shift_bounds(1 + 1j, 10.0)
-    assert out2["bounds_hold"]
+    # |sqrt(lambda)|/2 <= |sqrt(lambda + t lambda^2/c^2)| <= 3|sqrt(lambda)|/2
+    # and Im sqrt(lambda + t lambda^2/c^2) >= Im sqrt(lambda)/2 on t in [0, 1]
+    for lam, c in ((1j, 100.0), (1 + 1j, 10.0)):
+        roots, base = _shifted_roots(lam, c), branch_sqrt(lam)
+        assert np.abs(roots).min() >= abs(base) / 2
+        assert np.abs(roots).max() <= 1.5 * abs(base)
+        assert roots.imag.min() >= base.imag / 2
     # ratio of the shifted to unshifted root approaches 1 as c grows
-    big = dirac.sqrt_shift_bounds(1 + 1j, 1e6)
-    assert big["max_abs"] / big["abs_sqrt_lambda"] == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ParameterError):
-        dirac.sqrt_shift_bounds(1j, -5.0)
-
-
-def test_sqrt_shift_reports_minimal_c():
-    # huge |lambda| with tiny c violates the bounds; a minimal c is reported
-    out = dirac.sqrt_shift_bounds(-1e6 + 1j, 1.0)
-    if not out["bounds_hold"]:
-        assert out["minimal_c"] > 1.0
-        again = dirac.sqrt_shift_bounds(-1e6 + 1j, out["minimal_c"])
-        assert again["bounds_hold"]
+    big = np.abs(_shifted_roots(1 + 1j, 1e6)).max() / abs(branch_sqrt(1 + 1j))
+    assert big == pytest.approx(1.0, abs=1e-10)

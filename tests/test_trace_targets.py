@@ -7,11 +7,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
@@ -23,7 +23,7 @@ def _current(owner, attr):
 
 
 def test_every_trace_target_exists_and_is_restored():
-    tracer_module = _load_tracer()
+    tracer_module = _load_bench("tracer")
     with tracer_module.instrument(tracer_module.Tracer()) as tracer:
         assert tracer.missing == []
         patches = list(tracer._patches)
@@ -39,7 +39,7 @@ def test_traced_spectrum_reaches_every_branch_and_assembles_once_per_root_eval(t
     # bypassed either would silently empty those metrics
     from obliqueshell import cli
 
-    tracer_module = _load_tracer()
+    tracer_module = _load_bench("tracer")
     out = tmp_path / "spectrum.json"
     with tracer_module.instrument(tracer_module.Tracer()) as tracer:
         code = cli.main(["spectrum", "--curve", "kite", "--alpha", "-1", "--N", "64",
@@ -59,13 +59,30 @@ def test_traced_correction_keeps_one_span_and_one_assembly_per_speed():
     # dirac_correction would silently empty them
     from obliqueshell import dirac, geometry
 
-    tracer_module = _load_tracer()
+    tracer_module = _load_bench("tracer")
     kite = geometry.make_curve("kite")
     with tracer_module.instrument(tracer_module.Tracer()) as tracer:
         dirac.correction_convergence(kite, -1.0, 1j, [16, 64], N=32, probe_n=8)
     m = tracer.summary()
     assert m["dirac.correction.calls"] == 2
     assert m["bie.assemble_M3CM3.calls"] == 2
+
+
+def test_traced_layer_pairs_are_the_pairs_summed(tmp_path):
+    # the tracer counts points x upsample x N per _eval_layer call as
+    # bie.layer_eval.pairs; with one call per refinement factor that is the
+    # number of kernel_L and kernel_U evaluations outside the direct volume
+    # sums.  Proximity is checked once for the volume grid, once for the
+    # correction's targets and once for all trace offsets.
+    tracer_module = _load_bench("tracer")
+    workload = _load_bench("workloads").WORKLOADS["resolvent"](0, "tiny", tmp_path)
+    with tracer_module.instrument(tracer_module.Tracer()) as tracer:
+        workload.call()
+    assert tracer.count_errors == []
+    m = tracer.summary()
+    assert m["bie.layer_eval.pairs"] == (m["kernels.L.evals"] + m["kernels.U.evals"]
+                                         - m["spectral.direct_volume.pairs"])
+    assert m["bie.proximity.calls"] == 3
 
 
 class _CountingPool(ThreadPoolExecutor):
@@ -83,7 +100,7 @@ def test_traced_bessel_spans_do_not_depend_on_the_pool(monkeypatch):
     # With 48^2 probes, the K_0/K_1 arrays on 2304 x 32 pairs span 2 chunks.
     from obliqueshell import dirac, geometry, specfun
 
-    tracer_module = _load_tracer()
+    tracer_module = _load_bench("tracer")
     kite = geometry.make_curve("kite")
     readings = []
     for workers in (1, 4):
