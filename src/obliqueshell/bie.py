@@ -341,10 +341,11 @@ def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
 
 
 #: target x source pairs per kernel-sum chunk.  Fixed, so that every chunk
-#: does the same arithmetic whatever the worker count.  At ~90 bytes of
-#: temporaries per pair a chunk's 1 MB complex arrays stay cache-sized; on a
-#: 2-core Xeon with 2 MB L2 per core the resolvent workload ran 5.2-5.5 s at
-#: 2**16 pairs against 6.8 s at 250,000 and 7.7 s at 2**14.
+#: does the same arithmetic whatever the worker count.  A chunk's complex
+#: arrays are 1 MB each.  On a 2-core Xeon with 2 MB L2 per core and two pool
+#: workers, one krein_apply and residual call of the resolvent benchmark took
+#: 0.81-0.84 s at 2**15 pairs, 0.80-0.85 s at 2**16 and 0.82-0.90 s at 2**17
+#: (8 calls each); a larger chunk only raises peak memory.
 _CHUNK_PAIRS = 1 << 16
 
 
@@ -352,11 +353,19 @@ def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
                 values: np.ndarray) -> np.ndarray:
     """sum_j kernel(sp, targets_i - sources_j) values_j, in consecutive
     target slices of about _CHUNK_PAIRS pairs run on the pool of ``specfun``;
-    each slice writes its own rows."""
+    each slice writes its own rows.
+
+    A slice is reduced by an elementwise product and a pairwise row sum, not
+    by a BLAS matrix-vector product: OpenBLAS threads a product this size, and
+    its helper threads then spin on the cores the pool's workers need.  So a
+    pool task makes no BLAS call, and the sums' bits do not depend on the
+    BLAS thread count.  A real kernel (kernel_U at real lambda) enters the
+    product as it is, without a complex copy.
+    """
     out = np.zeros(len(targets), dtype=complex)
 
     def rows(s: slice) -> None:
-        out[s] = kernel(sp, targets[s, None, :] - sources[None, :, :]) @ values
+        out[s] = (kernel(sp, targets[s, None, :] - sources[None, :, :]) * values).sum(axis=1)
 
     step = max(1, _CHUNK_PAIRS // max(len(sources), 1))
     _run_chunks(rows, [slice(lo, lo + step) for lo in range(0, len(targets), step)])

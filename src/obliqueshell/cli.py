@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  The THREADS
 environment variable caps the kernel-sum pool and the BLAS/OpenMP worker
 counts, so it is applied before numpy is imported.  The pool size never
-changes results; the BLAS thread count can change the last bits of LAPACK
-results.
+changes results.  Pool tasks make no BLAS call, so the kernel sums' bits do
+not depend on the BLAS thread count either; that count can change the last
+bits of LAPACK results.
 """
 
 from __future__ import annotations

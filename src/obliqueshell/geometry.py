@@ -22,10 +22,15 @@ _FINE_SAMPLES = 4096
 
 
 def _eval_series(coeffs: np.ndarray, t: np.ndarray, deriv: int) -> np.ndarray:
-    """Evaluate c_0.real + 2 Re sum_{m>=1} c_m e^{imt}, or its derivative."""
-    m = np.arange(len(coeffs))
-    fac = (1j * m) ** deriv
-    vals = np.exp(1j * np.outer(t, m)) @ (fac * coeffs)
+    """Evaluate c_0.real + 2 Re sum_{m>=1} c_m e^{imt}, or its derivative.
+
+    Summed term by term over the few coefficients, not as a matrix-vector
+    product: that would be a BLAS call, and OpenBLAS's helper threads spin for
+    a while after one, taking cores from the pool's kernel sums that follow.
+    """
+    vals = np.zeros(len(t), dtype=complex)
+    for m, cm in enumerate((1j * np.arange(len(coeffs))) ** deriv * coeffs):
+        vals += np.exp(1j * (t * m)) * cm
     out = 2 * vals.real
     if deriv == 0:
         out -= coeffs[0].real

@@ -126,8 +126,18 @@ def kernel_L(sp: SpectralParameter, x: np.ndarray) -> np.ndarray:
 
 def _L_body(sp: SpectralParameter, x: np.ndarray, r: np.ndarray,
             k1: np.ndarray) -> np.ndarray:
-    """kernel_L from offsets x, radii r = |x| and k1 = K_1(kappa r)."""
-    return (sp.sqrt_lam / (2 * np.pi)) * k1 * (x[..., 0] - 1j * x[..., 1]) / r
+    """kernel_L from offsets x, radii r = |x| and k1 = K_1(kappa r).
+
+    (x1 - i x2)/r is built in one complex array and scaled in place, so a
+    kernel-sum chunk holds one complex temporary here.
+    """
+    out = np.empty(r.shape, dtype=complex)
+    out.real = x[..., 0]
+    np.negative(x[..., 1], out=out.imag)
+    out /= r
+    out *= k1
+    out *= sp.sqrt_lam / (2 * np.pi)
+    return out
 
 
 def kernel_dzbar_U(sp: SpectralParameter, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ Bessel arrays longer than one chunk are evaluated chunk by chunk on it, and
 ``bie`` runs its kernel sums through the same submit helper.  The ufuncs are
 elementwise and release the GIL, so the chunks run in parallel and the result
 does not depend on the pool size.  A call made inside a pool task runs
-inline, so no task ever waits on the pool.
+inline, so no task ever waits on the pool.  Pool tasks make no BLAS call:
+OpenBLAS's helper threads would compete with the workers for the cores, and
+the kernel sums' bits would depend on the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -44,6 +44,31 @@ def test_derivative_is_exact(circle, kite):
         assert np.allclose(curve.derivative(t), fd, atol=1e-8)
 
 
+def _cos_sin_series(coeffs, t, order):
+    # c_0.real + 2 sum_m (a_m cos mt - b_m sin mt), c_m = a_m + i b_m, and its
+    # derivatives, written out term by term
+    out = np.full(len(t), coeffs[0].real) if order == 0 else np.zeros(len(t))
+    for m in range(1, len(coeffs)):
+        a, b = coeffs[m].real, coeffs[m].imag
+        c, s = np.cos(m * t), np.sin(m * t)
+        term = {0: a * c - b * s, 1: -m * (a * s + b * c), 2: -m * m * (a * c - b * s)}[order]
+        out += 2 * term
+    return out
+
+
+def test_curve_series_match_cos_sin_sums(circle, ellipse, kite, mirror_free):
+    # the series are summed elementwise over the coefficients; each order
+    # agrees with the cos/sin sums to rounding, relative to the largest entry
+    t = np.concatenate([np.linspace(0, 2 * np.pi, 257),
+                        np.random.default_rng(4).uniform(0, 2 * np.pi, 1000)])
+    for curve in (circle, ellipse, kite, mirror_free):
+        for order in (0, 1, 2):
+            got = curve.derivative(t, order) if order else curve.point(t)
+            ref = np.stack([_cos_sin_series(curve.x_coeffs, t, order),
+                            _cos_sin_series(curve.y_coeffs, t, order)], axis=-1)
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), (curve.name, order)
+
+
 def test_clockwise_curve_rejected():
     # circle traversed clockwise: x = cos t, y = -sin t
     cx = np.array([0.0, 0.5], dtype=complex)
