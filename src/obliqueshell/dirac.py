@@ -20,18 +20,23 @@ projects onto the second spinor component, so every boundary operator acts
 on scalar densities of that component only and is stored as its live block.
 
 Every K_0/K_1 array is evaluated once per (kappa, geometry).  The blocks that
-do not depend on c (the grid, probe-to-node offsets and radii, L(lambda),
-L(lambdabar), S(lambda)) come from one helper shared by the gap study and the
-correction; the study builds them, and U on the gap (a) lattice, once.  The
-(zbar, lambdabar) side of gap (c) and of the correction conjugates the Bessel
-arrays of the (z, lambda) side: kappa(zbar) = conj kappa(z), kappa(lambdabar)
-= conj kappa(lambda) and K_j(conj w) = conj K_j(w) hold exactly in floating
-point.  Phi M3 is built from the two live entries of the kernel's M3
-column, and gaps (b) and (c) take the largest singular value of their tall
-weighted blocks from the small Gram matrix.  The correction is reported as
-its norm only: the difference has rank <= 2N, so the norm is taken from the
-triangular factors of its two low-rank factors, and no 2M x 2M kernel is
-formed.
+do not depend on c (the grid, probe-to-node offsets and radii, K_0/K_1 at
+w = kappa(lambda) r, L(lambda), L(lambdabar), S(lambda)) come from one helper
+shared by the gap study and the correction; the study builds them, and U on
+the gap (a) lattice, once.  Every speed takes K_0/K_1 at kappa(z) r = mu w
+from that one set by the multiplication theorem (DLMF 10.44.2): |1 - mu^2| =
+|lambda|/c^2, so the series in (1 - mu^2) w/2 needs a few terms, counted from
+a bound once per (speed, probe set).  Where the bound says it does not pay,
+K_0/K_1 at kappa(z) r are evaluated directly.  The (zbar, lambdabar) side of
+gap (c) and of the correction conjugates the Bessel values of the (z, lambda)
+side: kappa(zbar) = conj kappa(z), kappa(lambdabar) = conj kappa(lambda) and
+K_j(conj w) = conj K_j(w) hold exactly in floating point.  Phi M3 is built
+from the two live entries of the kernel's M3 column, both sides together in
+row chunks on the pool, and gaps (b) and (c) take the largest singular value
+of their tall weighted blocks from the small Gram matrix.  The correction is
+reported as its norm only: the difference has rank <= 2N, so the norm is
+taken from the triangular factors of its two low-rank factors, and no
+2M x 2M kernel is formed.
 """
 
 from __future__ import annotations
@@ -116,29 +121,44 @@ def _gap_a0(dp: DiracParameter, vol: VolumeGrid, lattice) -> float:
 
 @dataclass(frozen=True)
 class _Probes:
-    """Probe-to-node offsets x (M, N, 2), their radii r and the Psi M2
-    kernels L(lambda; x), L(lambdabar; x), all independent of c."""
+    """Probe-to-node offsets x (M, N, 2), their radii r, k_j = K_j(kappa r)
+    at kappa = kappa(lambda) and the Psi M2 kernels L(lambda; x),
+    L(lambdabar; x), all independent of c."""
 
     x: np.ndarray
     r: np.ndarray
+    kappa: complex
+    k0: np.ndarray
+    k1: np.ndarray
     L: np.ndarray
     L_bar: np.ndarray
 
 
 def _probes(sp: SpectralParameter, g: QuadratureGrid, points: np.ndarray) -> _Probes:
     """One K_1 array serves both sides: kappa(lambdabar) = conj kappa(lambda)
-    and K_1(conj w) = conj K_1(w)."""
+    and K_1(conj w) = conj K_1(w).  K_0 and K_1 seed every speed's
+    ``_phi_m3_sides``."""
     x = points[:, None, :] - g.points[None, :, :]
     r = _radii(x)
-    k1 = specfun.bessel_k_array(1, sp.kappa * r)
-    return _Probes(x, r, _L_body(sp, x, r, k1),
+    w = sp.kappa * r
+    k0 = specfun.bessel_k_array(0, w)
+    k1 = specfun.bessel_k_array(1, w)
+    return _Probes(x, r, sp.kappa, k0, k1, _L_body(sp, x, r, k1),
                    _L_body(sp.conjugate, x, r, np.conj(k1)))
 
 
-def _phi_m3(dp: DiracParameter, pr: _Probes, k0: np.ndarray,
-            k1: np.ndarray) -> np.ndarray:
-    """(2M, N) kernel matrix of Phi_z M3 from boundary nodes to probes, from
-    k_j = K_j(kappa(z) r).
+#: most probe-node pairs per row chunk of ``_phi_m3_sides``: the series'
+#: five chunk temporaries stay about 0.6 MB per worker, which keeps the
+#: memory the workers' malloc arenas retain small
+_PHI_CHUNK = 1 << 13
+
+
+def _phi_m3(dp: DiracParameter, r: np.ndarray, sx: np.ndarray, top: np.ndarray,
+            bottom: np.ndarray) -> None:
+    """Turn k_1 in top and k_0 in bottom, k_j = K_j(kappa(z) r) on some probe
+    rows, into those rows of the two spinor components of the (2M, N) kernel
+    matrix of Phi_z M3 from boundary nodes to probes, in place; sx is
+    x1 - i x2 on the rows.
 
     M3 keeps the second column of the Dirac kernel G only, and each of its
     entries has one live term: G_12 = (rho/2pi c)(K_1/r)(x1 - i x2) and
@@ -147,24 +167,59 @@ def _phi_m3(dp: DiracParameter, pr: _Probes, k0: np.ndarray,
     spinor component, then second).  No weights.
     """
     c = dp.c
-    # a named array, not a temporary: numpy may evaluate scalar * temporary
-    # in place as temporary * scalar, and with FMA a complex product's last
-    # bits depend on the operand order
-    k1_r = k1 / pr.r
-    top = (dp.rel_root / (2 * np.pi * c)) * k1_r * (pr.x[..., 0] - 1j * pr.x[..., 1])
-    bottom = (1 / (2 * np.pi * c)) * k0 * (dp.lam / c - c / 2)
-    return np.concatenate([top, bottom])
+    # ufunc calls with a fixed operand order: with FMA, a complex product's
+    # last bits depend on it, and numpy may swap the operands of
+    # scalar * temporary when it reuses the temporary in place
+    top /= r
+    np.multiply(dp.rel_root / (2 * np.pi * c), top, out=top)
+    top *= sx
+    np.multiply(1 / (2 * np.pi * c), bottom, out=bottom)
+    bottom *= dp.lam / c - c / 2
 
 
-def _phi_m3_sides(dp: DiracParameter, pr: _Probes):
-    """Yield Phi_z M3, then Phi_zbar M3, from one K_0/K_1 evaluation at
-    kappa(z): kappa(zbar) = conj kappa(z) and K_j(conj w) = conj K_j(w)."""
-    arg = dp.kappa * pr.r
-    k0 = specfun.bessel_k_array(0, arg)
-    k1 = specfun.bessel_k_array(1, arg)
-    yield _phi_m3(dp, pr, k0, k1)
-    yield _phi_m3(DiracParameter.make(np.conj(dp.lam), dp.c), pr,
-                  np.conj(k0), np.conj(k1))
+def _series_terms(dp: DiracParameter, pr: _Probes) -> int | None:
+    """Terms of the multiplication-theorem series that ``_phi_m3_sides``
+    sums at dp over the probes, None where it evaluates K_0/K_1 directly."""
+    kappa = abs(pr.kappa)
+    return specfun._multiplication_terms(
+        dp.kappa / pr.kappa, kappa * float(pr.r.min()), kappa * float(pr.r.max()))
+
+
+def _phi_m3_sides(dp: DiracParameter, pr: _Probes) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_z M3 and Phi_zbar M3, built together in row chunks on the pool.
+
+    K_j(kappa(z) r) come from the probes' K_0/K_1 at w = kappa(lambda) r by
+    the multiplication theorem with mu = kappa(z)/kappa(lambda), since
+    |1 - mu^2| = |lambda|/c^2 is small; where its term bound says the series
+    does not pay, from ``bessel_k_array`` at kappa(z) r.  The zbar side
+    conjugates them: kappa(zbar) = conj kappa(z) and K_j(conj w) = conj K_j(w).
+    """
+    M, N = pr.r.shape
+    dp_bar = DiracParameter.make(np.conj(dp.lam), dp.c)
+    mu = dp.kappa / pr.kappa
+    terms = _series_terms(dp, pr)
+    if terms is None:
+        arg = dp.kappa * pr.r
+        k0, k1 = specfun.bessel_k_array(0, arg), specfun.bessel_k_array(1, arg)
+
+    def fill(rows: slice) -> None:
+        top, bottom = rows, slice(M + rows.start, M + rows.stop)
+        if terms is None:
+            phi[top], phi[bottom] = k1[rows], k0[rows]
+        else:
+            specfun._k01_multiplication(mu, pr.kappa * pr.r[rows], pr.k0[rows],
+                                        pr.k1[rows], terms, phi[bottom], phi[top])
+        np.conj(phi[top], out=phi_bar[top])
+        np.conj(phi[bottom], out=phi_bar[bottom])
+        x, r = pr.x[rows], pr.r[rows]
+        sx = x[..., 0] - 1j * x[..., 1]
+        _phi_m3(dp, r, sx, phi[top], phi[bottom])
+        _phi_m3(dp_bar, r, sx, phi_bar[top], phi_bar[bottom])
+
+    phi = np.empty((2 * M, N), dtype=complex)
+    phi_bar = np.empty((2 * M, N), dtype=complex)
+    specfun._run_chunks(fill, specfun._even_slices(M, max(1, _PHI_CHUNK // N)))
+    return phi, phi_bar
 
 
 def _gap_phi(c: float, phi: np.ndarray, L: np.ndarray, g: QuadratureGrid,
@@ -176,9 +231,11 @@ def _gap_phi(c: float, phi: np.ndarray, L: np.ndarray, g: QuadratureGrid,
     block A is 2M x N with 2M >> N, so sigma_max(A) is taken as the square
     root of the largest eigenvalue of the N x N Gram matrix A^H A: that
     eigenvalue carries a rounding error of order eps ||A||^2, which is
-    relative precision for sigma_max, at a fraction of an SVD's cost.
+    relative precision for sigma_max, at a fraction of an SVD's cost.  A is
+    formed in place: phi is overwritten.
     """
-    A = c * phi
+    A = phi
+    A *= c
     A[:len(vol.points)] -= L
     A *= np.sqrt(g.weight * g.jacobians)[None, :]
     A *= np.sqrt(vol.weight)
@@ -213,9 +270,10 @@ def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
     """Yield the gap row (a0, phi, phi_star, c) for each speed in c_values.
 
     The blocks that do not depend on c (``_c_free_blocks`` and U on the gap
-    (a) lattice) are built once; per c, K_0/K_1 are evaluated once at
-    kappa(z) and conjugated for the (zbar, lambdabar) side.  ``check_box``
-    tests the box at the first speed.
+    (a) lattice) are built once; per c, ``_phi_m3_sides`` takes K_0/K_1 at
+    kappa(z) from the probes' set at kappa(lambda) and conjugates them for
+    the (zbar, lambdabar) side.  ``check_box`` tests the box at the first
+    speed.
     """
     lam = _require_nonreal(lam)
     sp = SpectralParameter.make(lam)
@@ -236,13 +294,15 @@ def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
                     f"volume box too small: doubling it moves gap (a) from "
                     f"{a0:.4g} to {a0_big:.4g} (> 10%)"
                 )
-        sides = _phi_m3_sides(dp, pr)
-        yield (
+        phi, phi_bar = _phi_m3_sides(dp, pr)
+        row = (
             a0,
-            _gap_phi(dp.c, next(sides), pr.L, g, vol),
-            _gap_phi_star(dp.c, next(sides), pr.L_bar, g, vol),
+            _gap_phi(dp.c, phi, pr.L, g, vol),
+            _gap_phi_star(dp.c, phi_bar, pr.L_bar, g, vol),
             _gap_c(dp, lam_S, g),
         )
+        del phi, phi_bar  # not held while the next speed builds its blocks
+        yield row
 
 
 @dataclass(frozen=True)
@@ -336,9 +396,12 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
             f"I - alpha c^2 M3 C M3 nearly singular at c={c} "
             f"(smallest singular value {smin:.3g})"
         )
-    phi_z, phi_zbar = _phi_m3_sides(dp, pr)
-    phi = c * (phi_z * w_b)
-    phi_star = np.conj(phi_zbar).T * vol.weight
+    phi, phi_star = _phi_m3_sides(dp, pr)
+    phi *= w_b
+    phi *= c
+    np.conj(phi_star, out=phi_star)
+    phi_star *= vol.weight
+    phi_star = phi_star.T
     X = np.linalg.solve(B, alpha * c * phi_star)
 
     # limit side: Psi M2 and M2^T Psi* act on the first spinor component

@@ -8,11 +8,12 @@ surface; accuracy against an independent high-precision oracle is pinned in
 the test fixtures.
 
 This lowest layer also owns the package's one thread pool, sized by THREADS.
-Bessel arrays longer than one chunk are evaluated chunk by chunk on it, and
-``bie`` runs its kernel sums through the same submit helper.  The ufuncs are
+Bessel arrays longer than one chunk are split into equal chunks, a whole
+number of them per worker, and evaluated on it; ``bie`` runs its kernel sums
+and ``dirac`` its Phi M3 rows through the same submit helper.  The ufuncs are
 elementwise and release the GIL, so the chunks run in parallel and the result
-does not depend on the pool size.  A call made inside a pool task runs
-inline, so no task ever waits on the pool.  Pool tasks make no BLAS call:
+does not depend on how the array is split.  A call made inside a pool task
+runs inline, so no task ever waits on the pool.  Pool tasks make no BLAS call:
 OpenBLAS's helper threads would compete with the workers for the cores, and
 the kernel sums' bits would depend on the BLAS thread count.
 """
@@ -20,6 +21,7 @@ the kernel sums' bits would depend on the BLAS thread count.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 import warnings
@@ -115,21 +117,32 @@ def _run_chunks(fn, items: list) -> None:
 # ---------------------------------------------------------------------------
 # Bessel arrays
 
-#: elements per Bessel-array chunk.  Fixed, so that the chunking, and with it
-#: every bit of the output, is the same whatever the pool size; each chunk's
-#: temporaries stay about 1 MB.
+#: most elements per Bessel-array chunk: each chunk's temporaries stay about
+#: 1 MB.  The ufuncs are elementwise, so how an array is split does not change
+#: a bit of the output.
 _CHUNK = 1 << 16
+
+
+def _even_slices(size: int, chunk: int) -> list[slice]:
+    """Consecutive slices covering range(size): one if size <= chunk, else
+    workers * ceil(size / (workers * chunk)) of nearly equal length, so that
+    every worker gets the same share and no slice exceeds chunk."""
+    if size <= chunk:
+        return [slice(0, size)]
+    workers = _workers()
+    n = workers * -(-size // (workers * chunk))
+    bounds = [size * i // n for i in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _chunked(z: np.ndarray, dtype, body) -> np.ndarray:
     """An array shaped like z, filled by body(z[s], out[s]) for s running over
-    consecutive _CHUNK-element slices of the flattened arrays; a ufunc takes
-    out[s] as its output argument."""
+    ``_even_slices`` of the flattened arrays; a ufunc takes out[s] as its
+    output argument."""
     flat = z.reshape(-1)
     out = np.empty(z.shape, dtype=dtype)
     out_flat = out.reshape(-1)
-    _run_chunks(lambda s: body(flat[s], out_flat[s]),
-                [slice(lo, lo + _CHUNK) for lo in range(0, flat.size, _CHUNK)])
+    _run_chunks(lambda s: body(flat[s], out_flat[s]), _even_slices(flat.size, _CHUNK))
     return out
 
 
@@ -156,6 +169,69 @@ def bessel_k_array(order: int, z: np.ndarray) -> np.ndarray:
             dest[big] = 0.0
 
     return _chunked(z, float if real else complex, body)
+
+
+#: most terms of the multiplication-theorem series; past this, K_0/K_1 by
+#: ``bessel_k_array`` cost about as much
+_MULTIPLICATION_MAX_TERMS = 24
+
+
+def _multiplication_terms(mu: complex, w_min: float, w_max: float) -> int | None:
+    """Terms of ``_k01_multiplication`` that give K_0/K_1(mu w) to about one
+    unit roundoff for w_min <= |w| <= w_max, or None where the series does not
+    pay or cannot be trusted.
+
+    The ratio of term k+1 to term k is at most q + s/(k+1), with q = |1 - mu^2|
+    and s = q w_max / 2 (from the recurrence and |K_(n-1)/K_n| <= 1), and the
+    first term exceeds the sum by about e^s at most.  None when that bound
+    needs more than _MULTIPLICATION_MAX_TERMS terms, when |w| or |mu w|
+    reaches the overflow radius (K_j flushes to 0 there), or when the highest
+    order would overflow at w_min.
+    """
+    if max(1.0, abs(mu)) * w_max >= OVERFLOW_RADIUS:
+        return None
+    q = abs(1 - mu * mu)
+    s = q * w_max / 2
+    eps = np.finfo(float).eps / 2
+    bound = math.exp(s)  # on |term n| / |sum|
+    for n in range(1, _MULTIPLICATION_MAX_TERMS):
+        bound *= q + s / n
+        ratio = q + s / (n + 1)
+        if ratio < 1 and bound / (1 - ratio) <= eps:
+            if math.lgamma(n + 1) + (n + 1) * math.log(max(2 / w_min, 1.0)) >= 700:
+                return None
+            return n
+    return None
+
+
+def _k01_multiplication(mu: complex, w: np.ndarray, k0: np.ndarray, k1: np.ndarray,
+                        terms: int, out0: np.ndarray, out1: np.ndarray) -> None:
+    """Write K_0(mu w) into out0 and K_1(mu w) into out1, from k_j = K_j(w),
+    by the multiplication theorem (DLMF 10.44.2):
+    K_nu(mu w) = mu^nu sum_k t^k/k! K_(nu+k)(w) with t = (1 - mu^2) w / 2,
+    summed over k < terms.
+
+    The higher orders come from the upward recurrence
+    K_(k+1) = K_(k-1) + (2k/w) K_k, which is stable for K, run on the terms
+    a_k = t^k/k! K_k and b_k = t^k/k! K_(k+1) themselves:
+    a_(k+1) = t/(k+1) b_k and b_(k+1) = t/(k+1) a_k + (1 - mu^2) b_k.
+    Elementwise, with no BLAS call; k0 and k1 are not modified.
+    """
+    q = 1 - mu * mu
+    np.copyto(out0, k0)
+    np.copyto(out1, k1)
+    a, b = k0.copy(), k1.copy()
+    t_k, a_next = np.empty_like(a), np.empty_like(a)
+    for k in range(1, terms):
+        np.multiply(w, q / (2 * k), out=t_k)  # t/k
+        np.multiply(t_k, b, out=a_next)
+        b *= q
+        a *= t_k
+        b += a
+        a, a_next = a_next, a
+        out0 += a
+        out1 += b
+    out1 *= mu
 
 
 def bessel_i_array(order: int, z: np.ndarray) -> np.ndarray:

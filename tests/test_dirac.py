@@ -1,3 +1,6 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -176,8 +179,9 @@ def test_difference_norm_matches_dense_norm(circle, kite, mirror_free, lam, c):
 
 def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
     # every K_0/K_1 array is evaluated once per (kappa, geometry); the
-    # (zbar, lambdabar) side conjugates the (z, lambda) side's arrays
-    seen, repeats = set(), []
+    # (zbar, lambdabar) side conjugates the (z, lambda) side's arrays, and
+    # every speed takes its K_0/K_1 from the probes' set at kappa(lambda)
+    seen, repeats, calls = set(), [], []
     original = specfun.bessel_k_array
 
     def recording(order, z):
@@ -186,6 +190,7 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
         if key in seen or (order, z.shape, np.conj(z).tobytes()) in seen:
             repeats.append((order, z.shape))
         seen.add(key)
+        calls.append(z.shape)
         return original(order, z)
 
     for mod in (specfun, kernels, bie):
@@ -193,6 +198,14 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
     vol = bie.make_volume_grid(3 * kite.diameter, 16)
     study = dirac.nonrel_limit_study(kite, 1j, [8, 16], N=32, volume_box=vol)
     assert seen and repeats == []
+    # a third speed adds no Bessel array on the probe-node pairs
+    probe_pairs = (len(vol.points), 32)
+    two_speeds = calls.count(probe_pairs)
+    seen.clear()
+    calls.clear()
+    dirac.nonrel_limit_study(kite, 1j, [8, 16, 32], N=32, volume_box=vol)
+    assert repeats == []
+    assert two_speeds > 0 and calls.count(probe_pairs) == two_speeds
     seen.clear()
     dirac.dirac_correction(kite, -1.0, 1j, 16, N=32, probe_n=8)
     assert seen and repeats == []
@@ -202,10 +215,65 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
         assert row == tuple(study.gaps()[k][i] for k in ("a0", "phi", "phistar", "c"))
 
 
+def _phi_m3_reference(dp, x):
+    G = kernel_G(dp, x)
+    return np.concatenate([G[..., 0, 1], G[..., 1, 1]])
+
+
+@pytest.mark.parametrize("lam", [1j, 1 + 2j])
+def test_multiplication_series_matches_bessel_arrays(kite, mirror_free, lam):
+    # K_0/K_1 at kappa(z) r from the probes' set at kappa(lambda) r agree
+    # pointwise with bessel_k_array there; the error is that of rounding the
+    # argument, about eps |w| |K_1/K_0|
+    sp = SpectralParameter.make(lam)
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, 64)
+        vol = bie.make_volume_grid(3 * curve.diameter, 24)
+        pr = dirac._probes(sp, g, vol.points)
+        assert np.array_equal(pr.k0, specfun.bessel_k_array(0, sp.kappa * pr.r))
+        assert np.array_equal(pr.k1, specfun.bessel_k_array(1, sp.kappa * pr.r))
+        for c in (8.0, 16.0, 64.0, 256.0):
+            dp = DiracParameter.shifted(lam, c)
+            terms = dirac._series_terms(dp, pr)
+            assert terms is not None and terms <= 20, (curve.name, c, terms)
+            got = np.empty((2,) + pr.r.shape, dtype=complex)
+            specfun._k01_multiplication(dp.kappa / sp.kappa, sp.kappa * pr.r,
+                                        pr.k0, pr.k1, terms, *got)
+            for order, k in enumerate(got):
+                ref = specfun.bessel_k_array(order, dp.kappa * pr.r)
+                err = np.max(np.abs(k - ref) / np.abs(ref))
+                assert err <= 1e-14, (curve.name, c, order, err)
+
+
+def test_slow_speeds_take_the_bessel_array_path(mirror_free):
+    # at c = 1, 2 (|1 - mu^2| = 1, 1/4) the series does not pay; Phi M3 is
+    # kernel_G's bit for bit, and so are the gaps of blocks built from it
+    lam, N = 1j, 64
+    sp = SpectralParameter.make(lam)
+    g = geometry.grid(mirror_free, N)
+    vol = bie.make_volume_grid(3 * mirror_free.diameter, 24)
+    pr = dirac._probes(sp, g, vol.points)
+    for c in (1.0, 2.0):
+        dp = DiracParameter.shifted(lam, c)
+        dp_bar = DiracParameter.make(np.conj(dp.lam), c)
+        assert dirac._series_terms(dp, pr) is None
+        row = next(dirac._gap_rows(mirror_free, lam, [c], N, vol, False))
+        for side, p, L, gap in zip(dirac._phi_m3_sides(dp, pr), (dp, dp_bar),
+                                   (pr.L, pr.L_bar), row[1:3]):
+            phi = _phi_m3_reference(p, pr.x)
+            assert np.array_equal(side, phi)
+            A = c * phi
+            A[:len(vol.points)] -= L
+            A *= np.sqrt(g.weight * g.jacobians)[None, :]
+            A *= np.sqrt(vol.weight)
+            assert gap == float(np.sqrt(np.linalg.eigvalsh(A.conj().T @ A)[-1]))
+
+
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
 def test_conjugate_side_equals_direct_evaluation(mirror_free, lam):
     # the (zbar, lambdabar) blocks built from conjugated K_0/K_1 arrays are
-    # bit for bit those of kernel_G and kernel_L evaluated there
+    # those of kernel_G and kernel_L evaluated there: bit for bit for L and
+    # on the bessel_k_array path (c = 2), to the series' rounding (c = 8, 64)
     # (the 24^2-probe box gives arrays above numpy's 256 kB threshold for
     # reusing temporaries in place, where operand order can change bits)
     curve = mirror_free
@@ -216,12 +284,39 @@ def test_conjugate_side_equals_direct_evaluation(mirror_free, lam):
         pr = dirac._probes(sp, g, vol.points)
         assert np.array_equal(pr.L, kernel_L(sp, pr.x))
         assert np.array_equal(pr.L_bar, kernel_L(sp.conjugate, pr.x))
-        for c in (8.0, 64.0):
+        for c in (2.0, 8.0, 64.0):
             dp = DiracParameter.shifted(lam, c)
             dp_bar = DiracParameter.make(np.conj(dp.lam), c)
+            series = dirac._series_terms(dp, pr) is not None
+            assert series == (c > 2)
             for side, p in zip(dirac._phi_m3_sides(dp, pr), (dp, dp_bar)):
-                G = kernel_G(p, pr.x)
-                assert np.array_equal(side, np.concatenate([G[..., 0, 1], G[..., 1, 1]]))
+                ref = _phi_m3_reference(p, pr.x)
+                if series:
+                    assert np.max(np.abs(side - ref)) <= 1e-14 * np.max(np.abs(ref))
+                else:
+                    assert np.array_equal(side, ref)
+
+
+def test_phi_m3_sides_hold_little_beyond_their_outputs(kite, monkeypatch):
+    # the series runs in row chunks that write both sides in place: on the
+    # gap study's 48^2 x 128 probe set, the peak over the call is the two
+    # (2M, N) outputs and a few chunk temporaries per worker
+    g = geometry.grid(kite, 128)
+    vol = dirac._probe_volume(kite, 48)
+    pr = dirac._probes(SpectralParameter.make(1j), g, vol.points)
+    dp = DiracParameter.shifted(1j, 8.0)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        monkeypatch.setattr(specfun, "_pool", lambda: pool)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sides = tuple(dirac._phi_m3_sides(dp, pr))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    outputs = sum(side.nbytes for side in sides)
+    assert outputs == 2 * (2 * 48 ** 2 * 128) * 16
+    assert peak <= outputs + 8 * 2 ** 20, (peak - outputs) / 2 ** 20
 
 
 @pytest.mark.parametrize("c", [8.0, 128.0])

@@ -153,10 +153,10 @@ def test_domain_errors_and_underflow():
         assert specfun.bessel_k(0, 800.0) == 0j
 
 
-def _multi_chunk_arguments():
-    """Real and complex right-half-plane arguments over 3.8 chunks, 2-d."""
+def _multi_chunk_arguments(shape):
+    """Real and complex right-half-plane arguments of the given shape."""
     rng = np.random.default_rng(7)
-    x = rng.uniform(1e-3, 40.0, (5, 49807))
+    x = rng.uniform(1e-3, 40.0, shape)
     z = x * np.exp(1j * rng.uniform(-1.5, 1.5, x.shape))
     return x, z
 
@@ -164,35 +164,58 @@ def _multi_chunk_arguments():
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_chunked_bessel_arrays_equal_the_whole_array_ufunc(workers, monkeypatch):
     # the chunks run on the pool and write into one output: bit for bit the
-    # ufunc on the whole array, whatever the pool size (4 > cores)
-    x, z = _multi_chunk_arguments()
+    # ufunc on the whole array, whatever the pool size (4 > cores).  Shapes:
+    # 3.8 chunks, 2-d; the correction's 576 x 128 and the gap study's
+    # 2304 x 128 probe-node arrays, split evenly into 2 and 6 chunks on 2 workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(specfun, "_pool", lambda: pool)
+        for shape in [(5, 49807), (576, 128), (2304, 128)]:
+            _check_chunked_bessel_arrays(*_multi_chunk_arguments(shape))
+
+
+def _check_chunked_bessel_arrays(x, z):
     refs = {("k", 0, "real"): special.k0(x), ("k", 1, "real"): special.k1(x),
             ("k", 0, "complex"): special.kv(0, z), ("k", 1, "complex"): special.kv(1, z),
             ("i", 0, "real"): special.i0(x), ("i", 1, "real"): special.i1(x),
             ("i", 0, "complex"): special.iv(0, z), ("i", 1, "complex"): special.iv(1, z)}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        monkeypatch.setattr(specfun, "_pool", lambda: pool)
-        for (kind, order, field), ref in refs.items():
-            fn = specfun.bessel_k_array if kind == "k" else specfun.bessel_i_array
-            got = fn(order, x if field == "real" else z)
-            assert got.shape == ref.shape and got.dtype == ref.dtype
-            assert got.tobytes() == ref.tobytes(), (kind, order, field)
+    for (kind, order, field), ref in refs.items():
+        fn = specfun.bessel_k_array if kind == "k" else specfun.bessel_i_array
+        got = fn(order, x if field == "real" else z)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes(), (kind, order, field, x.shape)
 
-        # an element beyond the overflow radius, in the last chunk, is 0
-        far = z.copy()
-        far.flat[-3] = 800.0 + 1.0j
-        got = specfun.bessel_k_array(0, far)
-        assert got.flat[-3] == 0
-        mask = np.ones(far.size, dtype=bool)
-        mask[-3] = False
-        assert got.ravel()[mask].tobytes() == refs[("k", 0, "complex")].ravel()[mask].tobytes()
+    # an element beyond the overflow radius, in the last chunk, is 0
+    far = z.copy()
+    far.flat[-3] = 800.0 + 1.0j
+    got = specfun.bessel_k_array(0, far)
+    assert got.flat[-3] == 0
+    mask = np.ones(far.size, dtype=bool)
+    mask[-3] = False
+    assert got.ravel()[mask].tobytes() == refs[("k", 0, "complex")].ravel()[mask].tobytes()
 
-        # Re z <= 0 in a later chunk still raises
-        for bad in (-1.0, 0.0):
-            arg = x.copy()
-            arg.flat[2 * specfun._CHUNK + 11] = bad
-            with pytest.raises(DomainError):
-                specfun.bessel_k_array(1, arg)
+    # Re z <= 0 in the last chunk still raises
+    for bad in (-1.0, 0.0):
+        arg = x.copy()
+        arg.flat[-11] = bad
+        with pytest.raises(DomainError):
+            specfun.bessel_k_array(1, arg)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("size", [0, 1, specfun._CHUNK, specfun._CHUNK + 1, 73728, 294912])
+def test_even_slices_cover_the_array_in_equal_shares(size, threads, monkeypatch):
+    # an array of at most one chunk stays whole; a longer one is cut into a
+    # whole number of chunks per worker, of lengths that differ by at most 1
+    monkeypatch.setenv("THREADS", threads)
+    slices = specfun._even_slices(size, specfun._CHUNK)
+    covered = np.concatenate([np.arange(size)[s] for s in slices])
+    assert np.array_equal(covered, np.arange(size))
+    lengths = [s.stop - s.start for s in slices]
+    assert max(lengths) <= specfun._CHUNK and max(lengths) - min(lengths) <= 1
+    if size <= specfun._CHUNK:
+        assert len(slices) == 1
+    else:
+        assert len(slices) % specfun._workers() == 0
 
 
 _NESTED_KERNEL_SUM = """
