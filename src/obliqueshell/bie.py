@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft2, ifft2, next_fast_len
-from scipy.linalg import circulant
 from scipy.spatial import cKDTree
 
-from . import kernels
+from . import kernels, specfun
 from .errors import ConfigurationError, DomainError, NumericalInstabilityError, SingularityError
 from .geometry import Curve, QuadratureGrid
 from .kernels import DiracParameter, SpectralParameter, _bessel_arg, kernel_L, kernel_U
@@ -51,14 +50,14 @@ def _split_limit(N: int) -> float:
 
 
 def log_quadrature_weights(N: int) -> np.ndarray:
-    """Circulant matrix R with R[i,j] the exact quadrature weight of the
-    periodic log kernel ln(4 sin^2((t_i - t_j)/2)) at node t_j."""
+    """First column c of the circulant log-weight matrix: R[i,j] =
+    c[(i - j) mod N] is the exact quadrature weight of the periodic log kernel
+    ln(4 sin^2((t_i - t_j)/2)) at node t_j."""
     n = N // 2
     theta = 2 * np.pi * np.arange(N) / N
     m = np.arange(1, n)
-    col = -(2 * np.pi / n) * (np.cos(np.outer(theta, m)) / m).sum(axis=1) \
+    return -(2 * np.pi / n) * (np.cos(np.outer(theta, m)) / m).sum(axis=1) \
         - (np.pi / n ** 2) * np.cos(n * theta)
-    return circulant(col)
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
     r = np.sqrt((diff ** 2).sum(-1))
     theta = grid.nodes[rows] - grid.nodes[cols]
     ln4sin2 = np.log(4 * np.sin(theta / 2) ** 2)
-    # R is circulant: R[i, j] = col[(i - j) mod N], and i - j > 0 here
-    col = log_quadrature_weights(grid.N)[:, 0]
+    # R[i, j] = col[(i - j) mod N], and i - j > 0 here
+    col = log_quadrature_weights(grid.N)
     return _MKBlocks(rows, cols, r, ln4sin2, col[rows - cols], float(col[0]))
 
 
@@ -117,12 +116,12 @@ def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray
     W = np.empty((grid.N, grid.N), dtype=lower.dtype)
     W[blocks.rows, blocks.cols] = lower
     W[blocks.cols, blocks.rows] = lower
-    # diagonal: A at r = 0, and the limit of the smooth remainder B
-    a_diag = -bessel_i_array(0, _bessel_arg(kappa, np.zeros(1))) / (4 * np.pi)
+    # diagonal: A at r = 0, -I_0(0)/4pi = -1/4pi, and the limit of the
+    # smooth remainder B
     diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(grid.jacobians)) / (2 * np.pi)
     if real_path:
         diag = diag.real
-    np.fill_diagonal(W, blocks.R_diag * a_diag + grid.weight * diag)
+    np.fill_diagonal(W, blocks.R_diag * (-1 / (4 * np.pi)) + grid.weight * diag)
     return W
 
 
@@ -226,10 +225,6 @@ class BoundaryOperatorMatrix:
 
     entries: np.ndarray
     grid: QuadratureGrid
-
-    @property
-    def N(self) -> int:
-        return self.grid.N
 
     def symmetrized(self) -> np.ndarray:
         """Similarity transform making the matrix represent the operator in an
@@ -340,20 +335,13 @@ def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
     return grid.curve.point(fine_t), fine_vals, 2 * np.pi / M
 
 
-#: target x source pairs per kernel-sum chunk.  Fixed, so that every chunk
-#: does the same arithmetic whatever the worker count.  A chunk's complex
-#: arrays are 1 MB each.  On a 2-core Xeon with 2 MB L2 per core and two pool
-#: workers, one krein_apply and residual call of the resolvent benchmark took
-#: 0.81-0.84 s at 2**15 pairs, 0.80-0.85 s at 2**16 and 0.82-0.90 s at 2**17
-#: (8 calls each); a larger chunk only raises peak memory.
-_CHUNK_PAIRS = 1 << 16
-
-
 def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
                 values: np.ndarray) -> np.ndarray:
-    """sum_j kernel(sp, targets_i - sources_j) values_j, in consecutive
-    target slices of about _CHUNK_PAIRS pairs run on the pool of ``specfun``;
-    each slice writes its own rows.
+    """sum_j kernel(sp, targets_i - sources_j) values_j, in the target slices
+    that ``specfun._even_slices`` cuts at about ``specfun._CHUNK`` pairs, run
+    on the pool of ``specfun``; each slice writes its own rows.  A row's sum
+    does not depend on the slice it falls in, so the output does not depend
+    on the worker count.
 
     A slice is reduced by an elementwise product and a pairwise row sum, not
     by a BLAS matrix-vector product: OpenBLAS threads a product this size, and
@@ -367,8 +355,8 @@ def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
     def rows(s: slice) -> None:
         out[s] = (kernel(sp, targets[s, None, :] - sources[None, :, :]) * values).sum(axis=1)
 
-    step = max(1, _CHUNK_PAIRS // max(len(sources), 1))
-    _run_chunks(rows, [slice(lo, lo + step) for lo in range(0, len(targets), step)])
+    step = max(1, specfun._CHUNK // max(len(sources), 1))
+    _run_chunks(rows, specfun._even_slices(len(targets), step))
     return out
 
 

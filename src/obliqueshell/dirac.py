@@ -35,8 +35,8 @@ from the two live entries of the kernel's M3 column, both sides together in
 row chunks on the pool, and gaps (b) and (c) take the largest singular value
 of their tall weighted blocks from the small Gram matrix.  The correction is
 reported as its norm only: the difference has rank <= 2N, so the norm is
-taken from the triangular factors of its two low-rank factors, and no
-2M x 2M kernel is formed.
+taken from the QR triangle of its left low-rank factor times its right
+factor, and no 2M x 2M kernel is formed.
 """
 
 from __future__ import annotations
@@ -372,10 +372,12 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     lambda S M3)^-1 alpha M2^T Psi*_lambdabar, supported in the first spinor
     component.  Returns ||sqrt(w) (K_D - K_S) sqrt(w)||_2 with w the probe
     weight; neither 2M x 2M kernel is formed.  The difference is
-    [c Phi | -Psi] [X; Y] with 2N inner columns, so its norm is that of
-    R1 R2^H, where R1 and R2 are the QR triangles of the left factor and of
-    the adjoint of the right one.  The (zbar, lambdabar) factors conjugate
-    the Bessel arrays of the (z, lambda) ones.  Zero coupling gives 0.0.
+    [c Phi | -Psi] [X; Y] with 2N inner columns.  With R the thin QR
+    triangle of the left factor, whose Q has orthonormal columns, its norm
+    is that of the 2N x 2M product P = R [X; Y], taken as the square root of
+    the largest eigenvalue of the 2N x 2N Gram matrix P P^H, as in
+    ``_gap_phi``.  The (zbar, lambdabar) factors conjugate the Bessel arrays
+    of the (z, lambda) ones.  Zero coupling gives 0.0.
     """
     lam = _require_nonreal(lam)
     sp = SpectralParameter.make(lam)
@@ -409,16 +411,15 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     psi_star = np.conj(pr.L_bar).T * vol.weight
     Y = np.linalg.solve(np.eye(Nn) - alpha * lam * S, alpha * psi_star)
 
-    # K_D - K_S = [phi | -psi] [X; Y], psi and Y zero-padded
+    # K_D - K_S = [phi | -psi] [X; Y] = Q R [X; Y], psi zero-padded and Y
+    # acting on the first M columns only; Q has orthonormal columns
     left = np.zeros((2 * M, 2 * Nn), dtype=complex)
     left[:, :Nn] = phi
     left[:M, Nn:] = -psi
-    right = np.zeros((2 * Nn, 2 * M), dtype=complex)
-    right[:Nn] = X
-    right[Nn:, :M] = Y
-    R1 = np.linalg.qr(left, mode="r")
-    R2 = np.linalg.qr(right.conj().T, mode="r")
-    return vol.weight * float(np.linalg.norm(R1 @ R2.conj().T, 2))
+    R = np.linalg.qr(left, mode="r")
+    P = R[:, :Nn] @ X
+    P[:, :M] += R[:, Nn:] @ Y
+    return vol.weight * float(np.sqrt(np.linalg.eigvalsh(P @ P.conj().T)[-1]))
 
 
 def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,

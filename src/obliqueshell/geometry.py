@@ -12,6 +12,8 @@ outward normal of the enclosed domain is (p2', -p1')/|p'|.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,17 +127,15 @@ def make_curve(kind: str, *, R: float = 1.0, a: float = 2.0, b: float = 1.0,
     'custom' (explicit coefficient arrays).
     """
     if kind == "circle":
-        if R <= 0:
-            raise ParameterError("circle radius must be positive")
-        cx = np.array([0.0, R / 2], dtype=complex)          # R cos t
-        cy = np.array([0.0, -1j * R / 2], dtype=complex)    # R sin t
-        curve = Curve(cx, cy, name or f"circle({R:g})")
+        a = b = _size("R", R)
+        name = name or f"circle({a:g})"
     elif kind == "ellipse":
-        if a <= 0 or b <= 0:
-            raise ParameterError("ellipse semi-axes must be positive")
-        cx = np.array([0.0, a / 2], dtype=complex)
-        cy = np.array([0.0, -1j * b / 2], dtype=complex)
-        curve = Curve(cx, cy, name or f"ellipse({a:g},{b:g})")
+        a, b = _size("a", a), _size("b", b)
+        name = name or f"ellipse({a:g},{b:g})"
+    if kind in ("circle", "ellipse"):
+        cx = np.array([0.0, a / 2], dtype=complex)          # a cos t
+        cy = np.array([0.0, -1j * b / 2], dtype=complex)    # b sin t
+        curve = Curve(cx, cy, name)
     elif kind == "kite":
         # p(t) = (cos t + 0.65 cos 2t - 0.65, 1.5 sin t)
         cx = np.array([-0.65, 0.5, 0.325], dtype=complex)
@@ -168,21 +168,32 @@ def curve_from_config(config) -> Curve:
         if key in config:
             kwargs[key] = config[key]
     if kind == "custom":
-        kwargs["x_coeffs"] = _parse_coeffs(config.get("x_coeffs"))
-        kwargs["y_coeffs"] = _parse_coeffs(config.get("y_coeffs"))
+        kwargs["x_coeffs"] = _parse_coeffs("x_coeffs", config.get("x_coeffs"))
+        kwargs["y_coeffs"] = _parse_coeffs("y_coeffs", config.get("y_coeffs"))
     return make_curve(kind, **kwargs)
 
 
-def _parse_coeffs(raw) -> np.ndarray:
-    if raw is None:
-        raise ParameterError("custom curve config missing coefficient list")
-    out = []
-    for item in raw:
-        if isinstance(item, (list, tuple)):
-            out.append(complex(item[0], item[1]))
-        else:
-            out.append(complex(item))
-    return np.asarray(out, dtype=complex)
+def _size(name: str, value) -> float:
+    """A curve's radius or semi-axis: a finite positive real number."""
+    if not (_is_real(value) and value > 0):
+        raise ParameterError(f"curve size {name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _parse_coeffs(field: str, raw) -> np.ndarray:
+    """The coefficient list ``field`` of a custom curve config: a non-empty
+    list of finite reals or [re, im] pairs of them."""
+    pairs = [item if isinstance(item, (list, tuple)) else [item, 0]
+             for item in (raw if isinstance(raw, (list, tuple)) else [])]
+    if not pairs or not all(len(p) == 2 and all(map(_is_real, p)) for p in pairs):
+        raise ParameterError(f"custom curve {field} must be a non-empty list of finite "
+                             f"numbers or [re, im] pairs, got {raw!r}")
+    return np.array([complex(*p) for p in pairs])
 
 
 def grid(curve: Curve, N: int) -> QuadratureGrid:

@@ -7,6 +7,8 @@ real part.  x = 0 raises; singular integration is the quadrature module's job.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +46,10 @@ class SpectralParameter:
 
     @classmethod
     def make(cls, lam: complex) -> "SpectralParameter":
-        return cls(complex(lam), branch_sqrt(lam))
+        lam = complex(lam)
+        if not cmath.isfinite(lam):
+            raise DomainError(f"lambda must be finite, got {lam}")
+        return cls(lam, branch_sqrt(lam))
 
     @property
     def kappa(self) -> complex:
@@ -54,6 +59,11 @@ class SpectralParameter:
     @property
     def conjugate(self) -> "SpectralParameter":
         return SpectralParameter.make(np.conj(self.lam))
+
+
+def _check_speed(c: float) -> None:
+    if not (c > 0 and math.isfinite(c * c)):
+        raise DomainError(f"speed of light c must be positive with c^2 finite, got {c}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,7 @@ class DiracParameter:
     @classmethod
     def make(cls, lam: complex, c: float) -> "DiracParameter":
         lam = complex(lam)
-        if c <= 0:
-            raise DomainError("speed of light c must be positive")
+        _check_speed(c)
         if lam.imag == 0 and abs(lam.real) >= c * c / 2:
             raise DomainError(
                 f"lambda={lam} outside rho(A_0) for c={c} "
@@ -84,6 +93,7 @@ class DiracParameter:
     @classmethod
     def shifted(cls, lam: complex, c: float) -> "DiracParameter":
         """Parameter at lam + c^2/2, the non-relativistic energy reference."""
+        _check_speed(c)
         return cls.make(complex(lam) + c * c / 2, c)
 
     @property

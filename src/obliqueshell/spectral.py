@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,10 +201,9 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
     root: it measures how well the root finder solved the discrete equation,
     not how close lambda_n is to the true eigenvalue.
     """
-    if not alpha < 0:
-        raise ParameterError(f"find_eigenvalue needs alpha < 0, got {alpha}")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    if not -math.inf < alpha < 0:
+        raise ParameterError(f"find_eigenvalue needs finite alpha < 0, got {alpha}")
+    _check_tol(tol)
     with _branch(curve, n, N) as memo:
 
         def f(lam: float) -> float:
@@ -279,9 +279,15 @@ def _annotate_multiplicities(entries: list[EigenvalueEntry]) -> list[EigenvalueE
     return out
 
 
-def _check_count(alpha: float, count: int, N: int) -> None:
-    if alpha == 0:
-        raise ParameterError("alpha must be nonzero")
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+
+
+def _check_count(alpha: float, count: int, N: int, tol: float) -> None:
+    if alpha == 0 or not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite and nonzero, got {alpha}")
+    _check_tol(tol)
     if count < 1:
         raise ParameterError("count must be >= 1")
     if count > N // 8:
@@ -296,7 +302,7 @@ def enumerate_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
     once: branch n brackets its root between abscissae that branches 1..n-1
     already evaluated, lambda_{n-1} among them.
     """
-    _check_count(alpha, count, N)
+    _check_count(alpha, count, N, tol)
     if alpha > 0:
         # verify the mechanism: every eigenvalue of alpha lambda S(lambda)
         # stays below 1 on a probe grid, so 1 is never hit
@@ -526,7 +532,7 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
     interaction has finitely many eigenvalues), not as errors.  As in
     enumerate_spectrum, the branches share one memo of S(lambda).
     """
-    _check_count(alpha, count, N)
+    _check_count(alpha, count, N, tol)
     if alpha > 0:
         # alpha S(lambda) is positive, so -1 is never an eigenvalue
         return SpectrumResult(alpha, curve.name, N, tol, (), kind="delta",

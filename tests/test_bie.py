@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.linalg import circulant
 
 from obliqueshell import bie, geometry, specfun
 from obliqueshell.errors import (
@@ -29,7 +30,7 @@ def test_log_quadrature_weights_reproduce_log_integral():
     # the circulant weights integrate f(t) log(4 sin^2((t0 - t)/2)) exactly
     # for trigonometric polynomials; check against the known value for f = cos
     N = 32
-    R = bie.log_quadrature_weights(N)
+    R = circulant(bie.log_quadrature_weights(N))
     t = 2 * np.pi * np.arange(N) / N
     # integral of cos(m t) log(4 sin^2(t/2)) dt over [0, 2 pi] is -2 pi / m
     for m in (1, 2, 5):
@@ -72,7 +73,7 @@ def _mk_reference(g, kappa):
     B[off] = kern[off] - A[off] * ln4sin2[off]
     diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(g.jacobians)) / (2 * np.pi)
     np.fill_diagonal(B, diag.real if real_path else diag)
-    return bie.log_quadrature_weights(N) * A + g.weight * B
+    return circulant(bie.log_quadrature_weights(N)) * A + g.weight * B
 
 
 @pytest.mark.parametrize("N", [64, 512])
@@ -534,7 +535,7 @@ def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
     vol = bie.make_volume_grid(2 * kite.diameter, 48)
     f = np.exp(-(vol.points ** 2).sum(-1)) * np.exp(1j * vol.points[:, 0])
     dens = np.exp(1j * g.nodes)
-    assert len(vol.points) * g.N > 8 * bie._CHUNK_PAIRS
+    assert len(vol.points) * g.N > 8 * specfun._CHUNK
     outputs = []
     interval = sys.getswitchinterval()
     try:
@@ -551,6 +552,32 @@ def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
         assert adjoint.tobytes() == outputs[0][1].tobytes()
 
 
+def test_kernel_sums_do_not_depend_on_the_slicing(kite, monkeypatch):
+    # _even_slices cuts the 6 * (rows per chunk) + 1 targets into 7, 8 and 9
+    # uneven slices for 1, 2 and 3 workers; every row's sum keeps its bits
+    g = geometry.grid(kite, 256)
+    sp = SpectralParameter.make(1 + 2j)
+    step = specfun._CHUNK // g.N
+    rng = np.random.default_rng(7)
+    targets = rng.uniform(-2.0, 2.0, size=(6 * step + 1, 2))
+    dens = np.exp(1j * g.nodes) + 0.5 * np.cos(3 * g.nodes)
+    outputs, counts, pools = [], [], []
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(specfun, "_workers", lambda workers=workers: workers)
+            specfun._pool.cache_clear()
+            pools.append(specfun._pool())
+            counts.append(len(specfun._even_slices(len(targets), step)))
+            outputs.append(bie._kernel_sum(kernel_L, sp, targets, g.points, dens))
+    finally:
+        specfun._pool.cache_clear()
+        for pool in pools:
+            pool.shutdown()
+    assert counts == [7, 8, 9]
+    for out in outputs[1:]:
+        assert out.tobytes() == outputs[0].tobytes()
+
+
 @pytest.mark.parametrize("lam", [-3.0, 1 + 2j])
 def test_kernel_sums_match_an_extended_precision_sum(kite, lam):
     # chunks are reduced by an elementwise product and a pairwise row sum;
@@ -564,7 +591,7 @@ def test_kernel_sums_match_an_extended_precision_sum(kite, lam):
     targets = np.concatenate([g.points[::8] - h * g.normals[::8],
                               g.points[::8] + h * g.normals[::8],
                               bie.make_volume_grid(1.5 * kite.diameter, 8).points])
-    assert len(targets) * len(src) > 4 * bie._CHUNK_PAIRS
+    assert len(targets) * len(src) > 4 * specfun._CHUNK
     eps = np.finfo(float).eps
     for kernel in (kernel_L, kernel_U):
         K = kernel(sp, targets[:, None, :] - src[None, :, :])
@@ -582,7 +609,7 @@ def test_kernel_sum_chunk_memory(kite):
     g = geometry.grid(kite, 256)
     src, dens, _ = bie._upsampled_density(g, np.exp(1j * g.nodes), bie._MAX_UPSAMPLE)
     targets = g.points[:4] + 1e-3 * g.normals[:4]
-    assert len(targets) * len(src) == bie._CHUNK_PAIRS
+    assert len(targets) * len(src) == specfun._CHUNK
     bie._kernel_sum(kernel_L, sp, targets, src, dens)
     tracemalloc.start()
     try:

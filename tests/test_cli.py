@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +209,51 @@ def test_nonrel_limit_repeated_speed_is_usage_error(tmp_path):
               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+_NONREL = ["nonrel-limit", "--N", "32"]
+_SPECTRUM = ["spectrum", "--count", "1", "--N", "32"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    # non-finite numbers
+    (["oracle-check", "--lam=-inf"], "lambda"),
+    (_NONREL + ["--lam", "nan+1j"], "lambda"),
+    (_NONREL + ["--lam", "1+infj"], "lambda"),
+    (_NONREL + ["--c-list", "8,nan"], "c"),
+    (_NONREL + ["--c-list", "8,inf"], "c"),
+    (_NONREL + ["--c-list", "8,1e300"], "c"),  # c^2 overflows
+    (_SPECTRUM + ["--alpha", "inf"], "alpha"),
+    (_SPECTRUM + ["--alpha=-inf"], "alpha"),
+    (_SPECTRUM + ["--alpha", "nan"], "alpha"),
+    (_SPECTRUM + ["--alpha", "-1", "--tol", "inf"], "tol"),
+    (["eigenfunction", "--alpha=-inf", "--N", "32"], "alpha"),
+    # malformed curve configs
+    (_SPECTRUM + ["--alpha", "-1", "--curve", '{"kind":"circle","R":"a"}'], "R"),
+    (_SPECTRUM + ["--alpha", "-1", "--curve", '{"kind":"circle","R":true}'], "R"),
+    (_SPECTRUM + ["--alpha", "-1", "--curve", '{"kind":"ellipse","a":null}'], "a"),
+    (_SPECTRUM + ["--alpha", "-1", "--curve", '{"kind":"ellipse","b":-1}'], "b"),
+    (_SPECTRUM + ["--alpha", "-1", "--curve",
+                  '{"kind":"custom","x_coeffs":5,"y_coeffs":[0,[0,-0.5]]}'], "x_coeffs"),
+    (_SPECTRUM + ["--alpha", "-1", "--curve",
+                  '{"kind":"custom","x_coeffs":[1,"b"],"y_coeffs":[0,[0,-0.5]]}'],
+     "x_coeffs"),
+    (_SPECTRUM + ["--alpha", "-1", "--curve",
+                  '{"kind":"custom","x_coeffs":[0,0.5],"y_coeffs":[0,[0]]}'], "y_coeffs"),
+    (_SPECTRUM + ["--alpha", "-1", "--curve",
+                  '{"kind":"custom","x_coeffs":[0,0.5],"y_coeffs":[]}'], "y_coeffs"),
+])
+def test_bad_number_or_curve_is_a_usage_error(tmp_path, capsys, argv, name):
+    # each input is rejected before any output is written, with a message
+    # that names the parameter
+    out = tmp_path / "out"
+    if argv[0] != "oracle-check":
+        argv = argv + ["--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert re.search(rf"\b{name}\b", err.removeprefix("usage error:")), err
+    assert not out.exists()
 
 
 def test_oracle_check(capsys):

@@ -138,10 +138,11 @@ def test_correction_zero_coupling(circle):
 
 
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
-@pytest.mark.parametrize("c", [8.0, 64.0])
+@pytest.mark.parametrize("c", [8.0, 64.0, 256.0])
 def test_difference_norm_matches_dense_norm(circle, kite, mirror_free, lam, c):
     # the norm taken from the rank <= 2N factors equals that of dense 2M x 2M
-    # kernels built here independently: the Dirac side from the full spinor
+    # kernels built here independently; at c = 256, K_D - K_S is smallest
+    # relative to its factors.  The Dirac side comes from the full spinor
     # formula c Phi_z P3 (I - alpha c^2 M3 C_z M3)^-1 alpha c P3 Phi*_zbar with
     # 2N x 2N padded boundary matrices, the limit side
     # Psi M2 (I - alpha lambda S)^-1 alpha M2^T Psi*_lambdabar from kernel_L
