@@ -146,6 +146,8 @@ def make_curve(kind: str, *, R: float = 1.0, a: float = 2.0, b: float = 1.0,
             raise ParameterError("custom curve requires x_coeffs and y_coeffs")
         cx = np.asarray(x_coeffs, dtype=complex)
         cy = np.asarray(y_coeffs, dtype=complex)
+        if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
+            raise ParameterError("custom curve coefficients must be finite")
         curve = Curve(cx, cy, name or "custom")
     else:
         raise ParameterError(f"unknown curve kind '{kind}'")

@@ -94,6 +94,8 @@ def test_bad_parameters():
         geometry.make_curve("custom")
     with pytest.raises(ParameterError):
         geometry.make_curve("custom", x_coeffs=[], y_coeffs=[])
+    with pytest.raises(ParameterError, match="finite"):
+        geometry.make_curve("custom", x_coeffs=[0, np.nan], y_coeffs=[0, -0.5j])
 
 
 def test_diameter_samples_the_curve_once(monkeypatch):
