@@ -11,8 +11,7 @@ import importlib
 #: can set the BLAS thread variables before numpy starts.
 _EXPORTS = {
     "bie": ("BoundaryOperatorMatrix", "VolumeGrid", "apply_Psi_star", "assemble_M3CM3",
-            "assemble_S", "default_volume_grid", "eval_Psi", "eval_SL", "jump_traces",
-            "make_volume_grid"),
+            "assemble_S", "eval_Psi", "eval_SL", "jump_traces", "make_volume_grid"),
     "dirac": ("LimitStudyResult", "correction_convergence", "dirac_correction",
               "nonrel_limit_study"),
     "errors": ("ConfigurationError", "DivergenceError", "DomainError",
@@ -21,7 +20,7 @@ _EXPORTS = {
     "geometry": ("Curve", "QuadratureGrid", "curve_from_config", "grid", "make_curve"),
     "kernels": ("DiracParameter", "SpectralParameter", "branch_sqrt", "kernel_G",
                 "kernel_L", "kernel_U"),
-    "specfun": ("bessel_ik_int", "bessel_k"),
+    "specfun": ("bessel_ik_int",),
     "spectral": ("DispersionSample", "EigenfunctionField", "EigenvalueEntry", "KreinResult",
                  "SpectrumResult", "circle_oracle_mu", "delta_spectrum", "dispersion",
                  "eigenfunction", "enumerate_spectrum", "find_eigenvalue", "krein_apply",

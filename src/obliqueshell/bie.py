@@ -277,23 +277,26 @@ def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperator
 # off-curve evaluation
 
 
+#: uniform curve samples that seed the distance refinement
+_CURVE_SAMPLES = 2048
+
 #: Newton steps of the distance refinement; from within one sample spacing
 #: they converge quadratically to the foot point to rounding
 _NEWTON_STEPS = 5
 
 
-def _curve_distance(curve: Curve, points: np.ndarray, samples: int) -> np.ndarray:
+def _curve_distance(curve: Curve, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the curve.
 
-    The distance to the nearest of ``samples`` uniform curve samples
+    The distance to the nearest of _CURVE_SAMPLES uniform curve samples
     overestimates by up to half a sample spacing, so a point on the curve
     between two samples would read as off it.  Points nearer than one
     spacing are refined by Newton steps on (p(t) - x) . p'(t) = 0 from
     their nearest sample's t, and keep the smaller of the two distances.
     """
-    t = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+    t = np.linspace(0, 2 * np.pi, _CURVE_SAMPLES, endpoint=False)
     d, idx = cKDTree(curve.point(t)).query(points)
-    spacing = 2 * np.pi / samples * float(curve.jacobian(t).max())
+    spacing = 2 * np.pi / _CURVE_SAMPLES * float(curve.jacobian(t).max())
     near = d < spacing
     if near.any():
         x, s = points[near], t[idx[near]]
@@ -306,12 +309,16 @@ def _curve_distance(curve: Curve, points: np.ndarray, samples: int) -> np.ndarra
     return d
 
 
+def _on_curve_tol(curve: Curve) -> float:
+    """Distance below which a point or volume node counts as on the curve."""
+    return 1e-9 * max(1.0, curve.diameter)
+
+
 def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndarray:
-    """Distance from each point to the curve (``_curve_distance`` on 2048
-    samples); raises SingularityError for a point on the curve."""
-    d = _curve_distance(grid.curve, points, 2048)
-    tol = 1e-10 * max(1.0, grid.curve.diameter)
-    if np.any(d < tol):
+    """Distance from each point to the curve (``_curve_distance``); raises
+    SingularityError for a point on the curve."""
+    d = _curve_distance(grid.curve, points)
+    if np.any(d < _on_curve_tol(grid.curve)):
         raise SingularityError("evaluation point lies on the curve")
     return d
 
@@ -531,13 +538,11 @@ def make_volume_grid(halfwidth: float, n: int) -> VolumeGrid:
     return VolumeGrid(xs, xs, pts, h)
 
 
-def default_volume_grid(curve: Curve, n: int) -> VolumeGrid:
-    return make_volume_grid(3.0 * curve.diameter, n)
-
-
 def check_volume_clear_of_curve(vol: VolumeGrid, grid: QuadratureGrid) -> None:
-    tol = 1e-9 * grid.curve.diameter
-    dmin = float(_curve_distance(grid.curve, vol.points, 4096).min())
+    """Raise ConfigurationError when a node of vol lies on the curve, by the
+    distance and tolerance of ``_check_points_off_curve``."""
+    tol = _on_curve_tol(grid.curve)
+    dmin = float(_curve_distance(grid.curve, vol.points).min())
     if dmin < tol:
         raise ConfigurationError(
             f"volume grid touches the curve (min distance {dmin:.3g} < {tol:.3g})"
@@ -583,14 +588,13 @@ def apply_Psi_star(grid: QuadratureGrid, sp: SpectralParameter,
     curve, R_lambda the free resolvent.  That field is an FFT convolution of
     f with dzbar U on the volume grid's offset lattice, where the odd
     kernel's self cell is 0 (second order in h for smooth f), traced on the
-    curve nodes by a degree-5 interpolating spline.  Raises
-    ConfigurationError when the volume grid touches the curve or a curve
-    node lies outside the box or within the spline stencil's reach of its
-    edge.
+    curve nodes by a degree-5 interpolating spline.  No kernel is evaluated
+    between a volume node and the curve, so volume nodes on the curve do no
+    harm here.  Raises ConfigurationError when a curve node lies outside the
+    box or within the spline stencil's reach of its edge.
     """
     from scipy.interpolate import RectBivariateSpline
 
-    check_volume_clear_of_curve(vol, grid)
     f = np.asarray(f_samples, dtype=complex).ravel()
     if f.shape[0] != len(vol.points):
         raise ConfigurationError("f_samples does not match the volume grid")

@@ -85,13 +85,6 @@ def _parse_branches(text: str) -> list[int]:
         raise ParameterError(f"bad --n branch spec {text!r}") from exc
 
 
-def _positive(name: str, value: float) -> float:
-    from .errors import ParameterError
-    if not value > 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -122,7 +115,6 @@ def cmd_dispersion(args) -> int:
 def cmd_spectrum(args) -> int:
     from . import spectral
     curve = _load_curve(args.curve)
-    _positive("--tol", args.tol)
     t0 = time.time()
     res = spectral.enumerate_spectrum(curve, args.alpha, args.count,
                                       N=args.N, tol=args.tol)
@@ -135,11 +127,10 @@ def cmd_spectrum(args) -> int:
 def cmd_eigenfunction(args) -> int:
     from . import bie, spectral
     curve = _load_curve(args.curve)
-    _positive("--tol", args.tol)
     t0 = time.time()
     lam_n, _ = spectral.find_eigenvalue(curve, args.alpha, args.branch,
                                         tol=args.tol, N=args.N)
-    vol = bie.default_volume_grid(curve, n=args.box_n)
+    vol = bie.make_volume_grid(3.0 * curve.diameter, args.box_n)
     field = spectral.eigenfunction(curve, args.alpha, lam_n, args.branch, vol,
                                    N=args.N, tol=args.tol)
     with open(args.out, "w") as fh:
@@ -154,7 +145,6 @@ def cmd_eigenfunction(args) -> int:
 def cmd_delta_compare(args) -> int:
     from . import spectral
     curve = _load_curve(args.curve)
-    _positive("--tol", args.tol)
     t0 = time.time()
     delta = spectral.delta_spectrum(curve, args.alpha, args.count,
                                     N=args.N, tol=args.tol)
@@ -210,15 +200,15 @@ def cmd_oracle_check(args) -> int:
     import numpy as np
     from . import bie, spectral
     from .errors import ParameterError
-    from .geometry import grid as make_grid
+    from .geometry import grid as make_grid, make_curve
     from .kernels import SpectralParameter
     curve = _load_curve(args.curve)
-    if curve.name != "circle(1)":
-        raise ParameterError("oracle-check requires --curve circle")
-    if not args.lam < 0:
-        raise ParameterError("--lam must be negative")
+    circle = make_curve("circle")
+    if not (np.array_equal(curve.x_coeffs, circle.x_coeffs)
+            and np.array_equal(curve.y_coeffs, circle.y_coeffs)):
+        raise ParameterError("oracle-check requires the unit circle as --curve")
     op = bie.assemble_S(make_grid(curve, args.N), SpectralParameter.make(args.lam))
-    ev = np.sort(op.eigenvalues_desc().real)[::-1][:10]
+    ev = op.eigenvalues_desc(10)
     oracle = []
     m = 0
     while len(oracle) < 10:

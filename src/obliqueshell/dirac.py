@@ -70,10 +70,6 @@ def _require_nonreal(lam: complex) -> complex:
     return lam
 
 
-def _probe_volume(curve: Curve, n: int, halfwidth_factor: float = 3.0) -> VolumeGrid:
-    return bie.make_volume_grid(halfwidth_factor * curve.diameter, n)
-
-
 # ---------------------------------------------------------------------------
 # the four gap estimates
 
@@ -278,7 +274,8 @@ def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
     lam = _require_nonreal(lam)
     sp = SpectralParameter.make(lam)
     dps = [DiracParameter.shifted(lam, c) for c in c_values]
-    vol = volume_box if volume_box is not None else _probe_volume(curve, 48)
+    vol = volume_box if volume_box is not None \
+        else bie.make_volume_grid(3.0 * curve.diameter, 48)
     g, pr, S = _c_free_blocks(curve, sp, N, vol)
     lattice = _a0_lattice(sp, vol)
     lam_S = sp.lam * S
@@ -382,7 +379,7 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     lam = _require_nonreal(lam)
     sp = SpectralParameter.make(lam)
     dp = DiracParameter.shifted(lam, c)
-    vol = _probe_volume(curve, probe_n, CORRECTION_PROBE_HALFWIDTH)
+    vol = bie.make_volume_grid(CORRECTION_PROBE_HALFWIDTH * curve.diameter, probe_n)
     g, pr, S = _c_free_blocks(curve, sp, N, vol)
     if alpha == 0:
         return 0.0

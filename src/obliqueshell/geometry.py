@@ -165,6 +165,8 @@ def curve_from_config(config) -> Curve:
     if not isinstance(config, dict) or "kind" not in config:
         raise ParameterError("curve config must be an object with a 'kind' field")
     kind = config["kind"]
+    if not isinstance(config.get("name", ""), str):
+        raise ParameterError(f"curve name must be a string, got {config['name']!r}")
     kwargs = {}
     for key in ("R", "a", "b", "name"):
         if key in config:

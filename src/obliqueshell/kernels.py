@@ -16,14 +16,11 @@ import numpy as np
 from .errors import DomainError, SingularityError
 from .specfun import bessel_k_array
 
-# Pauli matrices and the projection/shift matrices of the 2x2 spinor algebra.
+# Pauli matrices and the 2x2 identity of the spinor algebra.
 SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-M1 = np.array([[1, 0], [0, 0]], dtype=complex)
-M2 = np.array([[0, 1], [0, 0]], dtype=complex)
-M3 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 def branch_sqrt(lam: complex) -> complex:

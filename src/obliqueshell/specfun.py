@@ -1,11 +1,12 @@
 """Modified Bessel functions used by the kernel evaluations.
 
-Complex K_0/K_1 are needed on the right half plane Re z > 0 only (every
-kernel argument has the form -i sqrt(lambda) |x| with Im sqrt(lambda) > 0);
-integer-order I_n/K_n on the positive reals back the circle diagonalization
-oracle.  Evaluation is delegated to the AMOS routines behind a domain-checked
-surface; accuracy against an independent high-precision oracle is pinned in
-the test fixtures.
+K_0/K_1 are needed on the right half plane Re z > 0 only (every kernel
+argument has the form -i sqrt(lambda) |x| with Im sqrt(lambda) > 0), and
+``bessel_k_array`` is their one evaluator: real arrays take scipy's k0/k1,
+complex ones the AMOS kv.  I_0/I_1 arrays serve the Martensen-Kussmaul
+splitting; integer-order I_n/K_n on the positive reals back the circle
+diagonalization oracle.  The test fixtures pin both K paths, the I_0/I_1
+arrays and the integer orders against an independent 40-digit oracle.
 
 This lowest layer also owns the package's one thread pool, sized by THREADS.
 Bessel arrays longer than one chunk are split into equal chunks, a whole
@@ -25,7 +26,6 @@ import functools
 import math
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,29 +37,6 @@ from .errors import ConfigurationError, DomainError
 OVERFLOW_RADIUS = 700.0
 
 EULER_GAMMA = float(np.euler_gamma)
-
-
-class BesselUnderflowWarning(RuntimeWarning):
-    """K_j(z) flushed to zero because |z| exceeds the overflow radius."""
-
-
-def bessel_k(order: int, z: complex) -> complex:
-    """K_0(z) or K_1(z) for a single complex argument with Re z > 0.
-
-    |z| > OVERFLOW_RADIUS returns 0 and emits BesselUnderflowWarning.
-    """
-    if order not in (0, 1):
-        raise DomainError(f"order must be 0 or 1, got {order}")
-    z = complex(z)
-    if z.real <= 0:
-        raise DomainError(f"bessel_k requires Re z > 0, got z={z}")
-    if abs(z) > OVERFLOW_RADIUS:
-        warnings.warn(
-            f"K_{order}({z}) underflows; returning 0", BesselUnderflowWarning,
-            stacklevel=2,
-        )
-        return 0j
-    return complex(sp.kv(order, z))
 
 
 # ---------------------------------------------------------------------------

@@ -204,12 +204,17 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
     if not -math.inf < alpha < 0:
         raise ParameterError(f"find_eigenvalue needs finite alpha < 0, got {alpha}")
     _check_tol(tol)
+    # 1/(2 alpha^2) overflows, or alpha^2 underflows to 0, for |alpha| below
+    # about 1.5e-154
+    seed = max(1.0, 4.0 / alpha ** 2 / 8) if alpha ** 2 > 0 else math.inf
+    if seed == math.inf:
+        raise ParameterError(f"alpha={alpha} is too close to 0: the root bracket seed "
+                             "1/(2 alpha^2) overflows")
     with _branch(curve, n, N) as memo:
 
         def f(lam: float) -> float:
             return lam * memo.mu(lam, n) - 1.0 / alpha
 
-        seed = max(1.0, 4.0 / alpha ** 2 / 8)
         root = _bracket_and_solve(f, seed, tol, increasing=True, known=list(memo.mus))
         if root is None:
             raise DivergenceError("dispersion root escaped toward lambda = 0")
@@ -431,7 +436,9 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     grid (bie.apply_Psi_star); the correction is summed by bie.eval_Psi, on a
     density refined by each node's distance to the curve.  f_samples are the
     values of f at the nodes of vol.  The curve must lie at least two node
-    spacings inside the outermost volume nodes, else ConfigurationError.
+    spacings inside the outermost volume nodes, else ConfigurationError.  At
+    alpha != 0, a volume node on the curve raises SingularityError in
+    bie.eval_Psi.
     When I - alpha lambda S is nearly singular, the PoleProximityError names
     the branch n whose alpha lambda mu_n lies nearest 1, taken from the same
     assembly.

@@ -3,13 +3,10 @@ import pathlib
 
 import pytest
 
+from acceptance_verdicts import ACCEPTANCE_VERDICTS
 from obliqueshell import geometry
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-
-#: verdict lines recorded by the acceptance tests; replayed after the run so
-#: they survive pytest's output capture
-ACCEPTANCE_VERDICTS: list[str] = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -242,6 +242,20 @@ _SPECTRUM = ["spectrum", "--count", "1", "--N", "32"]
                   '{"kind":"custom","x_coeffs":[0,0.5],"y_coeffs":[0,[0]]}'], "y_coeffs"),
     (_SPECTRUM + ["--alpha", "-1", "--curve",
                   '{"kind":"custom","x_coeffs":[0,0.5],"y_coeffs":[]}'], "y_coeffs"),
+    # alpha so small that the root bracket's seed 1/(2 alpha^2) overflows
+    (_SPECTRUM + ["--alpha=-1e-200"], "alpha"),
+    (_SPECTRUM + ["--alpha=-1e-160"], "alpha"),
+    (["eigenfunction", "--alpha=-1e-200", "--N", "32"], "alpha"),
+    (["eigenfunction", "--alpha=-1e-160", "--N", "32"], "alpha"),
+    (["delta-compare", "--alpha=-1e-200", "--count", "1", "--N", "32"], "alpha"),
+    (["delta-compare", "--alpha=-1e-160", "--count", "1", "--N", "32"], "alpha"),
+    # a curve name that is not a string; a curve that is not the unit circle
+    # under the circle's name
+    (_SPECTRUM + ["--alpha", "-1", "--curve", '{"kind":"kite","name":5}'], "name"),
+    (["oracle-check", "--N", "32", "--curve", '{"kind":"kite","name":"circle(1)"}'],
+     "curve"),
+    # lambda on [0, inf), rejected where the spectral parameter is made
+    (["oracle-check", "--lam", "0"], "lambda"),
 ])
 def test_bad_number_or_curve_is_a_usage_error(tmp_path, capsys, argv, name):
     # each input is rejected before any output is written, with a message
@@ -262,6 +276,9 @@ def test_oracle_check(capsys):
     assert "mismatch" in capsys.readouterr().out
     rc = run(["oracle-check", "--curve", "kite"])
     assert rc == 2
+    # the unit circle under another kind passes: the curve, not its name, counts
+    rc = run(["oracle-check", "--N", "64", "--curve", '{"kind":"ellipse","a":1,"b":1}'])
+    assert rc == 0
 
 
 def test_cli_import_defers_numpy_and_every_export_resolves():
@@ -277,4 +294,4 @@ def test_cli_import_defers_numpy_and_every_export_resolves():
     assert "FieldSamples" not in obliqueshell.__all__
     assert "DiracResolventBlocks" not in obliqueshell.__all__
     missing = [name for name in obliqueshell.__all__ if not hasattr(obliqueshell, name)]
-    assert missing == [] and len(obliqueshell.__all__) == 57
+    assert missing == [] and len(obliqueshell.__all__) == 55

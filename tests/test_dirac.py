@@ -7,14 +7,17 @@ import pytest
 from obliqueshell import bie, dirac, geometry, kernels, specfun
 from obliqueshell.errors import DomainError, ParameterError
 from obliqueshell.kernels import (
-    M2,
-    M3,
     DiracParameter,
     SpectralParameter,
     branch_sqrt,
     kernel_G,
     kernel_L,
 )
+
+#: the spinor matrices of the limit: M2 shifts the second component to the
+#: first, M3 projects onto the second
+M2 = np.array([[0, 1], [0, 0]], dtype=complex)
+M3 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
 def test_real_lambda_rejected(circle):
@@ -303,7 +306,7 @@ def test_phi_m3_sides_hold_little_beyond_their_outputs(kite, monkeypatch):
     # gap study's 48^2 x 128 probe set, the peak over the call is the two
     # (2M, N) outputs and a few chunk temporaries per worker
     g = geometry.grid(kite, 128)
-    vol = dirac._probe_volume(kite, 48)
+    vol = bie.make_volume_grid(3.0 * kite.diameter, 48)  # the gap study's box
     pr = dirac._probes(SpectralParameter.make(1j), g, vol.points)
     dp = DiracParameter.shifted(1j, 8.0)
     with ThreadPoolExecutor(max_workers=2) as pool:

@@ -13,12 +13,27 @@ from obliqueshell.errors import DomainError
 from obliqueshell.kernels import DiracParameter, SpectralParameter
 
 
+def _k_on_its_path(entries):
+    """(bessel_k_array values, oracle values) at the K entries given: the
+    entries with real z go in as one real array per order, the real k0/k1
+    path, and the rest as one complex array per order, the kv path."""
+    got, ref = [], []
+    for order in (0, 1):
+        for real in (True, False):
+            group = [e for e in entries if e["order"] == order and (e["z"][1] == 0) == real]
+            z = np.array([complex(*e["z"]) for e in group])
+            values = specfun.bessel_k_array(order, z.real if real else z)
+            assert np.isrealobj(values) == real
+            got.append(values)
+            ref.append(np.array([complex(*e["value"]) for e in group]))
+    return np.concatenate(got), np.concatenate(ref)
+
+
 def test_frozen_oracle_k(bessel_oracle):
-    for e in bessel_oracle["k"]:
-        z = complex(e["z"][0], e["z"][1])
-        ref = complex(e["value"][0], e["value"][1])
-        got = specfun.bessel_k(e["order"], z)
-        assert abs(got - ref) <= 1e-10 * abs(ref), (e["order"], z)
+    entries = bessel_oracle["k"]
+    assert sum(e["z"][1] == 0 for e in entries) == 26 and len(entries) == 146
+    got, ref = _k_on_its_path(entries)
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
 
 
 def test_frozen_oracle_ik(bessel_oracle):
@@ -30,40 +45,51 @@ def test_frozen_oracle_ik(bessel_oracle):
             assert abs(kv - e["k"]) <= 1e-10 * abs(e["k"])
 
 
+def test_frozen_oracle_i_arrays(bessel_oracle):
+    # the I_0/I_1 arrays of the Martensen-Kussmaul splitting, on the real
+    # i0/i1 path and the complex iv path
+    seen = 0
+    for order in (0, 1):
+        group = [e for e in bessel_oracle["ik"] if e["order"] == order]
+        x = np.array([e["x"] for e in group])
+        ref = np.array([e["i"] for e in group])
+        for arg in (x, x.astype(complex)):
+            got = specfun.bessel_i_array(order, arg)
+            assert np.isrealobj(got) == np.isrealobj(arg)
+            assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), (order, arg.dtype)
+        seen += len(group)
+    assert seen == 8
+
+
 def test_real_positive_values():
-    for x in (1e-6, 0.3, 1.0, 5.0, 50.0):
-        for order in (0, 1):
-            v = specfun.bessel_k(order, x)
-            assert v.imag == 0 and v.real > 0
+    x = np.array([1e-6, 0.3, 1.0, 5.0, 50.0])
+    for order in (0, 1):
+        v = specfun.bessel_k_array(order, x)
+        assert v.dtype == float and np.all(v > 0)
 
 
 def test_k1_derivative_identity():
     # K1'(z) = -K0(z) - K1(z)/z, via Richardson-extrapolated central stencils
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        z = complex(rng.uniform(0.5, 20), rng.uniform(-5, 5))
-        if z.real <= 0.3:
-            continue
-        hs = [0.05, 0.025, 0.0125]
-        d = [(specfun.bessel_k(1, z + h) - specfun.bessel_k(1, z - h)) / (2 * h)
-             for h in hs]
-        # two Richardson steps remove the h^2 and h^4 error terms
-        d1 = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
-        deriv = (16 * d1[1] - d1[0]) / 15
-        ref = -specfun.bessel_k(0, z) - specfun.bessel_k(1, z) / z
-        assert abs(deriv - ref) <= 1e-10 * abs(ref), z
+    z = np.array([complex(rng.uniform(0.5, 20), rng.uniform(-5, 5)) for _ in range(20)])
+    hs = [0.05, 0.025, 0.0125]
+    d = [(specfun.bessel_k_array(1, z + h) - specfun.bessel_k_array(1, z - h)) / (2 * h)
+         for h in hs]
+    # two Richardson steps remove the h^2 and h^4 error terms
+    d1 = [(4 * d[i + 1] - d[i]) / 3 for i in range(2)]
+    deriv = (16 * d1[1] - d1[0]) / 15
+    ref = -specfun.bessel_k_array(0, z) - specfun.bessel_k_array(1, z) / z
+    assert np.all(np.abs(deriv - ref) <= 1e-10 * np.abs(ref)), z
 
 
 def test_conjugate_symmetry():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        r = 10 ** rng.uniform(-3, 2)
-        th = rng.uniform(-1.3, 1.3)
-        z = r * np.exp(1j * th)
-        for order in (0, 1):
-            a = specfun.bessel_k(order, np.conj(z))
-            b = np.conj(specfun.bessel_k(order, z))
-            assert abs(a - b) <= 1e-12 * max(abs(b), 1e-300)
+    z = np.array([10 ** rng.uniform(-3, 2) * np.exp(1j * rng.uniform(-1.3, 1.3))
+                  for _ in range(100)])
+    for order in (0, 1):
+        a = specfun.bessel_k_array(order, np.conj(z))
+        b = np.conj(specfun.bessel_k_array(order, z))
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(b), 1e-300))
 
 
 def test_conjugate_symmetry_is_exact_on_kernel_arguments(kite):
@@ -90,15 +116,10 @@ def test_conjugate_symmetry_is_exact_on_kernel_arguments(kite):
 def test_overlap_annulus_continuity(bessel_oracle):
     # values across the small/large-argument regimes agree with the frozen
     # high-precision oracle to 1e-9 in the annulus 8.5 <= |z| <= 9.5
-    seen = 0
-    for e in bessel_oracle["k"]:
-        z = complex(e["z"][0], e["z"][1])
-        if not 8.5 <= abs(z) <= 9.5:
-            continue
-        ref = complex(e["value"][0], e["value"][1])
-        assert abs(specfun.bessel_k(e["order"], z) - ref) <= 1e-9 * abs(ref)
-        seen += 1
-    assert seen >= 20
+    entries = [e for e in bessel_oracle["k"] if 8.5 <= abs(complex(*e["z"])) <= 9.5]
+    got, ref = _k_on_its_path(entries)
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
+    assert len(entries) >= 20
 
 
 def test_decay_envelope():
@@ -106,14 +127,12 @@ def test_decay_envelope():
     C = 5.0
     for arg in (-np.pi / 5, 0.0, np.pi / 5):
         direction = np.exp(1j * arg)
-        for r in (0.01, 0.1, 0.5, 0.99):
-            z = r * direction
-            for order in (0, 1):
-                assert abs(specfun.bessel_k(order, z)) <= C / abs(z)
-        for r in (1.0, 3.0, 10.0, 50.0, 200.0):
-            z = r * direction
-            for order in (0, 1):
-                assert abs(specfun.bessel_k(order, z)) <= C * np.exp(-z.real / 2)
+        small = np.array([0.01, 0.1, 0.5, 0.99]) * direction
+        large = np.array([1.0, 3.0, 10.0, 50.0, 200.0]) * direction
+        for order in (0, 1):
+            assert np.all(np.abs(specfun.bessel_k_array(order, small)) <= C / np.abs(small))
+            assert np.all(np.abs(specfun.bessel_k_array(order, large))
+                          <= C * np.exp(-large.real / 2))
 
 
 def test_wronskian():
@@ -128,7 +147,7 @@ def test_wronskian():
 def test_log_singularity_at_zero():
     # K0(z) + ln(z/2) approaches -EulerGamma monotonically from above
     xs = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    vals = np.array([specfun.bessel_k(0, x).real + np.log(x / 2) for x in xs])
+    vals = specfun.bessel_k_array(0, xs) + np.log(xs / 2)
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] == pytest.approx(-specfun.EULER_GAMMA, abs=1e-10)
 
@@ -140,17 +159,14 @@ def test_i0_near_zero():
 
 def test_domain_errors_and_underflow():
     with pytest.raises(DomainError):
-        specfun.bessel_k(2, 1.0)
+        specfun.bessel_k_array(0, np.array([-1.0]))
     with pytest.raises(DomainError):
-        specfun.bessel_k(0, -1.0)
-    with pytest.raises(DomainError):
-        specfun.bessel_k(0, 1j)  # Re z = 0
+        specfun.bessel_k_array(0, np.array([1j]))  # Re z = 0
     with pytest.raises(DomainError):
         specfun.bessel_ik_int(0, -1.0)
     with pytest.raises(DomainError):
         specfun.bessel_ik_int(300, 1.0)
-    with pytest.warns(specfun.BesselUnderflowWarning):
-        assert specfun.bessel_k(0, 800.0) == 0j
+    assert np.all(specfun.bessel_k_array(0, np.array([800.0, 800.0 + 1j])) == 0)
 
 
 def _multi_chunk_arguments(shape):

@@ -12,6 +12,7 @@ from obliqueshell.errors import (
     ParameterError,
     PoleProximityError,
     ResolutionError,
+    SingularityError,
 )
 from obliqueshell.kernels import SpectralParameter, kernel_U
 
@@ -352,6 +353,18 @@ def test_krein_correction_nontrivial(circle):
     free = spectral.krein_apply(circle, 0.0, sp, f, vol, N=64).values
     assert np.all(np.isfinite(res.values))
     assert np.linalg.norm(res.values - free) > 1e-6 * np.linalg.norm(free)
+
+
+def test_krein_volume_node_on_the_curve_is_a_singularity():
+    # a circle through a volume node: the correction's layer-potential sum
+    # at that node would be singular.  The adjoint map evaluates no kernel
+    # between a node and the curve, so eval_Psi's off-curve check raises.
+    vol = bie.make_volume_grid(2.0, 24)
+    node = vol.points[np.argmin(np.abs(vol.points - [11 / 12, 1 / 12]).sum(-1))]
+    curve = geometry.make_curve("circle", R=float(np.hypot(*node)))
+    f = np.exp(-(vol.points ** 2).sum(-1) / 0.1)
+    with pytest.raises(SingularityError):
+        spectral.krein_apply(curve, -1.0, SpectralParameter.make(-2.0), f, vol, N=64)
 
 
 @pytest.mark.parametrize("k", range(5))

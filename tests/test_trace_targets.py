@@ -72,8 +72,9 @@ def test_traced_layer_pairs_are_the_pairs_summed(tmp_path):
     # the tracer counts points x upsample x N per _eval_layer call as
     # bie.layer_eval.pairs; with one call per refinement factor that is the
     # number of kernel_L and kernel_U evaluations outside the direct volume
-    # sums.  Proximity is checked once for the volume grid, once for the
-    # correction's targets and once for all trace offsets.
+    # sums.  Proximity is checked twice: once for the correction's targets,
+    # the volume nodes, and once for all trace offsets.  The adjoint map
+    # evaluates no kernel between a volume node and the curve and checks none.
     tracer_module = _load_bench("tracer")
     workload = _load_bench("workloads").WORKLOADS["resolvent"](0, "tiny", tmp_path)
     with tracer_module.instrument(tracer_module.Tracer()) as tracer:
@@ -82,7 +83,7 @@ def test_traced_layer_pairs_are_the_pairs_summed(tmp_path):
     m = tracer.summary()
     assert m["bie.layer_eval.pairs"] == (m["kernels.L.evals"] + m["kernels.U.evals"]
                                          - m["spectral.direct_volume.pairs"])
-    assert m["bie.proximity.calls"] == 3
+    assert m["bie.proximity.calls"] == 2
 
 
 class _CountingPool(ThreadPoolExecutor):
