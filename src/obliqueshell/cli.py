@@ -146,10 +146,12 @@ def cmd_delta_compare(args) -> int:
     from . import spectral
     curve = _load_curve(args.curve)
     t0 = time.time()
-    delta = spectral.delta_spectrum(curve, args.alpha, args.count,
-                                    N=args.N, tol=args.tol)
+    # the oblique enumeration first: it rejects an alpha whose root bracket
+    # seed overflows before anything is assembled
     oblique = spectral.enumerate_spectrum(curve, args.alpha, args.count,
                                           N=args.N, tol=args.tol)
+    delta = spectral.delta_spectrum(curve, args.alpha, args.count,
+                                    N=args.N, tol=args.tol)
     report = {
         "alpha": args.alpha,
         "curve": curve.name,

@@ -20,14 +20,17 @@ projects onto the second spinor component, so every boundary operator acts
 on scalar densities of that component only and is stored as its live block.
 
 Every K_0/K_1 array is evaluated once per (kappa, geometry).  The blocks that
-do not depend on c (the grid, probe-to-node offsets and radii, K_0/K_1 at
-w = kappa(lambda) r, L(lambda), L(lambdabar), S(lambda)) come from one helper
-shared by the gap study and the correction; the study builds them, and U on
-the gap (a) lattice, once.  Every speed takes K_0/K_1 at kappa(z) r = mu w
-from that one set by the multiplication theorem (DLMF 10.44.2): |1 - mu^2| =
-|lambda|/c^2, so the series in (1 - mu^2) w/2 needs a few terms, counted from
-a bound once per (speed, probe set).  Where the bound says it does not pay,
-K_0/K_1 at kappa(z) r are evaluated directly.  The (zbar, lambdabar) side of
+do not depend on c (the grid, its probe-box check, probe-to-node offsets and
+radii, K_0/K_1 at w = kappa(lambda) r, L(lambda), L(lambdabar), S(lambda))
+come from one helper shared by the gap study and the correction, read-only
+and kept in the call scope of ``bie._call``.  The study builds them, and U on
+the gap (a) lattice, once; ``correction_convergence`` builds them once for
+its whole c-list, though it calls ``dirac_correction`` per speed.  Every
+speed takes K_0/K_1 at kappa(z) r = mu w from that one set by the
+multiplication theorem (DLMF 10.44.2): |1 - mu^2| = |lambda|/c^2, so the
+series in (1 - mu^2) w/2 needs a few terms, counted from a bound once per
+(speed, probe set).  Where the bound says it does not pay, K_0/K_1 at
+kappa(z) r are evaluated directly.  The (zbar, lambdabar) side of
 gap (c) and of the correction conjugates the Bessel values of the (z, lambda)
 side: kappa(zbar) = conj kappa(z), kappa(lambdabar) = conj kappa(lambda) and
 K_j(conj w) = conj K_j(w) hold exactly in floating point.  Phi M3 is built
@@ -133,14 +136,16 @@ class _Probes:
 def _probes(sp: SpectralParameter, g: QuadratureGrid, points: np.ndarray) -> _Probes:
     """One K_1 array serves both sides: kappa(lambdabar) = conj kappa(lambda)
     and K_1(conj w) = conj K_1(w).  K_0 and K_1 seed every speed's
-    ``_phi_m3_sides``."""
+    ``_phi_m3_sides``.  The arrays are read-only: every speed reads them."""
     x = points[:, None, :] - g.points[None, :, :]
     r = _radii(x)
     w = sp.kappa * r
     k0 = specfun.bessel_k_array(0, w)
     k1 = specfun.bessel_k_array(1, w)
-    return _Probes(x, r, sp.kappa, k0, k1, _L_body(sp, x, r, k1),
-                   _L_body(sp.conjugate, x, r, np.conj(k1)))
+    L, L_bar = _L_body(sp, x, r, k1), _L_body(sp.conjugate, x, r, np.conj(k1))
+    for arr in (x, r, k0, k1, L, L_bar):
+        arr.setflags(write=False)
+    return _Probes(x, r, sp.kappa, k0, k1, L, L_bar)
 
 
 #: most probe-node pairs per row chunk of ``_phi_m3_sides``: the series'
@@ -173,14 +178,6 @@ def _phi_m3(dp: DiracParameter, r: np.ndarray, sx: np.ndarray, top: np.ndarray,
     bottom *= dp.lam / c - c / 2
 
 
-def _series_terms(dp: DiracParameter, pr: _Probes) -> int | None:
-    """Terms of the multiplication-theorem series that ``_phi_m3_sides``
-    sums at dp over the probes, None where it evaluates K_0/K_1 directly."""
-    kappa = abs(pr.kappa)
-    return specfun._multiplication_terms(
-        dp.kappa / pr.kappa, kappa * float(pr.r.min()), kappa * float(pr.r.max()))
-
-
 def _phi_m3_sides(dp: DiracParameter, pr: _Probes) -> tuple[np.ndarray, np.ndarray]:
     """Phi_z M3 and Phi_zbar M3, built together in row chunks on the pool.
 
@@ -193,7 +190,8 @@ def _phi_m3_sides(dp: DiracParameter, pr: _Probes) -> tuple[np.ndarray, np.ndarr
     M, N = pr.r.shape
     dp_bar = DiracParameter.make(np.conj(dp.lam), dp.c)
     mu = dp.kappa / pr.kappa
-    terms = _series_terms(dp, pr)
+    kappa = abs(pr.kappa)
+    terms = specfun._multiplication_terms(mu, kappa * float(pr.r.min()), kappa * float(pr.r.max()))
     if terms is None:
         arg = dp.kappa * pr.r
         k0, k1 = specfun.bessel_k_array(0, arg), specfun.bessel_k_array(1, arg)
@@ -253,12 +251,18 @@ def _gap_c(dp: DiracParameter, lam_S: np.ndarray, g: QuadratureGrid) -> float:
 
 def _c_free_blocks(curve: Curve, sp: SpectralParameter, N: int, vol: VolumeGrid):
     """The blocks of the gap study and the correction that do not depend on
-    c: the boundary grid, the probe kernels L(lambda), L(lambdabar) at the
-    nodes of ``vol`` (checked clear of the curve) and the entries of S(lambda).
+    c: the boundary grid, the ``_probes`` at the nodes of ``vol`` (checked
+    clear of the curve) and the read-only entries of S(lambda).  Built once
+    per call scope for each curve, lambda, N and probe set.
     """
-    g = make_grid(curve, N)
-    bie.check_volume_clear_of_curve(vol, g)
-    return g, _probes(sp, g, vol.points), bie.assemble_S(g, sp).entries
+    def build():
+        g = make_grid(curve, N)
+        bie.check_volume_clear_of_curve(vol, g)
+        S = bie.assemble_S(g, sp).entries
+        S.setflags(write=False)
+        return g, _probes(sp, g, vol.points), S
+
+    return bie._kept(("c_free", curve, sp.lam, N, vol.points.tobytes()), build)
 
 
 def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
@@ -339,6 +343,7 @@ def _fit_slope(c_values, gaps) -> float:
     return float(np.polyfit(np.log(c_values), np.log(gaps), 1)[0])
 
 
+@bie._call()
 def nonrel_limit_study(curve: Curve, lam: complex, c_values, N: int = 128,
                        volume_box: VolumeGrid | None = None,
                        check_box: bool = False) -> LimitStudyResult:
@@ -359,6 +364,7 @@ def nonrel_limit_study(curve: Curve, lam: complex, c_values, N: int = 128,
 CORRECTION_PROBE_HALFWIDTH = 1.5
 
 
+@bie._call()
 def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
                      N: int = 128, probe_n: int = 24) -> float:
     """Norm of the difference of the shifted Dirac resolvent's correction
@@ -419,6 +425,7 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     return vol.weight * float(np.sqrt(np.linalg.eigvalsh(P @ P.conj().T)[-1]))
 
 
+@bie._call()
 def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,
                            N: int = 128, probe_n: int = 24) -> tuple[list, float]:
     """Difference norms of dirac_correction over a c-list and the fitted slope."""

@@ -39,12 +39,13 @@ def _eval_series(coeffs: np.ndarray, t: np.ndarray, deriv: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     """Closed curve with exact trig-polynomial parametrization.
 
     ``x_coeffs``/``y_coeffs`` are complex coefficients c_m (m >= 0) of
-    p_i(t) = c_0.real + 2 Re sum_{m>=1} c_m e^{imt}.
+    p_i(t) = c_0.real + 2 Re sum_{m>=1} c_m e^{imt}.  Curves compare and hash
+    by identity.
     """
 
     x_coeffs: np.ndarray
@@ -103,9 +104,10 @@ class Curve:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Uniform trapezoid grid on a curve: nodes t_k = 2 pi k / N."""
+    """Uniform trapezoid grid on a curve: nodes t_k = 2 pi k / N.  Grids
+    compare and hash by identity."""
 
     curve: Curve
     N: int

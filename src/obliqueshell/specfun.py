@@ -132,14 +132,14 @@ def _chunked(z: np.ndarray, dtype, body) -> np.ndarray:
 def bessel_k_array(order: int, z: np.ndarray) -> np.ndarray:
     """Vectorized K_0/K_1 on the right half plane; underflow flushes to 0.
 
-    Real inputs take the real fast path.  No domain checks beyond Re z > 0.
+    Real inputs take the real fast path.  Raises DomainError for an order
+    other than 0 or 1, or where Re z <= 0.
     """
+    if order not in (0, 1):
+        raise DomainError(f"bessel_k_array evaluates orders 0 and 1, got {order}")
     z = np.asarray(z)
     real = np.isrealobj(z)
-    if real:
-        ufunc = sp.k0 if order == 0 else sp.k1
-    else:
-        ufunc = functools.partial(sp.kv, order)
+    ufunc = (sp.k0, sp.k1)[order] if real else functools.partial(sp.kv, order)
 
     def body(zc: np.ndarray, dest: np.ndarray) -> None:
         if np.any(np.real(zc) <= 0):

@@ -12,7 +12,6 @@ none.  A delta-interaction comparison spectrum solves alpha mu_n(S(lambda)) =
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import json
 import math
 from dataclasses import dataclass, field
@@ -70,24 +69,20 @@ def _mu_n(g: QuadratureGrid, lam: float, k: int) -> np.ndarray:
 
 
 class _Memo:
-    """mu_1..mu_k of S(lambda) on one grid, keyed by lambda alone, so that
-    every branch n <= k reads the same assemblies."""
+    """mu_1..mu_k of S(lambda) on the N-node grid of a curve, keyed by lambda
+    alone, so that every branch n <= k reads the same assemblies.  The grid
+    is read from the call scope, not held."""
 
-    def __init__(self, grid: QuadratureGrid, k: int) -> None:
-        self.grid = grid
-        self.k = k
+    def __init__(self, curve: Curve, N: int, k: int) -> None:
+        self.curve, self.N, self.k = curve, N, k
         self.mus: dict[float, np.ndarray] = {}
 
     def mu(self, lam: float, n: int) -> float:
         lam = float(lam)
         if lam not in self.mus:
-            self.mus[lam] = _mu_n(self.grid, lam, self.k)
+            g = bie._kept(("grid", self.curve, self.N), lambda: make_grid(self.curve, self.N))
+            self.mus[lam] = _mu_n(g, lam, self.k)
         return float(self.mus[lam][n - 1])
-
-
-#: the memo of the spectral call in progress, if any
-_SHARED: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar(
-    "obliqueshell_spectral_memo", default=None)
 
 
 @contextlib.contextmanager
@@ -96,27 +91,15 @@ def _branch(curve: Curve, n: int, N: int):
 
     The only way the spectral routines reach mu_n, so a root finder that
     revisits an abscissa (a bracket end, the root itself, another branch's
-    abscissa) costs no assembly.  Inside the memo of an enclosing block that
-    serves the same curve, N and branch, that memo is reused; otherwise a new
-    one is shared with every call made inside this block and dropped when it
-    ends, so nothing outlives the public call that opened it.
+    abscissa) costs no assembly.  It opens the call scope (``bie._call``)
+    and keeps one memo per curve and N there, so every call made inside the
+    block shares it, and the memo, the grid and its blocks go when the
+    outermost scope ends.  An enclosing block serves branches up to its own
+    n, which the public callers open at their largest branch.
     """
     _check_branch(n, N)
-    memo = _SHARED.get()
-    if memo is not None and memo.grid.curve is curve and memo.grid.N == N \
-            and n <= memo.k:
-        yield memo
-        return
-    memo = _Memo(make_grid(curve, N), n)
-    token = _SHARED.set(memo)
-    try:
-        yield memo
-    finally:
-        _SHARED.reset(token)
-        # brentq leaves a reference cycle around the function it solved,
-        # which holds this memo until the cyclic collector runs: free the
-        # grid, with its cached MK blocks, and the eigenvalues now
-        memo.grid = memo.mus = None
+    with bie._call():
+        yield bie._kept(("memo", curve, N), lambda: _Memo(curve, N, n))
 
 
 def dispersion(curve: Curve, n: int, lam: float, N: int = 256) -> DispersionSample:
@@ -359,7 +342,6 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     g = make_grid(curve, N)
     sp = SpectralParameter.make(lambda_n)
     op = bie.assemble_S(g, sp)
-    bie._drop_mk_blocks(g)  # the returned field keeps g
     w_all, V = np.linalg.eigh(op.symmetrized())
     bs_vals = alpha * lambda_n * w_all
     idx = int(np.argmin(np.abs(bs_vals - 1.0)))
@@ -450,7 +432,6 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
         return KreinResult(vol, free, np.zeros(g.N, complex), g, sp, alpha)
 
     op = bie.assemble_S(g, sp)
-    bie._drop_mk_blocks(g)  # the returned result keeps g
     sym = op.symmetrized()
     B = np.eye(g.N) - alpha * sp.lam * sym
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])

@@ -11,7 +11,7 @@ import scipy.integrate
 from scipy import special
 from scipy.linalg import circulant
 
-from obliqueshell import bie, geometry, specfun
+from obliqueshell import bie, dirac, geometry, specfun, spectral
 from obliqueshell.errors import (
     ConfigurationError,
     DomainError,
@@ -99,16 +99,47 @@ def test_mk_weights_symmetric_and_match_full_reference(kite, mirror_free, N):
 
 
 def test_mk_blocks_are_built_once_per_grid(monkeypatch, kite):
+    # the blocks live in the scope of the outermost public call: within it
+    # every assembly on one grid shares them and a new grid builds its own;
+    # outside a call each assembly builds them
     built = []
     build = bie._build_mk_blocks
     monkeypatch.setattr(bie, "_build_mk_blocks", lambda g: built.append(g) or build(g))
     g = geometry.grid(kite, 64)
-    for lam in (-0.5, -2.0, 1j):
+    with bie._call():
+        for lam in (-0.5, -2.0, 1j):
+            bie.assemble_S(g, SpectralParameter.make(lam))
+        assert built == [g]
+        bie.assemble_S(geometry.grid(kite, 64), SpectralParameter.make(-1.0))
+        assert len(built) == 2
+    built.clear()
+    for lam in (-0.5, -2.0):
         bie.assemble_S(g, SpectralParameter.make(lam))
-    assert built == [g]
-    # a new grid on the same curve builds its own
-    bie.assemble_S(geometry.grid(kite, 64), SpectralParameter.make(-1.0))
-    assert len(built) == 2
+    assert built == [g, g]
+    # a public call builds them once for all its assemblies: every root
+    # evaluation, or S(lambda) and M3 C M3 at every speed
+    for run in (lambda: spectral.enumerate_spectrum(kite, -1.0, 3, N=64),
+                lambda: dirac.correction_convergence(kite, -1.0, 1j, [16, 64, 256],
+                                                     N=32, probe_n=8)):
+        built.clear()
+        run()
+        assert len(built) == 1
+
+
+def test_shared_blocks_are_read_only(kite):
+    # a block the call scope shares between speeds or assemblies cannot be
+    # changed in place by one of them
+    g = geometry.grid(kite, 32)
+    blocks = bie._build_mk_blocks(g)
+    vol = bie.make_volume_grid(1.5 * kite.diameter, 8)
+    _, pr, S = dirac._c_free_blocks(kite, SpectralParameter.make(1j), 32, vol)
+    arrays = [blocks.rows, blocks.cols, blocks.r, blocks.ln4sin2, blocks.R,
+              pr.x, pr.r, pr.k0, pr.k1, pr.L, pr.L_bar, S]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2
 
 
 def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):

@@ -181,6 +181,18 @@ def test_delta_compare_report(tmp_path):
     assert "oblique_lambda1" in d
 
 
+def test_delta_compare_rejects_an_overflowing_alpha_before_any_assembly(
+        tmp_path, monkeypatch):
+    from obliqueshell import spectral
+    calls = []
+    mu_n = spectral._mu_n
+    monkeypatch.setattr(spectral, "_mu_n", lambda *a: calls.append(a) or mu_n(*a))
+    out = tmp_path / "cmp.json"
+    rc = run(["delta-compare", "--alpha=-1e-200", "--count", "3", "--N", "256",
+              "--out", str(out)])
+    assert rc == 2 and calls == [] and not out.exists()
+
+
 def test_nonrel_limit_outputs(tmp_path):
     out = tmp_path / "gaps.csv"
     rc = run(["nonrel-limit", "--lam", "1j", "--c-list", "8,32", "--N", "48",

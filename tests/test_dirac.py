@@ -213,6 +213,11 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
     seen.clear()
     dirac.dirac_correction(kite, -1.0, 1j, 16, N=32, probe_n=8)
     assert seen and repeats == []
+    # the correction's c-free blocks (the probes' K_0/K_1 and S(lambda)) are
+    # built once for the whole c-list
+    seen.clear()
+    dirac.correction_convergence(kite, -1.0, 1j, [16, 64, 256], N=32, probe_n=8)
+    assert seen and repeats == []
     # a one-speed gap row is the study's row, bit for bit
     for i, c in enumerate(study.c_values):
         row = next(dirac._gap_rows(kite, 1j, [c], 32, vol, False))
@@ -222,6 +227,14 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
 def _phi_m3_reference(dp, x):
     G = kernel_G(dp, x)
     return np.concatenate([G[..., 0, 1], G[..., 1, 1]])
+
+
+def _series_terms(dp, pr):
+    """The multiplication-series term count _phi_m3_sides takes at dp over
+    the probes, None where it evaluates K_0/K_1 directly."""
+    kappa = abs(pr.kappa)
+    return specfun._multiplication_terms(dp.kappa / pr.kappa, kappa * float(pr.r.min()),
+                                         kappa * float(pr.r.max()))
 
 
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
@@ -238,7 +251,7 @@ def test_multiplication_series_matches_bessel_arrays(kite, mirror_free, lam):
         assert np.array_equal(pr.k1, specfun.bessel_k_array(1, sp.kappa * pr.r))
         for c in (8.0, 16.0, 64.0, 256.0):
             dp = DiracParameter.shifted(lam, c)
-            terms = dirac._series_terms(dp, pr)
+            terms = _series_terms(dp, pr)
             assert terms is not None and terms <= 20, (curve.name, c, terms)
             got = np.empty((2,) + pr.r.shape, dtype=complex)
             specfun._k01_multiplication(dp.kappa / sp.kappa, sp.kappa * pr.r,
@@ -260,7 +273,7 @@ def test_slow_speeds_take_the_bessel_array_path(mirror_free):
     for c in (1.0, 2.0):
         dp = DiracParameter.shifted(lam, c)
         dp_bar = DiracParameter.make(np.conj(dp.lam), c)
-        assert dirac._series_terms(dp, pr) is None
+        assert _series_terms(dp, pr) is None
         row = next(dirac._gap_rows(mirror_free, lam, [c], N, vol, False))
         for side, p, L, gap in zip(dirac._phi_m3_sides(dp, pr), (dp, dp_bar),
                                    (pr.L, pr.L_bar), row[1:3]):
@@ -291,7 +304,7 @@ def test_conjugate_side_equals_direct_evaluation(mirror_free, lam):
         for c in (2.0, 8.0, 64.0):
             dp = DiracParameter.shifted(lam, c)
             dp_bar = DiracParameter.make(np.conj(dp.lam), c)
-            series = dirac._series_terms(dp, pr) is not None
+            series = _series_terms(dp, pr) is not None
             assert series == (c > 2)
             for side, p in zip(dirac._phi_m3_sides(dp, pr), (dp, dp_bar)):
                 ref = _phi_m3_reference(p, pr.x)

@@ -1,12 +1,14 @@
+import dataclasses
 import gc
 import json
 
 import numpy as np
 import pytest
 
-from obliqueshell import bie, geometry, kernels, spectral
+from obliqueshell import bie, dirac, geometry, kernels, spectral
 from obliqueshell.errors import (
     ConfigurationError,
+    DivergenceError,
     DomainError,
     NumericalInstabilityError,
     ParameterError,
@@ -151,14 +153,27 @@ def test_branches_bracket_from_the_shared_memo(monkeypatch, kite):
 
 
 def test_no_memo_outlives_a_call(monkeypatch, kite):
+    # no call scope, with its memo, grids and blocks, outlives a public
+    # call, also one that raises inside it, and the next call assembles as
+    # often as a fresh one
     kappas = _record_assemblies(monkeypatch)
+    touching = bie.make_volume_grid(1.5, 3)  # a node at the kite's (1, 0)
+    failing = [
+        (lambda: spectral.find_eigenvalue(kite, -1e-6, 1, N=32), DivergenceError),
+        (lambda: dirac.nonrel_limit_study(kite, 1j, [8, 16], N=32, volume_box=touching),
+         ConfigurationError),
+    ]
     counts = []
-    for _ in range(2):
+    for run, error in [(None, None)] + failing:
+        if run is not None:
+            with pytest.raises(error):
+                run()
+            assert bie._SCOPE.get(None) is None
         kappas.clear()
         spectral.enumerate_spectrum(kite, -1.0, 3, N=64)
         counts.append(len(kappas))
-    assert counts[0] == counts[1] > 0
-    assert spectral._SHARED.get() is None
+        assert bie._SCOPE.get(None) is None
+    assert counts[0] > 0 and counts == [counts[0]] * len(counts)
 
 
 def test_no_grid_outlives_a_spectral_call(circle, kite):
@@ -180,14 +195,16 @@ def test_no_grid_outlives_a_spectral_call(circle, kite):
 
 
 def test_results_keep_their_grid_without_mk_blocks(circle):
-    # one assembly per call: the grid a result keeps carries no cache
+    # the grid a result keeps carries its fields only: the MK blocks of its
+    # assembly went with the call
     vol = bie.make_volume_grid(2.0, 16)
     f = np.exp(-(vol.points ** 2).sum(-1))
     res = spectral.krein_apply(circle, -1.0, SpectralParameter.make(-2.0), f, vol, N=64)
     lam1, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=64)
     ef = spectral.eigenfunction(circle, -1.0, lam1, 1, np.array([[0.0, 0.0]]), N=64)
     for g in (res.grid, ef.grid):
-        assert "_mk_blocks" not in vars(g)
+        assert set(vars(g)) == {field.name for field in dataclasses.fields(g)}
+    assert bie._SCOPE.get(None) is None
 
 
 def test_shared_memo_results_match_lone_branches(kite):

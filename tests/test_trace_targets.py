@@ -66,6 +66,9 @@ def test_traced_correction_keeps_one_span_and_one_assembly_per_speed():
     m = tracer.summary()
     assert m["dirac.correction.calls"] == 2
     assert m["bie.assemble_M3CM3.calls"] == 2
+    # the grid and its probe-box check are built once for the c-list
+    assert m["bie.proximity.calls"] == 1
+    assert m["geometry.grid.calls"] == 1
 
 
 def test_traced_layer_pairs_are_the_pairs_summed(tmp_path):
