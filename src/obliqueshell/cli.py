@@ -1,8 +1,18 @@
 """Command-line interface.
 
+Each ``cmd_*`` reads its own flags, calls the library and returns the text
+of every file it writes, by path; it opens no file.  ``main`` is the one
+writer.  Before anything is computed it checks THREADS and the ``--out``
+and ``--manifest`` paths: each must name a file, not a directory, in an
+existing, writable directory.  It then loads the curve and runs the
+command, and only once the command has succeeded does it write the
+command's files and last the manifest, which hashes the texts just written.
+A usage error or a numerical failure leaves no output file behind.
+
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  The THREADS
 environment variable caps the kernel-sum pool and the BLAS/OpenMP worker
-counts, so it is applied before numpy is imported.  The pool size never
+counts, so it is checked and applied before numpy is imported; a THREADS
+that is not a positive integer is a usage error.  The pool size never
 changes results.  Pool tasks make no BLAS call, so the kernel sums' bits do
 not depend on the BLAS thread count either; that count can change the last
 bits of LAPACK results.
@@ -17,47 +27,38 @@ import os
 import sys
 import time
 
+from .errors import (ConfigurationError, DomainError, NumericalInstabilityError,
+                     ObliqueShellError, ParameterError)
+
 
 def _apply_thread_cap() -> None:
     threads = os.environ.get("THREADS")
     if not threads:
         return
+    if not (threads.isascii() and threads.isdecimal() and int(threads) > 0):
+        raise ParameterError(f"THREADS must be a positive integer, got {threads!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, threads)
+
+
+def _check_output_paths(args) -> None:
+    for flag in ("out", "manifest"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if (os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK))
+                or os.path.exists(path) and not os.access(path, os.W_OK)):
+            raise ParameterError(f"--{flag} {path!r} must be a file in an existing, "
+                                 "writable directory")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _write_manifest(path: str | None, command: str, params: dict,
-                    outputs: list[str], t0: float) -> None:
-    if path is None:
-        return
-    from . import __version__
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "version": __version__,
-        "wall_time_s": time.time() - t0,
-        "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
 def _load_curve(spec: str):
-    from .errors import ParameterError
     from .geometry import curve_from_config, make_curve
     builtins = {"circle", "ellipse", "kite"}
     if spec in builtins:
@@ -75,7 +76,6 @@ def _load_curve(spec: str):
 
 
 def _parse_branches(text: str) -> list[int]:
-    from .errors import ParameterError
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -85,14 +85,16 @@ def _parse_branches(text: str) -> list[int]:
         raise ParameterError(f"bad --n branch spec {text!r}") from exc
 
 
+def _lines(rows) -> str:
+    return "".join(row + "\n" for row in rows)
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns {path: text} for main to write
 
 
-def cmd_dispersion(args) -> int:
+def cmd_dispersion(args, curve) -> dict[str, str]:
     from . import spectral
-    from .errors import ParameterError
-    curve = _load_curve(args.curve)
     if not (args.lambda_min < 0 and args.lambda_max < 0):
         raise ParameterError("lambda grid must be negative")
     if args.lambda_steps < 1:
@@ -102,50 +104,31 @@ def cmd_dispersion(args) -> int:
         raise ParameterError(f"--n {args.n!r} names no branch")
     import numpy as np
     lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_steps)
-    t0 = time.time()
-    # computed in full first: a failing sweep leaves no partial CSV behind
-    rows = spectral.dispersion_csv_rows(curve, branches, lams, N=args.N)
-    with open(args.out, "w") as fh:
-        for row in rows:
-            fh.write(row + "\n")
-    _write_manifest(args.manifest, "dispersion", _params(args), [args.out], t0)
-    return 0
+    return {args.out: _lines(spectral.dispersion_csv_rows(curve, branches, lams, N=args.N))}
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, curve) -> dict[str, str]:
     from . import spectral
-    curve = _load_curve(args.curve)
-    t0 = time.time()
     res = spectral.enumerate_spectrum(curve, args.alpha, args.count,
                                       N=args.N, tol=args.tol)
-    with open(args.out, "w") as fh:
-        fh.write(res.to_json() + "\n")
-    _write_manifest(args.manifest, "spectrum", _params(args), [args.out], t0)
-    return 0
+    return {args.out: res.to_json() + "\n"}
 
 
-def cmd_eigenfunction(args) -> int:
+def cmd_eigenfunction(args, curve) -> dict[str, str]:
     from . import bie, spectral
-    curve = _load_curve(args.curve)
-    t0 = time.time()
     lam_n, _ = spectral.find_eigenvalue(curve, args.alpha, args.branch,
                                         tol=args.tol, N=args.N)
     vol = bie.make_volume_grid(3.0 * curve.diameter, args.box_n)
     field = spectral.eigenfunction(curve, args.alpha, lam_n, args.branch, vol,
                                    N=args.N, tol=args.tol)
-    with open(args.out, "w") as fh:
-        fh.write("x,y,re,im\n")
-        for p, v in zip(field.points, field.values):
-            fh.write(f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(v.real)},{_fmt(v.imag)}\n")
-    _write_manifest(args.manifest, "eigenfunction",
-                    {**_params(args), "lambda_n": lam_n}, [args.out], t0)
-    return 0
+    args.lambda_n = lam_n  # recorded among the manifest's parameters
+    return {args.out: _lines(["x,y,re,im"] + [
+        f"{_fmt(p[0])},{_fmt(p[1])},{_fmt(v.real)},{_fmt(v.imag)}"
+        for p, v in zip(field.points, field.values)])}
 
 
-def cmd_delta_compare(args) -> int:
+def cmd_delta_compare(args, curve) -> dict[str, str]:
     from . import spectral
-    curve = _load_curve(args.curve)
-    t0 = time.time()
     # the oblique enumeration first: it rejects an alpha whose root bracket
     # seed overflows before anything is assembled
     oblique = spectral.enumerate_spectrum(curve, args.alpha, args.count,
@@ -166,17 +149,11 @@ def cmd_delta_compare(args) -> int:
         lam1 = float(max(oblique.lambdas()))
         report["oblique_lambda1"] = lam1
         report["oblique_lambda1_alpha2_over_minus4"] = lam1 * args.alpha ** 2 / -4
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    _write_manifest(args.manifest, "delta-compare", _params(args), [args.out], t0)
-    return 0
+    return {args.out: json.dumps(report, indent=2) + "\n"}
 
 
-def cmd_nonrel_limit(args) -> int:
+def cmd_nonrel_limit(args, curve) -> dict[str, str]:
     from . import dirac
-    from .errors import ParameterError
-    curve = _load_curve(args.curve)
     try:
         lam = complex(args.lam)
     except ValueError as exc:
@@ -185,26 +162,16 @@ def cmd_nonrel_limit(args) -> int:
         c_values = [float(c) for c in args.c_list.split(",")]
     except ValueError as exc:
         raise ParameterError(f"bad --c-list {args.c_list!r}") from exc
-    t0 = time.time()
     res = dirac.nonrel_limit_study(curve, lam, c_values, N=args.N)
-    with open(args.out, "w") as fh:
-        for row in res.csv_rows():
-            fh.write(row + "\n")
-    slopes_path = args.out + ".slopes.json"
-    with open(slopes_path, "w") as fh:
-        fh.write(res.to_json() + "\n")
-    _write_manifest(args.manifest, "nonrel-limit", _params(args),
-                    [args.out, slopes_path], t0)
-    return 0
+    return {args.out: _lines(res.csv_rows()),
+            args.out + ".slopes.json": res.to_json() + "\n"}
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args, curve) -> dict[str, str]:
     import numpy as np
     from . import bie, spectral
-    from .errors import ParameterError
     from .geometry import grid as make_grid, make_curve
     from .kernels import SpectralParameter
-    curve = _load_curve(args.curve)
     circle = make_curve("circle")
     if not (np.array_equal(curve.x_coeffs, circle.x_coeffs)
             and np.array_equal(curve.y_coeffs, circle.y_coeffs)):
@@ -221,13 +188,8 @@ def cmd_oracle_check(args) -> int:
     mismatch = float(np.max(np.abs(ev - oracle) / np.abs(oracle)))
     print(f"max relative eigenvalue mismatch: {_fmt(mismatch)}")
     if mismatch > 1e-8:
-        print("oracle check FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+        raise NumericalInstabilityError("oracle check FAILED")
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +262,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from .errors import (
-        ConfigurationError,
-        DomainError,
-        ObliqueShellError,
-        ParameterError,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _apply_thread_cap()
+        _check_output_paths(args)
+        curve = _load_curve(args.curve)
+        t0 = time.time()
+        files = args.func(args, curve)
     except (ParameterError, ConfigurationError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ObliqueShellError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    digests = {}
+    for path, text in files.items():
+        data = text.encode()
+        with open(path, "wb") as fh:
+            fh.write(data)
+        digests[path] = hashlib.sha256(data).hexdigest()
+    if getattr(args, "manifest", None) is not None:
+        from . import __version__
+        manifest = {
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+            "version": __version__,
+            "wall_time_s": time.time() - t0,
+            "outputs": digests,
+        }
+        with open(args.manifest, "w") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

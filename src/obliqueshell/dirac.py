@@ -380,8 +380,11 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     is that of the 2N x 2M product P = R [X; Y], taken as the square root of
     the largest eigenvalue of the 2N x 2N Gram matrix P P^H, as in
     ``_gap_phi``.  The (zbar, lambdabar) factors conjugate the Bessel arrays
-    of the (z, lambda) ones.  Zero coupling gives 0.0.
+    of the (z, lambda) ones.  Zero coupling gives 0.0; a non-finite alpha
+    raises ParameterError.
     """
+    if not np.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     lam = _require_nonreal(lam)
     sp = SpectralParameter.make(lam)
     dp = DiracParameter.shifted(lam, c)

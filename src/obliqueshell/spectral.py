@@ -272,9 +272,13 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
 
 
-def _check_count(alpha: float, count: int, N: int, tol: float) -> None:
+def _check_alpha(alpha: float) -> None:
     if alpha == 0 or not math.isfinite(alpha):
         raise ParameterError(f"alpha must be finite and nonzero, got {alpha}")
+
+
+def _check_count(alpha: float, count: int, N: int, tol: float) -> None:
+    _check_alpha(alpha)
     _check_tol(tol)
     if count < 1:
         raise ParameterError("count must be >= 1")
@@ -335,8 +339,11 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     bie.eval_Psi, on a density refined by each target's distance to the curve.
     That eigenvalue must lie within 10 tol of 1, so tol is the root tolerance
     lambda_n was found with; otherwise lambda_n and n are reported as
-    inconsistent.
+    inconsistent.  A zero or non-finite alpha, or a tol that is not finite and
+    positive, raises ParameterError before anything is assembled.
     """
+    _check_alpha(alpha)
+    _check_tol(tol)
     if not lambda_n < 0:
         raise DomainError("lambda_n must be negative")
     g = make_grid(curve, N)
@@ -417,16 +424,21 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     -2i dzbar (R_lambda f) on the curve are FFT convolutions on the volume
     grid (bie.apply_Psi_star); the correction is summed by bie.eval_Psi, on a
     density refined by each node's distance to the curve.  f_samples are the
-    values of f at the nodes of vol.  The curve must lie at least two node
-    spacings inside the outermost volume nodes, else ConfigurationError.  At
+    values of f at the nodes of vol; a non-finite alpha or sample raises
+    ParameterError.  The curve must lie at least two node spacings inside
+    the outermost volume nodes, else ConfigurationError.  At
     alpha != 0, a volume node on the curve raises SingularityError in
     bie.eval_Psi.
     When I - alpha lambda S is nearly singular, the PoleProximityError names
     the branch n whose alpha lambda mu_n lies nearest 1, taken from the same
     assembly.
     """
-    g = make_grid(curve, N)
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be finite, got {alpha}")
     f = np.asarray(f_samples, dtype=complex).ravel()
+    if not np.isfinite(f).all():
+        raise ParameterError("f_samples must be finite")
+    g = make_grid(curve, N)
     free = _free_resolvent_on_grid(sp, vol, f)
     if alpha == 0:
         return KreinResult(vol, free, np.zeros(g.N, complex), g, sp, alpha)

@@ -282,6 +282,81 @@ def test_bad_number_or_curve_is_a_usage_error(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
+_WRITERS = [
+    ["dispersion", "--lambda-min", "-2", "--lambda-max", "-1", "--N", "32"],
+    ["spectrum", "--alpha", "-1", "--count", "1", "--N", "32"],
+    ["eigenfunction", "--alpha", "-1", "--N", "32", "--box-n", "4"],
+    ["delta-compare", "--alpha", "-1", "--count", "1", "--N", "32"],
+    ["nonrel-limit", "--c-list", "8,16", "--N", "32"],
+]
+
+
+@pytest.mark.parametrize("argv", _WRITERS, ids=lambda a: a[0])
+@pytest.mark.parametrize("flag", ["--out", "--manifest"])
+@pytest.mark.parametrize("bad", ["missing/x", "."], ids=["missing-dir", "dir"])
+def test_unwritable_output_path_is_a_usage_error_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, flag, bad):
+    # a path in a missing directory, or a directory itself, is rejected
+    # before the curve is assembled, and no file is written
+    from obliqueshell import bie, spectral
+    calls = []
+    monkeypatch.setattr(spectral, "_mu_n", lambda *a: calls.append(a))
+    monkeypatch.setattr(bie, "assemble_S", lambda *a: calls.append(a))
+    paths = {"--out": str(tmp_path / "out"), "--manifest": str(tmp_path / "m.json")}
+    paths[flag] = str(tmp_path / bad)
+    assert run(argv + [arg for item in paths.items() for arg in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err and "Traceback" not in err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["spectrum", "--alpha", "-1", "--count", "1", "--N", "32"], [""]),
+    (["eigenfunction", "--alpha", "-1", "--N", "32", "--box-n", "4"], [""]),
+    (["nonrel-limit", "--c-list", "8,16", "--N", "32"], ["", ".slopes.json"]),
+], ids=["spectrum", "eigenfunction", "nonrel-limit"])
+def test_manifest_hashes_the_bytes_on_disk(tmp_path, argv, outputs):
+    import hashlib
+    out, man = tmp_path / "out", tmp_path / "m.json"
+    assert run(argv + ["--out", str(out), "--manifest", str(man)]) == 0
+    m = json.loads(man.read_text())
+    paths = [str(out) + suffix for suffix in outputs]
+    assert m["outputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                            for p in paths}
+    assert m["command"] == argv[0] and m["parameters"]["out"] == str(out)
+    # eigenfunction records the eigenvalue it sampled
+    assert ("lambda_n" in m["parameters"]) == (argv[0] == "eigenfunction")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--lam", "-2", "--N", "64"],
+    ["spectrum", "--alpha", "-1", "--count", "1", "--N", "64", "--out", "{tmp}/x.json"],
+], ids=["oracle-check", "spectrum"])
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_threads_is_a_usage_error_before_numpy_loads(tmp_path, argv, threads):
+    # THREADS is checked once, in the CLI, before numpy is imported; the pool
+    # used to check it only when a Bessel array spanned two chunks
+    src = str(Path(obliqueshell.__file__).resolve().parents[1])
+    env = {**os.environ, "THREADS": threads, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, obliqueshell.cli as cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, 'numpy' in sys.modules)")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["2", "False"]
+    assert proc.stderr.startswith("usage error: THREADS")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_check_mismatch_is_a_numerical_failure(capsys):
+    # at N=16 the tenth eigenvalue is off by 2.1e-5, above the 1e-8 bound
+    assert run(["oracle-check", "--lam", "-2", "--N", "16"]) == 1
+    captured = capsys.readouterr()
+    assert 2e-5 < float(captured.out.split(":")[1]) < 2.2e-5
+    assert captured.err == "numerical failure: oracle check FAILED\n"
+
+
 def test_oracle_check(capsys):
     rc = run(["oracle-check", "--lam", "-2", "--N", "64"])
     assert rc == 0

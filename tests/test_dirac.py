@@ -140,6 +140,13 @@ def test_correction_zero_coupling(circle):
     assert dirac.dirac_correction(circle, 0.0, 1j, 16.0, N=48, probe_n=10) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_correction_rejects_non_finite_alpha(circle, alpha):
+    # it used to end in numpy's LinAlgError from the SVD
+    with pytest.raises(ParameterError, match=r"^alpha\b"):
+        dirac.dirac_correction(circle, alpha, 1j, 16.0, N=48, probe_n=10)
+
+
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
 @pytest.mark.parametrize("c", [8.0, 64.0, 256.0])
 def test_difference_norm_matches_dense_norm(circle, kite, mirror_free, lam, c):

@@ -309,6 +309,19 @@ def test_eigenfunction_rejects_inconsistent_lambda(circle):
         spectral.eigenfunction(circle, -1.0, 2.0, 1, np.array([[0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("alpha, tol, name", [
+    (np.nan, 1e-6, "alpha"), (np.inf, 1e-6, "alpha"), (0.0, 1e-6, "alpha"),
+    (-1.0, np.nan, "tol"), (-1.0, 0.0, "tol"),
+])
+def test_eigenfunction_checks_alpha_and_tol_before_assembly(kite, monkeypatch,
+                                                            alpha, tol, name):
+    # a NaN alpha or tol used to return a field: NaN comparisons are false,
+    # so the consistency gate never fired
+    monkeypatch.setattr(bie, "assemble_S", lambda *a: pytest.fail("assembled"))
+    with pytest.raises(ParameterError, match=rf"^{name}\b"):
+        spectral.eigenfunction(kite, alpha, -3.2, 1, [[0.1, 0.2]], N=64, tol=tol)
+
+
 def test_oblique_residual_at_eigenvalue(circle):
     lam1, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=256)
     g = geometry.grid(circle, 256)
@@ -328,6 +341,22 @@ def test_krein_zero_coupling_is_free_resolvent(circle):
     res = spectral.krein_apply(circle, 0.0, sp, f, vol, N=64)
     assert np.array_equal(res.values, spectral._free_resolvent_on_grid(sp, vol, f))
     assert np.all(res.density == 0)
+
+
+@pytest.mark.parametrize("alpha, nan_at, name", [
+    (np.nan, None, "alpha"), (-np.inf, None, "alpha"), (-1.0, 7, "f_samples"),
+])
+def test_krein_rejects_non_finite_alpha_and_samples(circle, monkeypatch,
+                                                    alpha, nan_at, name):
+    # a non-finite alpha used to end in numpy's LinAlgError from the SVD, and
+    # one NaN sample silently turned every value into NaN
+    monkeypatch.setattr(bie, "assemble_S", lambda *a: pytest.fail("assembled"))
+    vol = bie.make_volume_grid(2.0, 16)
+    f = np.exp(-(vol.points ** 2).sum(-1))
+    if nan_at is not None:
+        f[nan_at] = np.nan
+    with pytest.raises(ParameterError, match=rf"^{name}\b"):
+        spectral.krein_apply(circle, alpha, SpectralParameter.make(-2.0), f, vol, N=64)
 
 
 def test_krein_free_resolvent_pde(circle):
