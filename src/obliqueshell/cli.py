@@ -2,11 +2,13 @@
 
 Each ``cmd_*`` reads its own flags, calls the library and returns the text
 of every file it writes, by path; it opens no file.  ``main`` is the one
-writer.  Before anything is computed it checks THREADS and the ``--out``
-and ``--manifest`` paths: each must name a file, not a directory, in an
-existing, writable directory.  It then loads the curve and runs the
-command, and only once the command has succeeded does it write the
-command's files and last the manifest, which hashes the texts just written.
+writer.  Before anything is computed it checks THREADS and every path the
+command writes: ``--out``, the files written beside it, and ``--manifest``.
+Each must name a file, not a directory, in an existing, writable
+directory, and the manifest must not be one of the output files.  It then
+loads the curve and runs the command, and only once the command has
+succeeded does it write the command's files and last the manifest, which
+hashes the texts just written.
 A usage error or a numerical failure leaves no output file behind.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  The THREADS
@@ -42,15 +44,33 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, threads)
 
 
+#: suffixes of the files a command writes beside --out, by command
+_BESIDE_OUT = {"nonrel-limit": (".slopes.json",)}
+
+
+def _output_paths(args) -> list[tuple[str, str]]:
+    """(flag, path) of every file the command writes, the manifest last."""
+    paths = []
+    if getattr(args, "out", None) is not None:
+        paths += [("out", args.out + suffix)
+                  for suffix in ("",) + _BESIDE_OUT.get(args.command, ())]
+    if getattr(args, "manifest", None) is not None:
+        paths.append(("manifest", args.manifest))
+    return paths
+
+
 def _check_output_paths(args) -> None:
-    for flag in ("out", "manifest"):
-        path = getattr(args, flag, None)
-        if path is None:
-            continue
+    paths = _output_paths(args)
+    if len({os.path.realpath(path) for _, path in paths}) < len(paths):
+        raise ParameterError(f"--manifest {args.manifest!r} names a file the command "
+                             "writes as its output")
+    for flag, path in paths:
         folder = os.path.dirname(path) or "."
         if (os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK))
                 or os.path.exists(path) and not os.access(path, os.W_OK)):
-            raise ParameterError(f"--{flag} {path!r} must be a file in an existing, "
+            named = f"--{flag} {path!r}" if path == getattr(args, flag) \
+                else f"--{flag} writes {path!r}, which"
+            raise ParameterError(f"{named} must be a file in an existing, "
                                  "writable directory")
 
 
@@ -116,8 +136,8 @@ def cmd_spectrum(args, curve) -> dict[str, str]:
 
 def cmd_eigenfunction(args, curve) -> dict[str, str]:
     from . import bie, spectral
-    lam_n, _ = spectral.find_eigenvalue(curve, args.alpha, args.branch,
-                                        tol=args.tol, N=args.N)
+    lam_n, _, _ = spectral.find_eigenvalue(curve, args.alpha, args.branch,
+                                           tol=args.tol, N=args.N)
     vol = bie.make_volume_grid(3.0 * curve.diameter, args.box_n)
     field = spectral.eigenfunction(curve, args.alpha, lam_n, args.branch, vol,
                                    N=args.N, tol=args.tol)
@@ -163,8 +183,8 @@ def cmd_nonrel_limit(args, curve) -> dict[str, str]:
     except ValueError as exc:
         raise ParameterError(f"bad --c-list {args.c_list!r}") from exc
     res = dirac.nonrel_limit_study(curve, lam, c_values, N=args.N)
-    return {args.out: _lines(res.csv_rows()),
-            args.out + ".slopes.json": res.to_json() + "\n"}
+    slopes, = _BESIDE_OUT["nonrel-limit"]
+    return {args.out: _lines(res.csv_rows()), args.out + slopes: res.to_json() + "\n"}
 
 
 def cmd_oracle_check(args, curve) -> dict[str, str]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -130,25 +130,46 @@ def circle_oracle_mu(n: int, R: float, lam: float) -> float:
 # root finding on a monotone branch
 
 
-def _bracket_and_solve(f, seed: float, tol: float, increasing: bool, known=()):
+def _bracket_and_solve(f, seed: float, tol: float, increasing: bool, known=(),
+                       start: float | None = None):
     """Root of the monotone function f on (-inf, 0); f is in lambda < 0.
 
-    ``known`` lists abscissae where f costs nothing (memoized assemblies):
-    the nearest of them on each side of the sign change bound the bracket.
-    A side with no such abscissa is found by geometric expansion from the
-    other end, or from the negative starting abscissa -|seed| when nothing
-    is known.  Brent's method then solves on the bracket.
+    From a ``start`` near the root (a coarse grid's root of the same
+    branch), f is evaluated there and then tol |start| / 2 toward the sign
+    change; the step widens 4-fold each time the sign does not change.
+    Otherwise ``known`` lists abscissae where f costs nothing (memoized
+    assemblies): the nearest of them on each side of the sign change bound
+    the bracket.  A side with no such abscissa is found by geometric
+    expansion from the other end, or from the negative starting abscissa
+    -|seed| when nothing is known.  Brent's method then solves on the
+    bracket; on one already narrower than tol |lambda| it evaluates f at
+    no new abscissa and returns the end with the smaller |f|.
     """
     sign_at_left = -1.0 if increasing else 1.0  # sign of f near -infinity
     lo = hi = None
-    for lam in sorted(known) or [-abs(seed)]:
-        v = f(lam)
-        if v == 0:
-            return lam
-        if np.sign(v) == sign_at_left:
-            lo, f_lo, hi = lam, v, None
-        elif hi is None:
-            hi, f_hi = lam, v
+    if start is not None:
+        a, f_a = start, f(start)
+        b, f_b, step = a, f_a, tol * abs(a) / 2
+        rightward = np.sign(f_a) == sign_at_left
+        while f_a != 0 and np.sign(f_b) == np.sign(f_a):
+            a, f_a = b, f_b
+            # min(., a / 8) keeps a rightward step below 0
+            b = min(a + step, a / 8) if rightward else a - step
+            if b > -1e-14:
+                return None  # no crossing before lambda -> 0-
+            if b < BRACKET_FLOOR:
+                raise DivergenceError(f"bracket expansion passed lambda = {BRACKET_FLOOR:g}")
+            f_b, step = f(b), 4 * step
+        (lo, f_lo), (hi, f_hi) = sorted([(a, f_a), (b, f_b)])
+    else:
+        for lam in sorted(known) or [-abs(seed)]:
+            v = f(lam)
+            if v == 0:
+                return lam
+            if np.sign(v) == sign_at_left:
+                lo, f_lo, hi = lam, v, None
+            elif hi is None:
+                hi, f_hi = lam, v
     if hi is None:
         # lo is on the -infinity side; march toward 0
         hi, f_hi = lo, f_lo
@@ -175,14 +196,60 @@ def _bracket_and_solve(f, seed: float, tol: float, increasing: bool, known=()):
     return brentq(f, lo, hi, rtol=max(tol, 4 * np.finfo(float).eps), xtol=1e-300)
 
 
+#: fewest nodes of the coarse pass that seeds each root: from 128 nodes on,
+#: both passes assemble every lambda on the same path (bie._split_limit), so
+#: the two roots differ by discretization error alone.  On a 2-core box an
+#: MK assembly of the kite took 1.4 ms there, 5.2 ms at N = 256 and 14 ms at
+#: N = 512
+COARSE_N = 128
+
+
+def _coarse_nodes(k: int, N: int) -> int | None:
+    """Nodes of the pass that seeds branches 1..k at N: max(COARSE_N, 8 k),
+    the fewest at which ``count <= N/8`` admits k branches, if at most N/2;
+    else None, and no coarse pass runs."""
+    Nc = max(COARSE_N, 8 * k)
+    return Nc if 2 * Nc <= N else None
+
+
+def _solve_branch(memo: _Memo, alpha: float, n: int, tol: float, seed: float,
+                  start: float | None = None) -> tuple[float, float]:
+    """Root of lambda mu_n(S(lambda)) = 1/alpha on the memo's grid, and the
+    zero of the secant through the nearest evaluated abscissae on either side
+    of it, which costs no assembly."""
+
+    def f(lam: float) -> float:
+        return lam * memo.mu(lam, n) - 1.0 / alpha
+
+    root = _bracket_and_solve(f, seed, tol, increasing=True, known=list(memo.mus),
+                              start=start)
+    if root is None:
+        raise DivergenceError("dispersion root escaped toward lambda = 0")
+    values = {lam: f(lam) for lam in memo.mus}
+    lo = max(lam for lam, v in values.items() if v <= 0)
+    if values[lo] == 0:
+        return float(root), lo
+    hi = min(lam for lam, v in values.items() if v > 0)
+    return float(root), lo - values[lo] * (hi - lo) / (values[hi] - values[lo])
+
+
 def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
-                    N: int = 256) -> tuple[float, float]:
+                    N: int = 256) -> tuple[float, float, float | None]:
     """Unique root of lambda mu_n(S(lambda)) = 1/alpha for alpha < 0.
 
-    Returns (lambda_n, birman_schwinger_residual).  The residual is
-    |alpha lambda_n mu_n(S(lambda_n)) - 1| from the assembly that found the
-    root: it measures how well the root finder solved the discrete equation,
-    not how close lambda_n is to the true eigenvalue.
+    Returns (lambda_n, birman_schwinger_residual, error_estimate).  The
+    residual is |alpha lambda_n mu_n(S(lambda_n)) - 1| from the assembly
+    that found the root: it measures how well the root finder solved the
+    discrete equation, not how close lambda_n is to the true eigenvalue.
+
+    The branch is first solved on N_c = ``_coarse_nodes(k, N)`` nodes, k the
+    largest branch of the enclosing call (n for a lone call), with a memo
+    of its own in the same call scope.  The root at N starts from the
+    coarse root lambda_hat(N_c): usually two assemblies at N.  lambda_hat is
+    the zero of the secant through the final bracket on a grid, and
+    error_estimate = |lambda_hat(N) - lambda_hat(N_c)| is a
+    discretization-error estimate that the residual cannot give, at no
+    assembly.  It is None when no coarse pass runs (2 N_c > N).
     """
     if not -math.inf < alpha < 0:
         raise ParameterError(f"find_eigenvalue needs finite alpha < 0, got {alpha}")
@@ -194,16 +261,16 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
         raise ParameterError(f"alpha={alpha} is too close to 0: the root bracket seed "
                              "1/(2 alpha^2) overflows")
     with _branch(curve, n, N) as memo:
-
-        def f(lam: float) -> float:
-            return lam * memo.mu(lam, n) - 1.0 / alpha
-
-        root = _bracket_and_solve(f, seed, tol, increasing=True, known=list(memo.mus))
-        if root is None:
-            raise DivergenceError("dispersion root escaped toward lambda = 0")
+        coarse = None
+        Nc = _coarse_nodes(memo.k, N)
+        if Nc is not None:
+            with _branch(curve, memo.k, Nc) as coarse_memo:
+                _, coarse = _solve_branch(coarse_memo, alpha, n, tol, seed)
+        root, lam_hat = _solve_branch(memo, alpha, n, tol, seed, start=coarse)
+        estimate = None if coarse is None else abs(lam_hat - coarse)
         # brentq returns an abscissa it evaluated, so this reads the memo
         residual = abs(alpha * root * memo.mu(root, n) - 1.0)
-    return float(root), float(residual)
+    return root, float(residual), estimate
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +283,9 @@ class EigenvalueEntry:
     lam: float
     residual: float
     multiplicity: int = 1
+    #: |lambda_hat(N) - lambda_hat(N_c)| (find_eigenvalue); None without a
+    #: coarse pass
+    error_estimate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -241,7 +311,7 @@ class SpectrumResult:
             "empty_branches": list(self.empty_branches),
             "eigenvalues": [
                 {"n": e.n, "lambda": e.lam, "residual": e.residual,
-                 "multiplicity": e.multiplicity}
+                 "multiplicity": e.multiplicity, "error_estimate": e.error_estimate}
                 for e in self.eigenvalues
             ],
         }
@@ -262,7 +332,7 @@ def _annotate_multiplicities(entries: list[EigenvalueEntry]) -> list[EigenvalueE
                 abs(entries[j].lam - entries[i].lam) <= 1e-6 * abs(entries[i].lam):
             j += 1
         for e in entries[i:j]:
-            out.append(EigenvalueEntry(e.n, e.lam, e.residual, j - i))
+            out.append(replace(e, multiplicity=j - i))
         i = j
     return out
 
@@ -310,8 +380,8 @@ def enumerate_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
     entries = []
     with _branch(curve, count, N):
         for n in range(1, count + 1):
-            lam_n, res = find_eigenvalue(curve, alpha, n, tol=tol, N=N)
-            entries.append(EigenvalueEntry(n, lam_n, res))
+            lam_n, res, estimate = find_eigenvalue(curve, alpha, n, tol=tol, N=N)
+            entries.append(EigenvalueEntry(n, lam_n, res, error_estimate=estimate))
     entries = _annotate_multiplicities(entries)
     return SpectrumResult(alpha, curve.name, N, tol, tuple(entries))
 

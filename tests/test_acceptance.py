@@ -90,7 +90,7 @@ def test_criterion_04_strong_coupling_asymptotics(circle, ellipse):
             offsets = []
             ratios = []
             for a in alphas:
-                lam1, _ = spectral.find_eigenvalue(curve, a, 1, tol=1e-10, N=256)
+                lam1, _, _ = spectral.find_eigenvalue(curve, a, 1, tol=1e-10, N=256)
                 offsets.append(lam1 + 4.0 / a ** 2)
                 ratios.append(lam1 / (-4.0 / a ** 2))
             # the O(1) remainder stays bounded ...
@@ -185,7 +185,7 @@ def test_criterion_09_delta_comparison(circle):
         assert len(res.eigenvalues) == 1
         E1 = res.eigenvalues[0].lam
         assert 0.9 <= E1 / (-(-50.0) ** 2 / 4) <= 1.1, E1
-        lam1, _ = spectral.find_eigenvalue(circle, -0.05, 1, tol=1e-10, N=256)
+        lam1, _, _ = spectral.find_eigenvalue(circle, -0.05, 1, tol=1e-10, N=256)
         assert 0.9 <= lam1 * (-0.05) ** 2 / -4.0 <= 1.1, lam1
 
 

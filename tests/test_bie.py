@@ -163,6 +163,25 @@ def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):
         assert np.allclose(ev_mk, ev_loc, rtol=1e-8), curve.name
 
 
+@pytest.mark.parametrize("N", [128, 256, 512])
+def test_mk_path_is_accurate_up_to_the_switch(circle, N):
+    # the switch to the graded-panel path sits where the splitting path's
+    # top N/8 eigenvalues, the branches count <= N/8 lets a root finder
+    # reach, stop matching the circle's closed form: kappa d = 10 from
+    # N = 128 on, log2 N below
+    assert bie._split_limit(N) == bie.SPLIT_LIMIT == 10.0
+    assert bie._split_limit(64) == 6.0
+    k = N // 8
+    orders = np.repeat(np.arange(k), 2)[1:k + 1]  # order 0 once, then pairs
+    for kd in (7.0, 8.0, 9.0, 10.0):
+        lam = -(kd / circle.diameter) ** 2
+        g = geometry.grid(circle, N)
+        assert kd <= bie._split_limit(N)  # assemble_S takes the MK path
+        ev = bie.assemble_S(g, SpectralParameter.make(lam)).eigenvalues_desc(k).real
+        oracle = np.array([spectral.circle_oracle_mu(int(m), 1.0, lam) for m in orders])
+        assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11, kd
+
+
 def test_spectral_convergence_on_circle(circle):
     sp = SpectralParameter.make(-1.0)
     iv, kv = bessel_ik_int(0, 1.0)

@@ -298,16 +298,53 @@ def test_unwritable_output_path_is_a_usage_error_before_any_work(
         tmp_path, capsys, monkeypatch, argv, flag, bad):
     # a path in a missing directory, or a directory itself, is rejected
     # before the curve is assembled, and no file is written
-    from obliqueshell import bie, spectral
-    calls = []
-    monkeypatch.setattr(spectral, "_mu_n", lambda *a: calls.append(a))
-    monkeypatch.setattr(bie, "assemble_S", lambda *a: calls.append(a))
+    calls = _no_assembly(monkeypatch)
     paths = {"--out": str(tmp_path / "out"), "--manifest": str(tmp_path / "m.json")}
     paths[flag] = str(tmp_path / bad)
     assert run(argv + [arg for item in paths.items() for arg in item]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and flag in err and "Traceback" not in err
     assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def _no_assembly(monkeypatch):
+    from obliqueshell import bie, spectral
+    calls = []
+    monkeypatch.setattr(spectral, "_mu_n", lambda *a: calls.append(a))
+    monkeypatch.setattr(bie, "assemble_S", lambda *a: calls.append(a))
+    return calls
+
+
+def test_unwritable_file_beside_out_is_a_usage_error_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # nonrel-limit writes <out>.slopes.json too: a directory in its place used
+    # to end in an IsADirectoryError traceback after the study, with <out>
+    # already written
+    calls = _no_assembly(monkeypatch)
+    out = tmp_path / "g.csv"
+    (tmp_path / "g.csv.slopes.json").mkdir()
+    assert run(["nonrel-limit", "--c-list", "8,16", "--N", "32", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --out writes") and "g.csv.slopes.json" in err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["spectrum", "--alpha", "-1", "--count", "1", "--N", "32"], "x.json"),
+    (["spectrum", "--alpha", "-1", "--count", "1", "--N", "32"], "sub/../x.json"),
+    (["nonrel-limit", "--c-list", "8,16", "--N", "32"], "x.json.slopes.json"),
+], ids=["same", "alias", "beside-out"])
+def test_manifest_on_an_output_file_is_a_usage_error_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, output):
+    # the manifest used to overwrite the output it hashes, naming bytes no
+    # longer on disk
+    calls = _no_assembly(monkeypatch)
+    (tmp_path / "sub").mkdir()
+    assert run(argv + ["--out", str(tmp_path / "x.json"),
+                       "--manifest", str(tmp_path / output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --manifest") and "Traceback" not in err
+    assert calls == [] and sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 @pytest.mark.parametrize("argv, outputs", [

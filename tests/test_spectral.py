@@ -63,11 +63,11 @@ def test_circle_oracle_mu_validation():
 
 def test_find_eigenvalue_against_fixture(circle, circle_roots):
     roots = circle_roots["oblique_roots_per_fourier_order"]["-1.0"]
-    lam1, res1 = spectral.find_eigenvalue(circle, -1.0, 1, N=128)
+    lam1, res1, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=128)
     assert lam1 == pytest.approx(roots[0], rel=1e-8)
     assert res1 <= 1e-8
     # branch 2 is the first degenerate angular mode
-    lam2, _ = spectral.find_eigenvalue(circle, -1.0, 2, N=128)
+    lam2, _, _ = spectral.find_eigenvalue(circle, -1.0, 2, N=128)
     assert lam2 == pytest.approx(roots[1], rel=1e-8)
 
 
@@ -82,40 +82,47 @@ def test_find_eigenvalue_validation(circle):
 
 def test_kite_roots_across_assembly_path_switch(kite):
     # alpha = -1: the root brackets straddle the switch between the MK and
-    # graded-panel paths, Re kappa * diam = log2 N (lambda = -5.44 at N=128,
-    # -9 at N=512).  References are MK-path roots at N=256, where the switch
-    # sits at lambda = -7.11.
-    for n, ref in ((4, -5.400750564951118), (5, -5.705577405102795)):
-        lam, res = spectral.find_eigenvalue(kite, -1.0, n, N=128)
+    # graded-panel paths, Re kappa * diam = 10 for N >= 128 (lambda = -11.1
+    # on the kite): branch 13's root lies on the MK side (kappa d = 9.83),
+    # branch 14's on the panel side (10.25).  References are MK-path roots
+    # at N=512 with the switch moved to kappa d = 11, where the MK path still
+    # matches the circle's closed form to 7e-12.
+    refs = {13: -10.741630167127695, 14: -11.664223832082476}
+    for n, ref in refs.items():
+        lam, res, _ = spectral.find_eigenvalue(kite, -1.0, n, N=128)
         assert lam == pytest.approx(ref, rel=1e-8), n
         assert res <= 1e-8
-    # lambda_10 lies just beyond the switch at N=512; a mismatched panel
-    # assembly makes mu_10 jump there and the root collapse onto the switch
-    lam, res = spectral.find_eigenvalue(kite, -1.0, 10, N=512)
+    # lambda_14 at N=512, seeded from its 128-node root on the same path; a
+    # mismatched panel assembly makes mu_14 jump at the switch and the root
+    # collapse onto it
+    lam, res, _ = spectral.find_eigenvalue(kite, -1.0, 14, N=512)
     assert res <= 1e-8
-    assert lam == pytest.approx(-9.077195050909038, rel=1e-9)
+    assert lam == pytest.approx(refs[14], rel=1e-9)
 
 
 def test_graded_panel_ground_state_refines_on_non_circles(kite, ellipse):
     # alpha = -0.2 puts the ground state at kappa * diam = 29.6 on the kite
     # and 40.0 on the ellipse, far past log2 N: every assembly near the root
-    # takes the graded-panel path, where the circle hides pairing errors
+    # takes the graded-panel path, where the circle hides pairing errors.
+    # Both roots are solved to 1e-12, the agreement asked of them; the N=256
+    # call seeds from its own 128-node pass, whose estimate reads the same gap
     roots = {}
     for curve in (kite, ellipse):
-        lam128, _ = spectral.find_eigenvalue(curve, -0.2, 1, N=128)
-        lam256, res = spectral.find_eigenvalue(curve, -0.2, 1, N=256)
+        lam128, _, _ = spectral.find_eigenvalue(curve, -0.2, 1, tol=1e-12, N=128)
+        lam256, res, estimate = spectral.find_eigenvalue(curve, -0.2, 1, tol=1e-12, N=256)
         assert lam256 == pytest.approx(lam128, rel=1e-12), curve.name
+        assert estimate <= 1e-12 * abs(lam256), curve.name
         assert res <= 1e-8
         roots[curve.name] = lam256
     assert roots["kite"] == pytest.approx(-97.542068938, rel=1e-10)
 
 
-def _record_assemblies(monkeypatch) -> list[complex]:
-    """Every kappa assembled from now on, by either quadrature path."""
+def _record_assemblies(monkeypatch) -> list[tuple[int, complex]]:
+    """Every (N, kappa) assembled from now on, by either quadrature path."""
     kappas = []
     for name in ("_single_layer_weights_mk", "_single_layer_weights_local"):
         def record(grid, kappa, assemble=getattr(bie, name)):
-            kappas.append(complex(kappa))
+            kappas.append((grid.N, complex(kappa)))
             return assemble(grid, kappa)
         monkeypatch.setattr(bie, name, record)
     return kappas
@@ -150,6 +157,66 @@ def test_branches_bracket_from_the_shared_memo(monkeypatch, kite):
     for n in range(1, 7):
         spectral.find_eigenvalue(kite, -1.0, n, N=64)
     assert shared < 0.8 * len(kappas)
+
+
+def _cold(monkeypatch):
+    """Run every root finder without the coarse pass, from cold brackets."""
+    monkeypatch.setattr(spectral, "_coarse_nodes", lambda k, N: None)
+
+
+def test_seeded_roots_match_the_cold_path(monkeypatch, circle, ellipse, kite):
+    # N=256 seeds every root from a 128-node pass; the roots agree with
+    # cold Brent brackets at N to the tolerance, with no (N, kappa) pair
+    # assembled twice and at most two assemblies per eigenvalue at N
+    kappas = _record_assemblies(monkeypatch)
+    seeded = {}
+    for curve in (circle, ellipse, kite):
+        kappas.clear()
+        res = spectral.enumerate_spectrum(curve, -1.0, 9, N=256, tol=1e-9)
+        assert len(set(kappas)) == len(kappas), curve.name
+        fine = [k for k in kappas if k[0] == 256]
+        assert len(fine) <= 2 * 9 and {N for N, _ in kappas} == {128, 256}, curve.name
+        assert all(e.error_estimate is not None for e in res.eigenvalues)
+        seeded[curve.name] = res.lambdas()
+    _cold(monkeypatch)
+    for curve in (circle, ellipse, kite):
+        kappas.clear()
+        cold = spectral.enumerate_spectrum(curve, -1.0, 9, N=256, tol=1e-9)
+        assert {N for N, _ in kappas} == {256}
+        assert all(e.error_estimate is None for e in cold.eigenvalues)
+        np.testing.assert_allclose(seeded[curve.name], cold.lambdas(), rtol=1e-9,
+                                   err_msg=curve.name)
+
+
+def test_seeded_root_widens_from_a_poor_coarse_root(monkeypatch, kite):
+    # a coarse root 1e-6 off, 2000 tolerances, is not bracketed by the first
+    # step at N: the step widens 4-fold until the sign changes and Brent's
+    # method finishes the bracket, still within the tolerance
+    solve = spectral._solve_branch
+
+    def perturbed(memo, *args, **kwargs):
+        root, lam_hat = solve(memo, *args, **kwargs)
+        return root, lam_hat * (1 + 1e-6) if memo.N == 128 else lam_hat
+
+    kappas = _record_assemblies(monkeypatch)
+    monkeypatch.setattr(spectral, "_solve_branch", perturbed)
+    lam, res, estimate = spectral.find_eigenvalue(kite, -1.0, 3, N=256)
+    assert len([k for k in kappas if k[0] == 256]) > 2
+    assert estimate == pytest.approx(1e-6 * abs(lam), rel=1e-3)
+    _cold(monkeypatch)
+    cold, _, _ = spectral.find_eigenvalue(kite, -1.0, 3, N=256)
+    assert lam == pytest.approx(cold, rel=1e-9)
+    assert res <= 1e-8
+
+
+def test_seeded_circle_spectrum_matches_the_frozen_roots(circle, circle_roots):
+    # criterion 2's frozen roots, through the seeded path
+    res = spectral.enumerate_spectrum(circle, -1.0, 10, N=256, tol=1e-10)
+    roots = circle_roots["oblique_roots_per_fourier_order"]["-1.0"]
+    expect = [roots[0]] + sum(([r, r] for r in roots[1:5]), []) + [roots[5]]
+    np.testing.assert_allclose(res.lambdas(), expect, rtol=1e-10)
+    assert all(e.residual <= 1e-8 and e.error_estimate <= 1e-10 * abs(e.lam)
+               for e in res.eigenvalues)
 
 
 def test_no_memo_outlives_a_call(monkeypatch, kite):
@@ -200,7 +267,7 @@ def test_results_keep_their_grid_without_mk_blocks(circle):
     vol = bie.make_volume_grid(2.0, 16)
     f = np.exp(-(vol.points ** 2).sum(-1))
     res = spectral.krein_apply(circle, -1.0, SpectralParameter.make(-2.0), f, vol, N=64)
-    lam1, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=64)
+    lam1, _, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=64)
     ef = spectral.eigenfunction(circle, -1.0, lam1, 1, np.array([[0.0, 0.0]]), N=64)
     for g in (res.grid, ef.grid):
         assert set(vars(g)) == {field.name for field in dataclasses.fields(g)}
@@ -212,7 +279,7 @@ def test_shared_memo_results_match_lone_branches(kite):
     # (own memo, own eigensolve subset) to the requested tolerance
     res = spectral.enumerate_spectrum(kite, -1.0, 6, N=64, tol=1e-11)
     for e in res.eigenvalues:
-        lam, _ = spectral.find_eigenvalue(kite, -1.0, e.n, tol=1e-11, N=64)
+        lam, _, _ = spectral.find_eigenvalue(kite, -1.0, e.n, tol=1e-11, N=64)
         assert e.lam == pytest.approx(lam, rel=1e-10), e.n
         assert e.residual <= 1e-9
 
@@ -284,11 +351,12 @@ def test_spectrum_result_json(circle):
     assert d["kind"] == "oblique"
     assert len(d["eigenvalues"]) == 2
     e = d["eigenvalues"][0]
-    assert set(e) == {"n", "lambda", "residual", "multiplicity"}
+    assert set(e) == {"n", "lambda", "residual", "multiplicity", "error_estimate"}
+    assert e["error_estimate"] is None  # N=64 runs no coarse pass
 
 
 def test_eigenfunction_field_and_symmetry(circle):
-    lam1, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=128)
+    lam1, _, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=128)
     theta = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     ring = 0.5 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     ef = spectral.eigenfunction(circle, -1.0, lam1, 1, ring, N=128)
@@ -323,7 +391,7 @@ def test_eigenfunction_checks_alpha_and_tol_before_assembly(kite, monkeypatch,
 
 
 def test_oblique_residual_at_eigenvalue(circle):
-    lam1, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=256)
+    lam1, _, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=256)
     g = geometry.grid(circle, 256)
     sp = SpectralParameter.make(lam1)
     op = bie.assemble_S(g, sp)
