@@ -18,7 +18,7 @@ Two assembly paths for the weakly singular single-layer kernel
 
 Blocks that a public call reuses, such as the kappa-independent splitting
 blocks of a grid, live in one call scope (``_call``, ``_kept``) and go when
-the outermost public call returns.
+the outermost public call returns; BLAS runs serially for its span.
 """
 
 from __future__ import annotations
@@ -70,10 +70,13 @@ def _call():
     """Scope of one public call.  Blocks that ``_kept`` builds inside it are
     shared with every call made inside it and dropped when the outermost
     scope ends, also when it ends by an exception, so no block outlives the
-    public call that opened it."""
-    token = _SCOPE.set(_SCOPE.get({}))
+    public call that opened it.  The outermost scope also runs BLAS serially
+    (``specfun._serial_blas``)."""
+    scope = _SCOPE.get(None)
+    token = _SCOPE.set({} if scope is None else scope)
     try:
-        yield
+        with specfun._serial_blas() if scope is None else contextlib.nullcontext():
+            yield
     finally:
         _SCOPE.reset(token)
 

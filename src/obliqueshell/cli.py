@@ -15,9 +15,9 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.  The THREADS
 environment variable caps the kernel-sum pool and the BLAS/OpenMP worker
 counts, so it is checked and applied before numpy is imported; a THREADS
 that is not a positive integer is a usage error.  The pool size never
-changes results.  Pool tasks make no BLAS call, so the kernel sums' bits do
-not depend on the BLAS thread count either; that count can change the last
-bits of LAPACK results.
+changes results.  The command runs in one call scope (``bie._call``): the
+blocks its library calls share are built once, and OpenBLAS runs on one
+thread, so no output depends on the BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -287,8 +287,10 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         _check_output_paths(args)
         curve = _load_curve(args.curve)
+        from . import bie
         t0 = time.time()
-        files = args.func(args, curve)
+        with bie._call():
+            files = args.func(args, curve)
     except (ParameterError, ConfigurationError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

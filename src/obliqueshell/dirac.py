@@ -48,6 +48,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from . import bie, specfun
 from .bie import VolumeGrid
@@ -226,14 +227,17 @@ def _gap_phi(c: float, phi: np.ndarray, L: np.ndarray, g: QuadratureGrid,
     root of the largest eigenvalue of the N x N Gram matrix A^H A: that
     eigenvalue carries a rounding error of order eps ||A||^2, which is
     relative precision for sigma_max, at a fraction of an SVD's cost.  A is
-    formed in place: phi is overwritten.
+    formed in place: phi is overwritten.  The Gram matrix is the lower
+    triangle of zherk on A.T, the Fortran-ordered view of A, so no copy of A
+    is made; it is conj(A^H A), whose eigenvalues are those of A^H A.
     """
     A = phi
     A *= c
     A[:len(vol.points)] -= L
     A *= np.sqrt(g.weight * g.jacobians)[None, :]
     A *= np.sqrt(vol.weight)
-    return float(np.sqrt(np.linalg.eigvalsh(A.conj().T @ A)[-1]))
+    gram = zherk(1.0, A.T, lower=1)
+    return float(np.sqrt(np.linalg.eigvalsh(gram, UPLO="L")[-1]))
 
 
 #: Gap (c), c M3 Phi*_zbar - M2^T Psi*_lambdabar (volume to boundary), is the

@@ -18,10 +18,21 @@ made inside a pool task runs inline, so no task ever waits on the pool.  Pool
 tasks make no BLAS call: OpenBLAS's helper threads would compete with the
 workers for the cores, and the kernel sums' bits would depend on the BLAS
 thread count.
+
+BLAS calls on the calling thread (eigensolves, solves, Gram products) run
+serially too: every public call runs inside ``_serial_blas``, which sets the
+OpenBLAS builds mapped into the process (numpy's and scipy's) to one thread
+for the span of the outermost call and restores their previous counts when
+it ends, also by an exception.  A threaded BLAS call would leave its helper
+threads spinning on the cores the pool needs next, and would make LAPACK's
+last bits depend on OPENBLAS_NUM_THREADS; with the scope they do not.  Where
+no OpenBLAS with ``openblas_set_num_threads_local`` is found (another BLAS,
+OpenBLAS before 0.3.27, no /proc/self/maps), the scope does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -90,6 +101,69 @@ def _run_chunks(fn, items: list) -> None:
             fn(item)
         return
     list(_pool().map(functools.partial(_marked, fn), items))
+
+
+# ---------------------------------------------------------------------------
+# serial BLAS on the calling thread
+
+
+@functools.cache
+def _blas_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of each OpenBLAS build mapped into
+    the process, after scipy.linalg has mapped its own; () where there is
+    none.  The call returns the previous count and, in the pthreads builds
+    numpy and scipy ship, sets the count of the whole process."""
+    import ctypes
+
+    import scipy.linalg  # noqa: F401
+
+    try:
+        with open("/proc/self/maps") as fh:
+            rows = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = {row[5].strip() for row in rows if len(row) == 6}
+    setters = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+#: guards ``_blas_depth`` and ``_blas_saved``
+_blas_lock = threading.Lock()
+#: number of ``_serial_blas`` scopes open in the process, on any thread
+_blas_depth = 0
+#: the counts the first open scope replaced, one per setter
+_blas_saved: list[int] = []
+
+
+@contextlib.contextmanager
+def _serial_blas():
+    """One OpenBLAS thread in the process while any scope is open.
+
+    The first scope to open sets every build to 1 thread; the last to close
+    restores the counts from before, also when it closes by an exception and
+    when scopes on several threads overlap.
+    """
+    global _blas_depth, _blas_saved
+    setters = _blas_setters()
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [setter(1) for setter in setters]
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for setter, count in zip(setters, _blas_saved):
+                    setter(count)
 
 
 # ---------------------------------------------------------------------------

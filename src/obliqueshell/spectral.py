@@ -68,6 +68,11 @@ def _mu_n(g: QuadratureGrid, lam: float, k: int) -> np.ndarray:
     return op.eigenvalues_desc(k=k).real
 
 
+def _grid(curve: Curve, N: int) -> QuadratureGrid:
+    """The N-node grid of the curve, built once per call scope."""
+    return bie._kept(("grid", curve, N), lambda: make_grid(curve, N))
+
+
 class _Memo:
     """mu_1..mu_k of S(lambda) on the N-node grid of a curve, keyed by lambda
     alone, so that every branch n <= k reads the same assemblies.  The grid
@@ -80,8 +85,7 @@ class _Memo:
     def mu(self, lam: float, n: int) -> float:
         lam = float(lam)
         if lam not in self.mus:
-            g = bie._kept(("grid", self.curve, self.N), lambda: make_grid(self.curve, self.N))
-            self.mus[lam] = _mu_n(g, lam, self.k)
+            self.mus[lam] = _mu_n(_grid(self.curve, self.N), lam, self.k)
         return float(self.mus[lam][n - 1])
 
 
@@ -400,6 +404,7 @@ class EigenfunctionField:
     grid: QuadratureGrid = field(repr=False)
 
 
+@bie._call()
 def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
                   spatial_grid, N: int = 256, tol: float = 1e-6) -> EigenfunctionField:
     """Field Psi_lambda phi of the eigenfunction on branch n at lambda_n.
@@ -410,13 +415,16 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     That eigenvalue must lie within 10 tol of 1, so tol is the root tolerance
     lambda_n was found with; otherwise lambda_n and n are reported as
     inconsistent.  A zero or non-finite alpha, or a tol that is not finite and
-    positive, raises ParameterError before anything is assembled.
+    positive, raises ParameterError before anything is assembled.  The grid
+    is read from the call scope, so a caller whose scope found lambda_n
+    reuses its grid and splitting blocks; S(lambda_n) is assembled again for
+    its eigenvectors.
     """
     _check_alpha(alpha)
     _check_tol(tol)
     if not lambda_n < 0:
         raise DomainError("lambda_n must be negative")
-    g = make_grid(curve, N)
+    g = _grid(curve, N)
     sp = SpectralParameter.make(lambda_n)
     op = bie.assemble_S(g, sp)
     w_all, V = np.linalg.eigh(op.symmetrized())
@@ -436,6 +444,7 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
     return EigenfunctionField(pts, values, phi, float(lambda_n), n, g)
 
 
+@bie._call()
 def oblique_residual(g: QuadratureGrid, density: np.ndarray,
                      sp: SpectralParameter, alpha: float) -> float:
     """Relative residual of the oblique transmission condition for Psi density.
@@ -485,6 +494,7 @@ def _free_resolvent_on_grid(sp: SpectralParameter, vol: VolumeGrid,
     return bie._lattice_convolve(vol, kernel_at, self_cell / vol.weight, f).ravel()
 
 
+@bie._call()
 def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
                 f_samples: np.ndarray, vol: VolumeGrid, N: int = 256) -> KreinResult:
     """Resolvent of the transmission operator applied to volume samples f.
@@ -567,6 +577,7 @@ def _dzbar_samples(vol: VolumeGrid, f: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(symbol * np.fft.fft2(fg)).ravel()
 
 
+@bie._call()
 def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray) -> float:
     """Relative residual of the oblique transmission condition for g.
 

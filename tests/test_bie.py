@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from obliqueshell import bie, dirac, geometry, specfun, spectral
 from obliqueshell.errors import (
     ConfigurationError,
     DomainError,
+    PoleProximityError,
     SingularityError,
 )
 from obliqueshell.kernels import (
@@ -702,8 +704,8 @@ def _digests(script: str, envs: list[dict]) -> list[str]:
 
 def test_kernel_sums_do_not_depend_on_the_blas_thread_count():
     # pool tasks make no BLAS call, so the volume and trace sums give the
-    # same bits at 1 and 2 BLAS threads with THREADS fixed.  krein_apply's
-    # solve is not covered: LAPACK's bits may change with the thread count.
+    # same bits at 1 and 2 BLAS threads with THREADS fixed, also outside a
+    # public call's serial BLAS scope
     digests = _digests(_KERNEL_SUM_DIGEST, [{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas}
                                             for blas in ("1", "2")])
     assert digests[0] == digests[1]
@@ -726,3 +728,130 @@ def test_krein_apply_is_bit_identical_for_any_thread_count():
     # inherited unchanged by both runs
     digests = _digests(_KREIN_DIGEST, [{"THREADS": threads} for threads in ("1", "2")])
     assert digests[0] == digests[1]
+
+
+needs_blas_setter = pytest.mark.skipif(
+    not specfun._blas_setters(),
+    reason="no OpenBLAS with openblas_set_num_threads_local in this process")
+
+_KREIN_256_DIGEST = """
+import hashlib, numpy as np
+from obliqueshell import bie, geometry, spectral
+from obliqueshell.kernels import SpectralParameter
+vol = bie.make_volume_grid(6.0, 32)
+f = np.exp(-(vol.points ** 2).sum(-1) / 8 + 1j * vol.points[:, 0])
+res = spectral.krein_apply(geometry.make_curve("kite"), -1.0, SpectralParameter.make(-3.0),
+                           f, vol, N=256)
+print(hashlib.sha256(res.values.tobytes() + res.density.tobytes()).hexdigest())
+"""
+
+_SPECTRUM_DIGEST = """
+import hashlib, os, tempfile
+from obliqueshell import cli
+out = os.path.join(tempfile.mkdtemp(), "spectrum.json")
+assert cli.main(["spectrum", "--curve", "kite", "--alpha", "-1", "--count", "2",
+                 "--N", "512", "--out", out]) == 0
+print(hashlib.sha256(open(out, "rb").read()).hexdigest())
+"""
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("script", [_KREIN_256_DIGEST, _SPECTRUM_DIGEST],
+                         ids=["krein_apply_N256", "spectrum_json"])
+def test_lapack_results_do_not_depend_on_the_blas_thread_count(script):
+    # the public call runs BLAS on one thread, so krein_apply's N x N solve
+    # and the spectrum's eigensolves give the same bits at 1 and 2 BLAS
+    # threads (both differed before the serial scope)
+    digests = _digests(script, [{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas}
+                                for blas in ("1", "2")])
+    assert digests[0] == digests[1]
+
+
+def _blas_counts() -> list[int]:
+    """The thread count of each OpenBLAS build the serial scope sets, read
+    by setting it to 1 and back."""
+    counts = []
+    for setter in specfun._blas_setters():
+        count = setter(1)
+        setter(count)
+        counts.append(count)
+    return counts
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS build at 2 threads for the test, restored after it."""
+    setters = specfun._blas_setters()
+    before = [setter(2) for setter in setters]
+    yield [2] * len(setters)
+    for setter, count in zip(setters, before):
+        setter(count)
+
+
+@needs_blas_setter
+def test_public_calls_run_blas_serially_and_restore_the_count(
+        monkeypatch, kite, circle, circle_roots, two_blas_threads):
+    serial = [1] * len(two_blas_threads)
+    inside = []
+    assemble = bie.assemble_S
+    monkeypatch.setattr(bie, "assemble_S",
+                        lambda *a: inside.append(_blas_counts()) or assemble(*a))
+    # a normal return
+    spectral.enumerate_spectrum(kite, -1.0, 2, N=64)
+    assert inside and all(counts == serial for counts in inside)
+    assert _blas_counts() == two_blas_threads
+    # an exception raised inside the call
+    inside.clear()
+    vol = bie.make_volume_grid(2.0, 16)
+    lam1 = circle_roots["oblique_roots_per_fourier_order"]["-1.0"][0]
+    with pytest.raises(PoleProximityError):
+        spectral.krein_apply(circle, -1.0, SpectralParameter.make(lam1),
+                             np.ones(len(vol.points)), vol, N=128)
+    assert inside == [serial]
+    assert _blas_counts() == two_blas_threads
+    # nested scopes: an inner public call's exit leaves the outer call serial
+    after_inner = []
+    correction = dirac.dirac_correction
+
+    def recorded(*args, **kwargs):
+        norm = correction(*args, **kwargs)
+        after_inner.append(_blas_counts())
+        return norm
+
+    monkeypatch.setattr(dirac, "dirac_correction", recorded)
+    dirac.correction_convergence(kite, -1.0, 1j, [16, 64], N=32, probe_n=8)
+    assert after_inner == [serial, serial]
+    assert _blas_counts() == two_blas_threads
+
+
+@needs_blas_setter
+def test_overlapping_calls_on_two_threads_restore_the_count(monkeypatch, kite,
+                                                             two_blas_threads):
+    # the first call to end leaves the second serial; the last restores
+    barrier = threading.Barrier(2, timeout=60)
+    first_done = threading.Event()
+    role = threading.local()
+    seen = {}
+    mu_n = spectral._mu_n
+
+    def waiting(*args):
+        if role.name not in seen:
+            barrier.wait()  # both calls are open
+            if role.name == "second":
+                assert first_done.wait(60)
+            seen[role.name] = _blas_counts()
+        return mu_n(*args)
+
+    def run(name):
+        role.name = name
+        spectral.enumerate_spectrum(kite, -1.0, 2, N=64)
+        if name == "first":
+            first_done.set()
+
+    monkeypatch.setattr(spectral, "_mu_n", waiting)
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        for future in [ex.submit(run, name) for name in ("first", "second")]:
+            future.result()
+    assert seen == {"first": [1] * len(two_blas_threads),
+                    "second": [1] * len(two_blas_threads)}
+    assert _blas_counts() == two_blas_threads

@@ -169,6 +169,20 @@ def test_eigenfunction_consistency_gate_follows_tol(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 1 + 8 * 8
 
 
+def test_eigenfunction_builds_each_grid_once(tmp_path, monkeypatch):
+    # the command runs in one call scope, so the eigenfunction reads the
+    # grid and splitting blocks the root finder built at N; S(lambda_n) is
+    # still assembled again for its eigenvectors
+    from obliqueshell import bie
+    built = []
+    build = bie._build_mk_blocks
+    monkeypatch.setattr(bie, "_build_mk_blocks", lambda g: built.append(g.N) or build(g))
+    rc = run(["eigenfunction", "--curve", "kite", "--alpha", "-1", "--branch", "3",
+              "--N", "256", "--box-n", "4", "--out", str(tmp_path / "ef.csv")])
+    assert rc == 0
+    assert built == [128, 256]
+
+
 def test_delta_compare_report(tmp_path):
     out = tmp_path / "cmp.json"
     rc = run(["delta-compare", "--alpha", "-50", "--count", "1", "--N", "64",
