@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -570,8 +571,13 @@ class VolumeGrid:
 
 
 def make_volume_grid(halfwidth: float, n: int) -> VolumeGrid:
-    if halfwidth <= 0 or n < 2:
-        raise ConfigurationError("volume grid needs halfwidth > 0 and n >= 2")
+    """n x n cell-centred nodes over [-halfwidth, halfwidth]^2.  Raises
+    ConfigurationError naming the value for a halfwidth that is not finite
+    and positive, or an n that is not an integer >= 2."""
+    if not 0 < halfwidth < np.inf:
+        raise ConfigurationError(f"volume grid needs a finite halfwidth > 0, got {halfwidth}")
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ConfigurationError(f"volume grid needs an integer n >= 2, got {n!r}")
     # cell-centered nodes: generic curves are not hit exactly
     h = 2 * halfwidth / n
     xs = -halfwidth + h * (np.arange(n) + 0.5)

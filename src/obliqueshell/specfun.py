@@ -292,7 +292,12 @@ def _k01_multiplication(mu: complex, w: np.ndarray, k0: np.ndarray, k1: np.ndarr
 
 
 def bessel_i_array(order: int, z: np.ndarray) -> np.ndarray:
-    """Vectorized I_0/I_1; caller must keep |Re z| below the overflow radius."""
+    """Vectorized I_0/I_1; caller must keep |Re z| below the overflow radius.
+
+    Raises DomainError for an order other than 0 or 1.
+    """
+    if order not in (0, 1):
+        raise DomainError(f"bessel_i_array evaluates orders 0 and 1, got {order}")
     z = np.asarray(z)
     if np.isrealobj(z):
         return _chunked(z, float, sp.i0 if order == 0 else sp.i1)

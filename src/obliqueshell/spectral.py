@@ -39,6 +39,9 @@ from .specfun import bessel_ik_int
 #: smallest lambda the bracket expansion may visit before giving up
 BRACKET_FLOOR = -1e12
 
+#: smallest relative tolerance brentq accepts
+RTOL_FLOOR = 4 * np.finfo(float).eps
+
 #: singular-value gate for resolvent application near the point spectrum
 POLE_GATE = 1e-8
 
@@ -134,70 +137,47 @@ def circle_oracle_mu(n: int, R: float, lam: float) -> float:
 # root finding on a monotone branch
 
 
-def _bracket_and_solve(f, seed: float, tol: float, increasing: bool, known=(),
-                       start: float | None = None):
+def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
     """Root of the monotone function f on (-inf, 0); f is in lambda < 0.
 
-    From a ``start`` near the root (a coarse grid's root of the same
-    branch), f is evaluated there and then tol |start| / 2 toward the sign
-    change; the step widens 4-fold each time the sign does not change.
-    Otherwise ``known`` lists abscissae where f costs nothing (memoized
-    assemblies): the nearest of them on each side of the sign change bound
-    the bracket.  A side with no such abscissa is found by geometric
-    expansion from the other end, or from the negative starting abscissa
-    -|seed| when nothing is known.  Brent's method then solves on the
-    bracket; on one already narrower than tol |lambda| it evaluates f at
-    no new abscissa and returns the end with the smaller |f|.
+    f is evaluated at every abscissa in ``points`` (memoized assemblies cost
+    nothing), and the nearest of them on each side of the sign change bound
+    the bracket.  A side with no such point is found by one march from the
+    nearest point on the other: toward 0 by min(a + step, a/8), toward
+    -infinity by max(a - step, 8a), with ``step`` widening 4-fold after each
+    step.  ``step = inf`` is a geometric march by 8; a step of a few tol |a|
+    starts next to a point near the root (a coarse grid's root of the same
+    branch).  Brent's method then solves on the bracket; on one already
+    narrower than tol |lambda| it evaluates f at no new abscissa and returns
+    the end with the smaller |f|.  Returns None when the march toward 0
+    passes -1e-14 without a sign change; raises DivergenceError when the
+    march toward -infinity passes BRACKET_FLOOR.
     """
     sign_at_left = -1.0 if increasing else 1.0  # sign of f near -infinity
     lo = hi = None
-    if start is not None:
-        a, f_a = start, f(start)
-        b, f_b, step = a, f_a, tol * abs(a) / 2
-        rightward = np.sign(f_a) == sign_at_left
-        while f_a != 0 and np.sign(f_b) == np.sign(f_a):
-            a, f_a = b, f_b
-            # min(., a / 8) keeps a rightward step below 0
-            b = min(a + step, a / 8) if rightward else a - step
+    for lam in sorted(points):
+        v = f(lam)
+        if v == 0:
+            return lam
+        if np.sign(v) == sign_at_left:
+            lo, f_lo, hi = lam, v, None
+        elif hi is None:
+            hi, f_hi = lam, v
+    if lo is None or hi is None:
+        rightward = hi is None  # from the -infinity side toward 0
+        b, f_b = (lo, f_lo) if rightward else (hi, f_hi)
+        # while f(b) is nonzero and on the side the march started from
+        while (np.sign(f_b) == sign_at_left) == rightward and f_b != 0:
+            a = b
+            b = min(a + step, a / 8) if rightward else max(a - step, 8 * a)
             if b > -1e-14:
                 return None  # no crossing before lambda -> 0-
             if b < BRACKET_FLOOR:
                 raise DivergenceError(f"bracket expansion passed lambda = {BRACKET_FLOOR:g}")
             f_b, step = f(b), 4 * step
-        (lo, f_lo), (hi, f_hi) = sorted([(a, f_a), (b, f_b)])
-    else:
-        for lam in sorted(known) or [-abs(seed)]:
-            v = f(lam)
-            if v == 0:
-                return lam
-            if np.sign(v) == sign_at_left:
-                lo, f_lo, hi = lam, v, None
-            elif hi is None:
-                hi, f_hi = lam, v
-    if hi is None:
-        # lo is on the -infinity side; march toward 0
-        hi, f_hi = lo, f_lo
-        while np.sign(f_hi) == sign_at_left:
-            lo, f_lo = hi, f_hi
-            hi = hi / 8
-            if hi > -1e-14:
-                return None  # no crossing before lambda -> 0-
-            f_hi = f(hi)
-    elif lo is None:
-        lo, f_lo = hi, f_hi
-        while np.sign(f_lo) != sign_at_left and f_lo != 0:
-            hi, f_hi = lo, f_lo
-            lo = lo * 8
-            if lo < BRACKET_FLOOR:
-                raise DivergenceError(
-                    f"bracket expansion passed lambda = {BRACKET_FLOOR:g}"
-                )
-            f_lo = f(lo)
-    if f_lo == 0:
-        return lo
-    if f_hi == 0:
-        return hi
-    return brentq(f, lo, hi, rtol=max(tol, 4 * np.finfo(float).eps), xtol=1e-300)
+        lo, hi = sorted([a, b])
+    # brentq returns an end where f is 0 as it is
+    return brentq(f, lo, hi, rtol=max(tol, RTOL_FLOOR), xtol=1e-300)
 
 
 #: fewest nodes of the coarse pass that seeds each root: from 128 nodes on,
@@ -216,17 +196,17 @@ def _coarse_nodes(k: int, N: int) -> int | None:
     return Nc if 2 * Nc <= N else None
 
 
-def _solve_branch(memo: _Memo, alpha: float, n: int, tol: float, seed: float,
-                  start: float | None = None) -> tuple[float, float]:
-    """Root of lambda mu_n(S(lambda)) = 1/alpha on the memo's grid, and the
-    zero of the secant through the nearest evaluated abscissae on either side
-    of it, which costs no assembly."""
+def _solve_branch(memo: _Memo, alpha: float, n: int, tol: float, points,
+                  step: float) -> tuple[float, float]:
+    """Root of lambda mu_n(S(lambda)) = 1/alpha on the memo's grid, bracketed
+    from ``points`` by ``step`` (``_bracket_and_solve``), and the zero of the
+    secant through the nearest evaluated abscissae on either side of it,
+    which costs no assembly."""
 
     def f(lam: float) -> float:
         return lam * memo.mu(lam, n) - 1.0 / alpha
 
-    root = _bracket_and_solve(f, seed, tol, increasing=True, known=list(memo.mus),
-                              start=start)
+    root = _bracket_and_solve(f, points, step, tol, increasing=True)
     if root is None:
         raise DivergenceError("dispersion root escaped toward lambda = 0")
     values = {lam: f(lam) for lam in memo.mus}
@@ -248,12 +228,18 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
 
     The branch is first solved on N_c = ``_coarse_nodes(k, N)`` nodes, k the
     largest branch of the enclosing call (n for a lone call), with a memo
-    of its own in the same call scope.  The root at N starts from the
-    coarse root lambda_hat(N_c): usually two assemblies at N.  lambda_hat is
-    the zero of the secant through the final bracket on a grid, and
-    error_estimate = |lambda_hat(N) - lambda_hat(N_c)| is a
-    discretization-error estimate that the residual cannot give, at no
-    assembly.  It is None when no coarse pass runs (2 N_c > N).
+    of its own in the same call scope.  Both solves take the one bracketing
+    loop of ``_bracket_and_solve``.  The coarse one starts from the memo's
+    abscissae, or from -max(1, 1/(2 alpha^2)) when it is empty, and marches
+    by factors of 8; so does the one at N when no coarse pass runs.  Else
+    the one at N starts from the coarse root lambda_hat(N_c) alone, with a
+    first step of max(tol, RTOL_FLOOR) |lambda_hat| / 2 that widens 4-fold,
+    no step moving lambda by more than a factor of 8: usually two
+    assemblies at N.  lambda_hat is the zero of the secant through the
+    final bracket on a grid, and error_estimate = |lambda_hat(N) -
+    lambda_hat(N_c)| is a discretization-error estimate that the residual
+    cannot give, at no assembly.  It is None when no coarse pass runs
+    (2 N_c > N).
     """
     if not -math.inf < alpha < 0:
         raise ParameterError(f"find_eigenvalue needs finite alpha < 0, got {alpha}")
@@ -267,10 +253,15 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
     with _branch(curve, n, N) as memo:
         coarse = None
         Nc = _coarse_nodes(memo.k, N)
+        points, step = list(memo.mus) or [-seed], math.inf
         if Nc is not None:
             with _branch(curve, memo.k, Nc) as coarse_memo:
-                _, coarse = _solve_branch(coarse_memo, alpha, n, tol, seed)
-        root, lam_hat = _solve_branch(memo, alpha, n, tol, seed, start=coarse)
+                _, coarse = _solve_branch(coarse_memo, alpha, n, tol,
+                                          list(coarse_memo.mus) or [-seed], math.inf)
+            # a step of at least brentq's rtol floor moves off the coarse
+            # root however small tol is
+            points, step = [coarse], max(tol, RTOL_FLOOR) * abs(coarse) / 2
+        root, lam_hat = _solve_branch(memo, alpha, n, tol, points, step)
         estimate = None if coarse is None else abs(lam_hat - coarse)
         # brentq returns an abscissa it evaluated, so this reads the memo
         residual = abs(alpha * root * memo.mu(root, n) - 1.0)
@@ -628,8 +619,8 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
                 # decreasing in lambda: mu_n increases, alpha < 0
                 return alpha * memo.mu(lam, n) + 1.0
 
-            root = _bracket_and_solve(f, 1.0, tol, increasing=False,
-                                      known=list(memo.mus))
+            root = _bracket_and_solve(f, list(memo.mus) or [-1.0], math.inf, tol,
+                                      increasing=False)
             if root is None:
                 empty.append(n)
                 continue

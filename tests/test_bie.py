@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -353,6 +354,15 @@ def test_volume_grid_basics():
         bie.make_volume_grid(-1.0, 4)
     with pytest.raises(ConfigurationError):
         bie.make_volume_grid(1.0, 1)
+    # a non-finite halfwidth gave an all-NaN grid, a fractional n an
+    # off-centre box; each error names the value
+    for halfwidth in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match=f"halfwidth > 0, got {halfwidth}"):
+            bie.make_volume_grid(halfwidth, 32)
+    for n in (8.5, np.float64(8.0), "8"):
+        with pytest.raises(ConfigurationError, match=re.escape(f"integer n >= 2, got {n!r}")):
+            bie.make_volume_grid(1.0, n)
+    assert bie.make_volume_grid(2.0, np.int64(4)).shape == (4, 4)
 
 
 def test_volume_touching_curve_rejected(circle, kite):

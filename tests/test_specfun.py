@@ -163,11 +163,12 @@ def test_domain_errors_and_underflow():
     with pytest.raises(DomainError):
         specfun.bessel_k_array(0, np.array([1j]))  # Re z = 0
     # orders other than 0 and 1, on the real and the complex path: the real
-    # path used to return K_1, the complex one K_2
-    for order in (2, -1):
-        for z in (np.array([1.0]), np.array([1.0 + 0j])):
-            with pytest.raises(DomainError, match="order"):
-                specfun.bessel_k_array(order, z)
+    # paths used to return K_1 and I_1, the complex ones K_2 and I_2
+    for evaluate in (specfun.bessel_k_array, specfun.bessel_i_array):
+        for order in (2, -1):
+            for z in (np.array([1.0]), np.array([1.0 + 0j])):
+                with pytest.raises(DomainError, match=f"orders 0 and 1, got {order}"):
+                    evaluate(order, z)
     with pytest.raises(DomainError):
         specfun.bessel_ik_int(0, -1.0)
     with pytest.raises(DomainError):

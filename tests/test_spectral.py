@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
@@ -287,11 +288,11 @@ def test_shared_memo_results_match_lone_branches(kite):
 def test_bracket_and_solve_seed_independence():
     f = lambda lam: lam + 5.0  # increasing with root -5
     for seed in (0.5, 1000.0):
-        root = spectral._bracket_and_solve(f, seed, 1e-12, increasing=True)
+        root = spectral._bracket_and_solve(f, [-seed], math.inf, 1e-12, increasing=True)
         assert root == pytest.approx(-5.0, rel=1e-10)
     # decreasing function with no root on (-inf, 0)
     g = lambda lam: 1.0 + 1.0 / (1.0 - lam)
-    assert spectral._bracket_and_solve(g, 1.0, 1e-12, increasing=False) is None
+    assert spectral._bracket_and_solve(g, [-1.0], math.inf, 1e-12, increasing=False) is None
 
 
 def test_bracket_from_known_abscissae():
@@ -304,17 +305,108 @@ def test_bracket_from_known_abscissae():
         return lam + 5.0
 
     known = [-100.0, -7.0, -6.0, -2.0, -1.0]
-    root = spectral._bracket_and_solve(f, 1.0, 1e-12, increasing=True, known=known)
+    root = spectral._bracket_and_solve(f, known, math.inf, 1e-12, increasing=True)
     assert root == pytest.approx(-5.0, rel=1e-10)
     assert all(-6.0 <= lam <= -2.0 for lam in seen[len(known):])
     for one_side in ([-2.0, -1.0], [-7.0]):
         seen.clear()
-        root = spectral._bracket_and_solve(f, 1.0, 1e-12, increasing=True,
-                                           known=one_side)
+        root = spectral._bracket_and_solve(f, one_side, math.inf, 1e-12, increasing=True)
         assert root == pytest.approx(-5.0, rel=1e-10)
-        assert -1.0 not in seen[len(one_side):]  # the seed was not used
-    assert spectral._bracket_and_solve(f, 1.0, 1e-12, increasing=True,
-                                       known=[-5.0]) == -5.0
+        assert -1.0 not in seen[len(one_side):]  # no start besides the points
+    assert spectral._bracket_and_solve(f, [-5.0], math.inf, 1e-12,
+                                       increasing=True) == -5.0
+
+
+def _evaluations(f):
+    """f, and the list of the distinct abscissae it is evaluated at, in order."""
+    seen = []
+
+    def counted(lam):
+        if lam not in seen:
+            seen.append(lam)
+        return f(lam)
+
+    return counted, seen
+
+
+def test_cold_march_visits_powers_of_eight():
+    # from -s with an infinite step the one loop marches by factors of 8:
+    # toward -infinity to a root at -1000 s, toward 0 to one at -s/1000
+    s = 3.0
+    far, seen = _evaluations(lambda lam: lam + 1000 * s)
+    spectral._bracket_and_solve(far, [-s], math.inf, 1e-12, increasing=True)
+    assert seen[:5] == [-s, -8 * s, -64 * s, -512 * s, -4096 * s]
+    assert all(-4096 * s <= lam <= -512 * s for lam in seen[5:])
+    near, seen = _evaluations(lambda lam: lam + s / 1000)
+    spectral._bracket_and_solve(near, [-s], math.inf, 1e-12, increasing=True)
+    assert seen[:5] == [-s, -s / 8, -s / 64, -s / 512, -s / 4096]
+    assert all(-s / 512 <= lam <= -s / 4096 for lam in seen[5:])
+    # a march that lands on the root returns it
+    assert spectral._bracket_and_solve(lambda lam: lam + 64 * s, [-s], math.inf, 1e-12,
+                                       increasing=True) == -64 * s
+
+
+def test_seeded_start_that_crosses_costs_two_evaluations():
+    # a start tol |lambda| / 4 from the root, on either side, and a step of
+    # tol |lambda| / 2: the first step crosses the root, and the bracket is
+    # already narrower than tol |lambda|, so Brent's method adds no abscissa
+    tol = 1e-9
+    for start in (-5.0 * (1 + tol / 4), -5.0 * (1 - tol / 4)):
+        f, seen = _evaluations(lambda lam: lam + 5.0)
+        root = spectral._bracket_and_solve(f, [start], tol * 5.0 / 2, tol,
+                                           increasing=True)
+        assert len(seen) == 2
+        assert root == pytest.approx(-5.0, rel=tol)
+
+
+def _synthetic_branch(monkeypatch, scale):
+    """Replace every assembly by mu(lambda) = scale[N] / sqrt(-lambda), whose
+    branch lambda mu(lambda) = 1/alpha has the root -(alpha scale[N])^-2 on
+    an N-node grid; returns the (N, lambda) of every evaluation."""
+    evaluated = []
+
+    def mu(g, lam, k):
+        evaluated.append((g.N, lam))
+        return np.full(k, scale[g.N] / math.sqrt(-lam))
+
+    monkeypatch.setattr(spectral, "_mu_n", mu)
+    return evaluated
+
+
+def test_seeded_march_never_steps_by_more_than_eight(monkeypatch, kite):
+    # the coarse root is -1 and the root at N = 256 is -1e6.  At tol = 20
+    # an uncapped first step, tol |lambda_hat| / 2 = 10, would reach -11; the
+    # march toward -infinity steps by at most a factor of 8, as the cold one
+    # does
+    evaluated = _synthetic_branch(monkeypatch, {128: 1.0, 256: 1e-3})
+    lam, _, _ = spectral.find_eigenvalue(kite, -1.0, 1, tol=20.0, N=256)
+    fine = [x for N, x in evaluated if N == 256]
+    assert fine[0] == -1.0 and -8e6 <= lam <= -1e6 / 8
+    march = fine[:next(i for i, x in enumerate(fine) if x < -1e6) + 1]
+    assert len(march) > 5
+    assert all(1 < b / a <= 8 for a, b in zip(march, march[1:]))
+
+
+def test_seeded_march_at_the_smallest_tolerance_returns(monkeypatch, kite):
+    # tol |lambda_hat| / 2 underflows to 0 at tol = 5e-324: a first step
+    # floored at brentq's rtol floor still moves, and the root comes back
+    # within a bounded number of assemblies.  Every dispersion read counts,
+    # memoized or not, so a loop that re-reads one abscissa fails here
+    # instead of running forever
+    reads, assemblies = [], _record_assemblies(monkeypatch)
+    read = spectral._Memo.mu
+
+    def counted(memo, lam, n):
+        reads.append(lam)
+        assert len(reads) <= 300 and len(assemblies) <= 60, "no bracket found"
+        return read(memo, lam, n)
+
+    monkeypatch.setattr(spectral._Memo, "mu", counted)
+    lam, res, estimate = spectral.find_eigenvalue(kite, -10.0, 1, tol=5e-324, N=256)
+    monkeypatch.undo()
+    assert lam == pytest.approx(spectral.find_eigenvalue(kite, -10.0, 1, N=256)[0],
+                                rel=1e-9)
+    assert res <= 1e-12 and estimate <= 1e-12 * abs(lam)
 
 
 def test_enumerate_spectrum_circle(circle, circle_roots):
