@@ -29,9 +29,11 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft2, ifft2, next_fast_len
 from scipy.spatial import cKDTree
+from scipy.special import erfc
 
 from . import kernels, specfun
 from .errors import ConfigurationError, DomainError, NumericalInstabilityError, SingularityError
@@ -385,29 +387,76 @@ def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
     return grid.curve.point(fine_t), fine_vals, 2 * np.pi / M
 
 
-def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
-                values: np.ndarray) -> np.ndarray:
-    """sum_j kernel(sp, targets_i - sources_j) values_j, in the target slices
-    that ``specfun._even_slices`` cuts at about ``specfun._CHUNK`` pairs, run
-    on the pool of ``specfun``; each slice writes its own rows.  A row's sum
-    does not depend on the slice it falls in, so the output does not depend
-    on the worker count.
+#: most target x source pairs per kernel-sum slice.  A row's sum does not
+#: depend on the slice it falls in, so the size changes no bit.  On a 2-core
+#: Xeon with 2 MB L2 per core and two pool workers, one krein_apply and
+#: residual call of the resolvent benchmark took 0.81-0.84 s at 2**15 pairs
+#: per slice, 0.80-0.85 s at 2**16 and 0.82-0.90 s at 2**17 (8 calls each,
+#: before windowed sums).  A slice's temporaries peak at 1.6 MiB at 2**15
+#: and 3.1 MiB at 2**16, in each worker, and with windowed sums the call's
+#: peak memory read 101.2 MB at 2**15 against 105.3 MB at 2**16 (medians of
+#: 4 processes of 9 calls), at the same speed.
+_SUM_PAIRS = 1 << 15
+
+
+def _row_sums(row_sum, count: int, width: int) -> np.ndarray:
+    """row_sum(s) for the slices s of range(count) that ``specfun._even_slices``
+    cuts at about _SUM_PAIRS target x source pairs, width sources per
+    target, run on the pool of ``specfun``; each slice writes its own
+    rows.  A row's sum does not depend on the slice it falls in, so the
+    output does not depend on the worker count.
 
     A slice is reduced by an elementwise product and a pairwise row sum, not
     by a BLAS matrix-vector product: OpenBLAS threads a product this size, and
     its helper threads then spin on the cores the pool's workers need.  So a
     pool task makes no BLAS call, and the sums' bits do not depend on the
-    BLAS thread count.  A real kernel (kernel_U at real lambda) enters the
-    product as it is, without a complex copy.
+    BLAS thread count.
     """
-    out = np.zeros(len(targets), dtype=complex)
+    out = np.zeros(count, dtype=complex)
 
     def rows(s: slice) -> None:
-        out[s] = (kernel(sp, targets[s, None, :] - sources[None, :, :]) * values).sum(axis=1)
+        out[s] = row_sum(s)
 
-    step = max(1, specfun._CHUNK // max(len(sources), 1))
-    _run_chunks(rows, specfun._even_slices(len(targets), step))
+    _run_chunks(rows, specfun._even_slices(count, max(1, _SUM_PAIRS // max(width, 1))))
     return out
+
+
+def _kernel_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray,
+                values: np.ndarray) -> np.ndarray:
+    """sum_j kernel(sp, targets_i - sources_j) values_j, by ``_row_sums``.  A
+    real kernel (kernel_U at real lambda) enters the product as it is,
+    without a complex copy."""
+    return _row_sums(
+        lambda s: (kernel(sp, targets[s, None, :] - sources[None, :, :]) * values).sum(axis=1),
+        len(targets), len(sources))
+
+
+def _window_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray, values: np.ndarray,
+                starts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """sum_m kernel(sp, targets_i - sources_j) phi_m values_j over the len(phi)
+    sources j = (starts_i + m) mod len(sources), by ``_row_sums``.  Each
+    slice gathers its rows' sources itself, as rows of a sliding-window view
+    of the sources continued periodically, and evaluates the kernel before
+    it gathers the values: a task then holds about as much at once as one of
+    ``_kernel_sum``, where gathering both first raised the peak memory of
+    the resolvent benchmark by about 2 MB."""
+    width = len(phi)
+    ahead = np.arange(len(sources) + width - 1) % len(sources)
+    src_win = sliding_window_view(sources[ahead], width, axis=0)
+    val_win = sliding_window_view(values[ahead], width)
+    first = starts % len(sources)
+
+    def row_sum(s: slice) -> np.ndarray:
+        x = src_win[first[s]]
+        np.subtract(targets[s, :, None], x, out=x)
+        k = kernel(sp, x.transpose(0, 2, 1))
+        del x
+        v = val_win[first[s]]
+        v *= phi
+        v *= k
+        return v.sum(axis=1)
+
+    return _row_sums(row_sum, len(targets), width)
 
 
 #: targets at least this many node spacings from the curve are summed on the
@@ -419,8 +468,10 @@ _FAR_SPACINGS = 8
 #: benchmark's 128^2 grid around the kite (N = 256), against sums at twice
 #: the uncapped factor, a cap of 16 leaves 6 of the 930 near nodes off by
 #: more than 1e-3 of max |g|, 64 leaves 2 (the two nodes 2e-4 from the
-#: curve, worst 0.135), and 256 leaves none but adds 4.4 MB (4%) to the
-#: peak memory of a krein_apply and residual call.
+#: curve, worst 0.135), and 256 leaves none.  With windowed sums, 256 adds
+#: about 1.1 MB (1%) to the peak memory of a krein_apply and residual call
+#: and 0.07 s to its 0.57 s (medians of 4 processes of 3 calls each on a
+#: 2-core Xeon).
 _MAX_UPSAMPLE = 64
 
 
@@ -437,11 +488,75 @@ def _upsample_factors(grid: QuadratureGrid, dist: np.ndarray) -> np.ndarray:
     return factors
 
 
+#: the blend phi(tau) = erfc((|tau - k| - c) / sigma) / 2 of a windowed sum,
+#: tau in native parameter spacings and k the target's foot node: its width
+#: sigma (in native spacings), the least core half-width c, and the tail
+#: beyond c, in units of sigma, where phi has fallen to 1e-17 and the window
+#: ends.  A blend of width 2 spacings is resolved on the native nodes to
+#: about exp(-(pi sigma)^2) = 7e-18.
+_WINDOW_SIGMA = 2
+_WINDOW_CORE = 12
+_WINDOW_TAIL = 6
+
+
+def _window_plan(grid: QuadratureGrid, points: np.ndarray, factor: int):
+    """Foot node k and window half-width H, in native spacings, of each
+    target summed at refinement ``factor``.
+
+    k is the target's nearest native node, from a KD-tree on the nodes.  The
+    core half-width c is the largest circular index offset from k of any
+    native node j nearer to the target than _FAR_SPACINGS local spacings
+    (grid.weight * jac_j), and at least _WINDOW_CORE, so a target near two
+    arcs gets a core that reaches both.  The offsets are scanned one at a
+    time over all targets, so no targets x nodes array is built.  Then
+    H = c + _WINDOW_TAIL * _WINDOW_SIGMA, and the window costs
+    N + 2 H factor + 1 kernel evaluations against N * factor for the full
+    sum; H is 0 where the window does not pay.
+    """
+    N = grid.N
+    local = _FAR_SPACINGS * grid.weight * grid.jacobians
+    feet = _kept(("nodes", grid), lambda: cKDTree(grid.points)).query(points)[1]
+    core = np.full(len(points), _WINDOW_CORE)
+    for offset in range(_WINDOW_CORE + 1, N // 2 + 1):
+        for nodes in ((feet + offset) % N, (feet - offset) % N):
+            x = points - grid.points[nodes]
+            core[np.hypot(x[:, 0], x[:, 1]) < local[nodes]] = offset
+    half = core + _WINDOW_TAIL * _WINDOW_SIGMA
+    half[N + 2 * half * factor + 1 >= N * factor] = 0
+    return feet, half
+
+
 def _eval_layer(grid, density, sp, points, kernel, upsample):
     """Layer potential with the given kernel at points off the curve, summed
-    on the density trig-interpolated to upsample * N nodes."""
+    on the density trig-interpolated to upsample * N nodes.
+
+    Where ``_window_plan`` gives a target a window of half-width H around
+    its foot node k, the fine sum is replaced by the native sum over all N
+    nodes plus a correction over the fine nodes m with |m/F - k| <= H
+    (F = upsample), weighted phi(m/F) (w_F g_m - [F divides m] w g_(m/F)),
+    phi the blend described at _WINDOW_SIGMA.  The refined density enters
+    only where phi > 0; beyond the core, where the integrand is resolved on
+    the native nodes, the native sum stands in for the fine one.  Other
+    targets are summed in full on the fine nodes.
+    """
     src, g, w = _upsampled_density(grid, density, upsample)
-    return w * _kernel_sum(kernel, sp, points, src, g)
+    if upsample <= 1:
+        return w * _kernel_sum(kernel, sp, points, src, g)
+    feet, half = _window_plan(grid, points, upsample)
+    full = half == 0
+    out = np.zeros(len(points), dtype=complex)
+    out[full] = w * _kernel_sum(kernel, sp, points[full], src, g)
+    _, native, _ = _upsampled_density(grid, density, 1)
+    out[~full] = grid.weight * _kernel_sum(kernel, sp, points[~full], grid.points, native)
+    fine = w * g
+    fine[::upsample] -= grid.weight * native
+    for H in np.unique(half[~full]):
+        rows = half == H
+        tau = np.abs(np.arange(2 * H * upsample + 1) / upsample - H)
+        phi = 0.5 * erfc((tau - (H - _WINDOW_TAIL * _WINDOW_SIGMA)) / _WINDOW_SIGMA)
+        out[rows] += _window_sum(kernel, sp, points[rows], src, fine,
+                                 upsample * (feet[rows] - H), phi)
+    return out
 
 
 def _eval_refined(grid, density, sp, points, kernel):
@@ -458,13 +573,19 @@ def _eval_refined(grid, density, sp, points, kernel):
 
 def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
             points: np.ndarray) -> np.ndarray:
-    """Single layer potential SL(lambda) density at points off the curve."""
+    """Single layer potential SL(lambda) density at points off the curve.
+
+    Each target is summed at the refinement of ``_upsample_factors`` for its
+    distance, a near one by the windowed sum of ``_eval_layer`` where that
+    costs fewer kernel evaluations than the full refined sum.  Raises
+    SingularityError for a point on the curve."""
     return _eval_refined(grid, density, sp, points, kernel_U)
 
 
 def eval_Psi(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
              points: np.ndarray) -> np.ndarray:
-    """Potential with the oblique kernel at points off the curve."""
+    """Potential with the oblique kernel at points off the curve, summed as
+    ``eval_SL`` sums the single layer."""
     return _eval_refined(grid, density, sp, points, kernel_L)
 
 
@@ -510,7 +631,9 @@ def _ratio_check(h_seq, stack) -> None:
 
 #: density upsampling of every Richardson trace offset, at most 0.01
 #: diameters from the curve.  Fixed: _upsample_factors would give the three
-#: offsets 16, 32 and 64 at N = 256, 2.3 times the pairs summed here.
+#: offsets 16, 32 and 64 at N = 256.  With windows of half-width 24 (the
+#: kite's trace offsets at N = 256) that is twice the kernel evaluations
+#: made here, 1025 per target and kernel against 4096 for a full sum.
 _TRACE_UPSAMPLE = 16
 
 
@@ -521,8 +644,10 @@ def jump_traces(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter
     these approach the density and lambda S(lambda) density respectively.
     Both fields are sampled at grid.points -/+ h grid.normals for each h of
     default_h_sequence (inside, then outside), summed on the _TRACE_UPSAMPLE
-    times upsampled density; dzbar Psi is (i lambda / 2) SL.  Each side is
-    ratio-tested and extrapolated to h = 0.
+    times upsampled density by ``_eval_layer``, which refines the density
+    only in a window around each offset's foot node where that pays;
+    dzbar Psi is (i lambda / 2) SL.  Each side is ratio-tested and
+    extrapolated to h = 0.
     """
     h_seq = default_h_sequence(grid.curve)
     offsets = np.concatenate([-h_seq, h_seq])

@@ -169,14 +169,10 @@ def _serial_blas():
 # ---------------------------------------------------------------------------
 # Bessel arrays
 
-#: most elements per Bessel-array chunk, and most target x source pairs per
-#: kernel-sum slice of ``bie``: a chunk's complex arrays are 1 MB each.  The
-#: ufuncs are elementwise and a kernel sum's rows are summed one by one, so
-#: how the work is split does not change a bit of the output.  On a 2-core
-#: Xeon with 2 MB L2 per core and two pool workers, one krein_apply and
-#: residual call of the resolvent benchmark took 0.81-0.84 s at 2**15 pairs
-#: per kernel-sum chunk, 0.80-0.85 s at 2**16 and 0.82-0.90 s at 2**17 (8
-#: calls each); a larger chunk only raises peak memory.
+#: most elements per Bessel-array chunk: a chunk's complex arrays are 1 MB
+#: each.  The ufuncs are elementwise, so how an array is split does not
+#: change a bit of the output.  ``bie`` slices its kernel sums by its own
+#: ``_SUM_PAIRS``.
 _CHUNK = 1 << 16
 
 

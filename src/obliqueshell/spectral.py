@@ -402,7 +402,9 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
 
     phi is the eigenvector of alpha lambda S(lambda) for the eigenvalue nearest
     1, normalized to unit L2 norm on the curve, and the field is summed by
-    bie.eval_Psi, on a density refined by each target's distance to the curve.
+    bie.eval_Psi, on a density refined by each target's distance to the curve
+    and, for a near target, only in a window around its foot node where
+    that pays.
     That eigenvalue must lie within 10 tol of 1, so tol is the root tolerance
     lambda_n was found with; otherwise lambda_n and n are reported as
     inconsistent.  A zero or non-finite alpha, or a tol that is not finite and
@@ -494,7 +496,8 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     The free part R_lambda f and the right-hand side Psi*_lambdabar f =
     -2i dzbar (R_lambda f) on the curve are FFT convolutions on the volume
     grid (bie.apply_Psi_star); the correction is summed by bie.eval_Psi, on a
-    density refined by each node's distance to the curve.  f_samples are the
+    density refined by each node's distance to the curve, for a near node
+    only in a window around its foot node where that pays.  f_samples are the
     values of f at the nodes of vol; a non-finite alpha or sample raises
     ParameterError.  The curve must lie at least two node spacings inside
     the outermost volume nodes, else ConfigurationError.  At

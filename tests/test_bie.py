@@ -575,6 +575,71 @@ def test_near_targets_are_refined_by_their_distance(kite, mirror_free, monkeypat
                 (curve.name, lam, F)
 
 
+def _arcs_near(g, x):
+    """Number of separate arcs of native nodes nearer to x than 8 local
+    spacings (grid.weight * jac_j)."""
+    close = np.flatnonzero(np.linalg.norm(g.points - x, axis=-1)
+                           < 8 * g.weight * g.jacobians)
+    if len(close) in (0, g.N):
+        return int(len(close) > 0)
+    return int((np.diff(np.r_[close, close[0] + g.N]) > 1).sum())
+
+
+@pytest.mark.parametrize("N", [128, 256])
+@pytest.mark.parametrize("lam", [-3.0, -97.5, 1 + 2j])
+def test_windowed_sums_match_the_full_refined_sum(circle, kite, mirror_free, N, lam):
+    # _eval_layer sums a near target at refinement F as the native sum plus
+    # a correction on the fine nodes around its foot node, where the window
+    # pays; each target set agrees with the full F-refined sum to 1e-12 of
+    # its largest value.  Sets: the trace offsets at the traces' fixed F and
+    # normal offsets of 0.55 to 8.8 node spacings, both at 16 nodes, and the
+    # near nodes of a volume grid, each at its own F.  Per target the
+    # difference is rounding, up to about 4e-14 of the set's largest value,
+    # which is more than 1e-12 of a value near a zero of the field.
+    sp = SpectralParameter.make(lam)
+    windowed = two_arcs = 0
+    for curve in (circle, kite, mirror_free):
+        g = geometry.grid(curve, N)
+        dens = np.exp(np.cos(g.nodes) + 1j * np.sin(2 * g.nodes))
+        s = g.weight * g.jacobians.max()
+        h = bie.default_h_sequence(curve)
+        feet = slice(None, None, N // 16)
+        traces = (g.points[None, feet] + np.concatenate([-h, h])[:, None, None]
+                  * g.normals[None, feet]).reshape(-1, 2)
+        spacings = 1.1 * 2.0 ** np.arange(-1, 3.5, 0.5)
+        normal = (g.points[feet, None, :] + s * np.concatenate([-spacings, spacings])[:, None]
+                  * g.normals[feet, None, :]).reshape(-1, 2)
+        vol = bie.make_volume_grid(0.75 * curve.diameter, 24).points
+        vol = vol[bie._upsample_factors(g, bie._check_points_off_curve(g, vol)) > 1]
+        groups = [(traces, bie._TRACE_UPSAMPLE)]
+        for targets in (normal, vol):
+            factors = bie._upsample_factors(g, bie._check_points_off_curve(g, targets))
+            groups += [(targets[factors == F], int(F)) for F in np.unique(factors) if F > 1]
+        for targets, F in groups:
+            half = bie._window_plan(g, targets, F)[1]
+            windowed += (half > 0).sum()
+            two_arcs += sum(_arcs_near(g, x) > 1 for x in targets[half > 0])
+            for kernel in (kernel_L, kernel_U):
+                got = bie._eval_layer(g, dens, sp, targets, kernel, F)
+                ref = _upsampled_reference(g, dens, sp, targets, kernel, F)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), \
+                    (curve.name, F, kernel.__name__)
+    assert windowed > 1000 and two_arcs > 0
+
+
+def test_window_core_reaches_every_near_arc(kite):
+    # a target in the notch between the kite's upper wing and its left side
+    # lies within 8 local spacings of both arcs: its core runs from its foot
+    # node past the nodes of the other arc
+    g = geometry.grid(kite, 128)
+    x = np.array([[-1.26, 1.26]])
+    assert _arcs_near(g, x[0]) == 2
+    feet, half = bie._window_plan(g, x, 4)
+    close = np.flatnonzero(np.linalg.norm(g.points - x, axis=-1) < 8 * g.weight * g.jacobians)
+    offsets = np.abs((close - feet[0] + g.N // 2) % g.N - g.N // 2)
+    assert half[0] == max(offsets.max(), 12) + 12 > 24
+
+
 def test_worker_count_from_threads(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     monkeypatch.delenv("THREADS", raising=False)
@@ -590,13 +655,21 @@ def test_worker_count_from_threads(monkeypatch):
 
 def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
     # inputs spanning many chunks give the same bits on 1, 2 and 4 workers
-    # (4 > cores), with a short switch interval to shake out lost writes
+    # (4 > cores), with a short switch interval to shake out lost writes:
+    # native sums, the adjoint map, and the windowed sums of the trace
+    # offsets, whose slices gather their own sources
     g = geometry.grid(kite, 256)
     sp = SpectralParameter.make(-3.0)
     vol = bie.make_volume_grid(2 * kite.diameter, 48)
     f = np.exp(-(vol.points ** 2).sum(-1)) * np.exp(1j * vol.points[:, 0])
     dens = np.exp(1j * g.nodes)
-    assert len(vol.points) * g.N > 8 * specfun._CHUNK
+    assert len(vol.points) * g.N > 8 * bie._SUM_PAIRS
+    h = bie.default_h_sequence(kite)
+    traces = (g.points[None] + np.concatenate([-h, h])[:, None, None]
+              * g.normals[None]).reshape(-1, 2)
+    half = bie._window_plan(g, traces, bie._TRACE_UPSAMPLE)[1]
+    assert (half > 0).all()
+    assert len(traces) * (2 * half.min() * bie._TRACE_UPSAMPLE + 1) > 8 * bie._SUM_PAIRS
     outputs = []
     interval = sys.getswitchinterval()
     try:
@@ -605,38 +678,56 @@ def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 monkeypatch.setattr(specfun, "_pool", lambda: pool)
                 outputs.append((bie._kernel_sum(kernel_L, sp, vol.points, g.points, dens),
-                                bie.apply_Psi_star(g, sp, f, vol)))
+                                bie.apply_Psi_star(g, sp, f, vol),
+                                bie._eval_layer(g, dens, sp, traces, kernel_L,
+                                                bie._TRACE_UPSAMPLE)))
     finally:
         sys.setswitchinterval(interval)
-    for sums, adjoint in outputs[1:]:
-        assert sums.tobytes() == outputs[0][0].tobytes()
-        assert adjoint.tobytes() == outputs[0][1].tobytes()
+    for parts in outputs[1:]:
+        for part, first in zip(parts, outputs[0]):
+            assert part.tobytes() == first.tobytes()
 
 
 def test_kernel_sums_do_not_depend_on_the_slicing(kite, monkeypatch):
     # _even_slices cuts the 6 * (rows per chunk) + 1 targets into 7, 8 and 9
-    # uneven slices for 1, 2 and 3 workers; every row's sum keeps its bits
+    # uneven slices for 1, 2 and 3 workers; every row's sum keeps its bits.
+    # Native sums at random targets, and windowed sums at trace offsets:
+    # their rows per chunk follow the window's width, not N
     g = geometry.grid(kite, 256)
     sp = SpectralParameter.make(1 + 2j)
-    step = specfun._CHUNK // g.N
+    step = bie._SUM_PAIRS // g.N
     rng = np.random.default_rng(7)
     targets = rng.uniform(-2.0, 2.0, size=(6 * step + 1, 2))
     dens = np.exp(1j * g.nodes) + 0.5 * np.cos(3 * g.nodes)
+    F = bie._TRACE_UPSAMPLE
+    h = bie.default_h_sequence(kite)
+    traces = (g.points[None] + np.concatenate([-h, h])[:, None, None]
+              * g.normals[None]).reshape(-1, 2)
+    feet, half = bie._window_plan(g, traces, F)
+    near = np.flatnonzero(half == half.min())
+    width = 2 * half.min() * F + 1
+    near = near[:6 * (bie._SUM_PAIRS // width) + 1]
+    src, fine, _ = bie._upsampled_density(g, dens, F)
+    starts, phi = F * (feet[near] - half.min()), np.linspace(0.0, 1.0, width)
     outputs, counts, pools = [], [], []
     try:
         for workers in (1, 2, 3):
             monkeypatch.setattr(specfun, "_workers", lambda workers=workers: workers)
             specfun._pool.cache_clear()
             pools.append(specfun._pool())
-            counts.append(len(specfun._even_slices(len(targets), step)))
-            outputs.append(bie._kernel_sum(kernel_L, sp, targets, g.points, dens))
+            counts.append([len(specfun._even_slices(len(targets), step)),
+                           len(specfun._even_slices(len(near), bie._SUM_PAIRS // width))])
+            outputs.append((bie._kernel_sum(kernel_L, sp, targets, g.points, dens),
+                            bie._window_sum(kernel_L, sp, traces[near], src, fine,
+                                            starts, phi)))
     finally:
         specfun._pool.cache_clear()
         for pool in pools:
             pool.shutdown()
-    assert counts == [7, 8, 9]
-    for out in outputs[1:]:
-        assert out.tobytes() == outputs[0].tobytes()
+    assert counts == [[7, 7], [8, 8], [9, 9]]
+    for parts in outputs[1:]:
+        for part, first in zip(parts, outputs[0]):
+            assert part.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("lam", [-3.0, 1 + 2j])
@@ -663,14 +754,15 @@ def test_kernel_sums_match_an_extended_precision_sum(kite, lam):
 
 
 def test_kernel_sum_chunk_memory(kite):
-    # one chunk at the largest refinement, 4 near targets x 64 N sources at
+    # one slice at the largest refinement, 2 near targets x 64 N sources at
     # N = 256, runs inline; kernel_L builds (x1 - i x2)/r in one complex array
-    # and scales it in place (5.13 MiB when it made four complex temporaries)
+    # and scales it in place (5.13 MiB at twice the pairs when it made four
+    # complex temporaries, 3.1 MiB at twice the pairs now)
     sp = SpectralParameter.make(-3.0)
     g = geometry.grid(kite, 256)
     src, dens, _ = bie._upsampled_density(g, np.exp(1j * g.nodes), bie._MAX_UPSAMPLE)
-    targets = g.points[:4] + 1e-3 * g.normals[:4]
-    assert len(targets) * len(src) == specfun._CHUNK
+    targets = g.points[:2] + 1e-3 * g.normals[:2]
+    assert len(targets) * len(src) == bie._SUM_PAIRS
     bie._kernel_sum(kernel_L, sp, targets, src, dens)
     tracemalloc.start()
     try:
@@ -678,7 +770,7 @@ def test_kernel_sum_chunk_memory(kite):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 2 ** 20
+    assert peak <= 1.8 * 2 ** 20
 
 
 _KERNEL_SUM_DIGEST = """

@@ -7,6 +7,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -71,21 +73,42 @@ def test_traced_correction_keeps_one_span_and_one_assembly_per_speed():
     assert m["geometry.grid.calls"] == 1
 
 
-def test_traced_layer_pairs_are_the_pairs_summed(tmp_path):
-    # the tracer counts points x upsample x N per _eval_layer call as
-    # bie.layer_eval.pairs; with one call per refinement factor that is the
-    # number of kernel_L and kernel_U evaluations outside the direct volume
-    # sums.  Proximity is checked twice: once for the correction's targets,
-    # the volume nodes, and once for all trace offsets.  The adjoint map
+def test_traced_layer_evaluations_follow_the_window_plan(tmp_path, monkeypatch):
+    # every _eval_layer call evaluates T N kernels at refinement 1, and at
+    # F > 1 N + 2 H F + 1 per target that bie._window_plan gives a window of
+    # half-width H, N F per other target; together these are all kernel_L
+    # and kernel_U evaluations outside the direct volume sums.  The tracer's
+    # bie.layer_eval.pairs counts T F N per call, the pairs of a full sum.
+    # Proximity is checked twice: once for the correction's targets, the
+    # volume nodes, and once for all trace offsets.  The adjoint map
     # evaluates no kernel between a volume node and the curve and checks none.
+    from obliqueshell import bie
+
+    calls = []
+    original = bie._eval_layer
+
+    def recording(grid, density, sp, points, kernel, upsample):
+        calls.append((grid, points, upsample))
+        return original(grid, density, sp, points, kernel, upsample)
+
+    monkeypatch.setattr(bie, "_eval_layer", recording)
     tracer_module = _load_bench("tracer")
     workload = _load_bench("workloads").WORKLOADS["resolvent"](0, "tiny", tmp_path)
     with tracer_module.instrument(tracer_module.Tracer()) as tracer:
         workload.call()
     assert tracer.count_errors == []
     m = tracer.summary()
-    assert m["bie.layer_eval.pairs"] == (m["kernels.L.evals"] + m["kernels.U.evals"]
-                                         - m["spectral.direct_volume.pairs"])
+    expected = windowed = 0
+    for grid, points, F in calls:
+        if F <= 1:
+            expected += len(points) * grid.N
+            continue
+        half = bie._window_plan(grid, points, F)[1]
+        windowed += (half > 0).sum()
+        expected += np.where(half > 0, grid.N + 2 * half * F + 1, grid.N * F).sum()
+    assert windowed > 0
+    assert expected == (m["kernels.L.evals"] + m["kernels.U.evals"]
+                        - m["spectral.direct_volume.pairs"])
     assert m["bie.proximity.calls"] == 2
 
 
