@@ -5,6 +5,9 @@ plus their non-relativistic limit from Dirac shell operators."""
 __version__ = "1.0.0"
 
 import importlib
+import os
+
+from .errors import ConfigurationError
 
 #: public names by the submodule that defines them.  A submodule is imported
 #: on first access, so ``import obliqueshell.cli`` loads no numpy and the CLI
@@ -28,6 +31,16 @@ _EXPORTS = {
 }
 
 __all__ = sorted([*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)])
+
+
+def _threads() -> int | None:
+    """THREADS as a positive int, None when it is unset or empty.  Any other
+    value, such as " 4", "+4" or "1_0", raises ConfigurationError naming it.
+    Numpy-free, so the CLI can check it before numpy loads."""
+    threads = os.environ.get("THREADS")
+    if threads and not (threads.isascii() and threads.isdecimal() and int(threads) > 0):
+        raise ConfigurationError(f"THREADS must be a positive integer, got {threads!r}")
+    return int(threads) if threads else None
 
 
 def __getattr__(name: str):

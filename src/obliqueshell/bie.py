@@ -6,7 +6,9 @@ Two assembly paths for the weakly singular single-layer kernel
 * moderate kappa: Martensen-Kussmaul splitting.  K_0 is split into
   -(1/2) I_0 ln(4 sin^2((t-s)/2)) plus a smooth periodic remainder; the log
   factor is integrated with the exact Fourier log-weights, the remainder
-  with the trapezoid rule.  Spectrally accurate on analytic curves.
+  with the trapezoid rule.  Spectrally accurate on analytic curves.  Both
+  rules together weight -I_0/4pi by one factor of the index offset, so the
+  kappa-independent part of a grid is its pair distances and that factor.
 
 * large real kappa (Re kappa * diameter beyond a threshold): the splitting
   is abandoned because I_0(kappa r) overflows/cancels catastrophically.
@@ -17,8 +19,9 @@ Two assembly paths for the weakly singular single-layer kernel
   limited and depends on N as well as kappa (``_single_layer_weights_local``).
 
 Blocks that a public call reuses, such as the kappa-independent splitting
-blocks of a grid, live in one call scope (``_call``, ``_kept``) and go when
-the outermost public call returns; BLAS runs serially for its span.
+blocks of a grid and the window plan of a target set, live in one call
+scope (``_call``, ``_kept``) and go when the outermost public call returns;
+BLAS runs serially for its span.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft2, ifft2, next_fast_len
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
 from . import kernels, specfun
@@ -109,55 +113,50 @@ def log_quadrature_weights(N: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _MKBlocks:
     """The kappa-independent part of the Martensen-Kussmaul scheme on the
-    strict lower triangle i > j: node indices, distances r, ln 4 sin^2 of the
-    parameter differences and the log weights R, plus R on the diagonal."""
+    strict upper triangle i < j, in row-major order: the distances r and the
+    log factor c = R - weight ln 4 sin^2 of the pairs, which depends only on
+    the offset j - i (R the log weights), the triangle as a boolean mask, and
+    R on the diagonal."""
 
-    rows: np.ndarray
-    cols: np.ndarray
     r: np.ndarray
-    ln4sin2: np.ndarray
-    R: np.ndarray
+    c: np.ndarray
+    upper: np.ndarray
     R_diag: float
 
 
 def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
     """The blocks, read-only: every assembly on the grid in one call reads
     them."""
-    rows, cols = np.tril_indices(grid.N, -1)
-    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
-    diff = grid.points[rows] - grid.points[cols]
-    r = np.sqrt((diff ** 2).sum(-1))
-    theta = grid.nodes[rows] - grid.nodes[cols]
-    ln4sin2 = np.log(4 * np.sin(theta / 2) ** 2)
-    # R[i, j] = col[(i - j) mod N], and i - j > 0 here
-    col = log_quadrature_weights(grid.N)
-    R = col[rows - cols]
-    for arr in (rows, cols, r, ln4sin2, R):
+    N = grid.N
+    col = log_quadrature_weights(N)
+    c = col[1:] - grid.weight * np.log(4 * np.sin(np.pi * np.arange(1, N) / N) ** 2)
+    # row i of the triangle holds the offsets 1 .. N - 1 - i
+    c = np.concatenate([c[:N - 1 - i] for i in range(N - 1)])
+    upper = np.triu(np.ones((N, N), dtype=bool), 1)
+    blocks = _MKBlocks(pdist(grid.points), c, upper, float(col[0]))
+    for arr in (blocks.r, blocks.c, blocks.upper):
         arr.setflags(write=False)
-    return _MKBlocks(rows, cols, r, ln4sin2, R, float(col[0]))
+    return blocks
 
 
 def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
     """Symmetric weight matrix W of the Martensen-Kussmaul scheme.
 
     (S phi)(t_i) ~ sum_j W[i,j] jac_j phi_j.  The kernel is evaluated on the
-    strict lower triangle and mirrored, so W is exactly symmetric.
+    strict upper triangle and mirrored, so W is exactly symmetric.
     """
     blocks = _kept(("mk", grid), lambda: _build_mk_blocks(grid))
-    real_path = kappa.imag == 0
-
     A = -bessel_i_array(0, _bessel_arg(kappa, blocks.r)) / (4 * np.pi)
     kern = bessel_k_array(0, _bessel_arg(kappa, blocks.r)) / (2 * np.pi)
-    B = kern - A * blocks.ln4sin2
-    lower = blocks.R * A + grid.weight * B
+    upper = A * blocks.c + grid.weight * kern
 
-    W = np.empty((grid.N, grid.N), dtype=lower.dtype)
-    W[blocks.rows, blocks.cols] = lower
-    W[blocks.cols, blocks.rows] = lower
+    W = np.empty((grid.N, grid.N), dtype=upper.dtype)
+    W[blocks.upper] = upper
+    W.T[blocks.upper] = upper
     # diagonal: A at r = 0, -I_0(0)/4pi = -1/4pi, and the limit of the
-    # smooth remainder B
+    # smooth remainder K_0/2pi - A ln 4 sin^2
     diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(grid.jacobians)) / (2 * np.pi)
-    if real_path:
+    if kappa.imag == 0:
         diag = diag.real
     np.fill_diagonal(W, blocks.R_diag * (-1 / (4 * np.pi)) + grid.weight * diag)
     return W
@@ -507,20 +506,31 @@ def _window_plan(grid: QuadratureGrid, points: np.ndarray, factor: int):
     core half-width c is the largest circular index offset from k of any
     native node j nearer to the target than _FAR_SPACINGS local spacings
     (grid.weight * jac_j), and at least _WINDOW_CORE, so a target near two
-    arcs gets a core that reaches both.  The offsets are scanned one at a
-    time over all targets, so no targets x nodes array is built.  Then
+    arcs gets a core that reaches both.  The candidate nodes come from one
+    pair query of the targets against the node tree, out to just beyond the
+    largest local reach.  Feet and cores are kept in the call scope, so the
+    sums of both kernels over one target set share them.  Then
     H = c + _WINDOW_TAIL * _WINDOW_SIGMA, and the window costs
     N + 2 H factor + 1 kernel evaluations against N * factor for the full
     sum; H is 0 where the window does not pay.
     """
     N = grid.N
-    local = _FAR_SPACINGS * grid.weight * grid.jacobians
-    feet = _kept(("nodes", grid), lambda: cKDTree(grid.points)).query(points)[1]
-    core = np.full(len(points), _WINDOW_CORE)
-    for offset in range(_WINDOW_CORE + 1, N // 2 + 1):
-        for nodes in ((feet + offset) % N, (feet - offset) % N):
-            x = points - grid.points[nodes]
-            core[np.hypot(x[:, 0], x[:, 1]) < local[nodes]] = offset
+
+    def cores():
+        local = _FAR_SPACINGS * grid.weight * grid.jacobians
+        nodes = _kept(("nodes", grid), lambda: cKDTree(grid.points))
+        feet = nodes.query(points)[1]
+        pairs = cKDTree(points).sparse_distance_matrix(
+            nodes, local.max() * (1 + 1e-9), output_type="ndarray")
+        i, j = pairs["i"], pairs["j"]
+        near = np.hypot(*(points[i] - grid.points[j]).T) < local[j]
+        i, j = i[near], j[near]
+        core = np.full(len(points), _WINDOW_CORE)
+        np.maximum.at(core, i, np.abs((j - feet[i] + N // 2) % N - N // 2))
+        feet.setflags(write=False)
+        return feet, core
+
+    feet, core = _kept(("window", grid, points.tobytes()), cores)
     half = core + _WINDOW_TAIL * _WINDOW_SIGMA
     half[N + 2 * half * factor + 1 >= N * factor] = 0
     return feet, half

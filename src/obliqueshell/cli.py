@@ -29,19 +29,16 @@ import os
 import sys
 import time
 
+from . import _threads
 from .errors import (ConfigurationError, DomainError, NumericalInstabilityError,
                      ObliqueShellError, ParameterError)
 
 
 def _apply_thread_cap() -> None:
-    threads = os.environ.get("THREADS")
-    if not threads:
-        return
-    if not (threads.isascii() and threads.isdecimal() and int(threads) > 0):
-        raise ParameterError(f"THREADS must be a positive integer, got {threads!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+    if _threads() is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, os.environ["THREADS"])
 
 
 #: suffixes of the files a command writes beside --out, by command

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zherk
 
-from . import bie, specfun
+from . import bie, specfun, spectral
 from .bie import VolumeGrid
 from .errors import ConfigurationError, DomainError, ParameterError, PoleProximityError
 from .geometry import Curve, QuadratureGrid, grid as make_grid
@@ -403,7 +403,7 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     w_b = g.weight * g.jacobians
     B = np.eye(Nn) - alpha * c ** 2 * bie.assemble_M3CM3(g, dp).entries
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
-    if smin <= 1e-8:
+    if smin <= spectral.POLE_GATE:
         raise PoleProximityError(
             f"I - alpha c^2 M3 C M3 nearly singular at c={c} "
             f"(smallest singular value {smin:.3g})"

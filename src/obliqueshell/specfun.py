@@ -42,7 +42,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import special as sp
 
-from .errors import ConfigurationError, DomainError
+from . import _threads
+from .errors import DomainError
 
 #: |z| beyond which K_j underflows to an exact zero (e^-700 < 1e-304).
 OVERFLOW_RADIUS = 700.0
@@ -61,16 +62,8 @@ def _workers() -> int:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cores = os.cpu_count() or 1
-    threads = os.environ.get("THREADS")
-    if not threads:
-        return cores
-    try:
-        n = int(threads)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigurationError(f"THREADS must be a positive integer, got {threads!r}")
-    return min(n, cores)
+    threads = _threads()
+    return cores if threads is None else min(threads, cores)
 
 
 @functools.cache

@@ -42,7 +42,9 @@ BRACKET_FLOOR = -1e12
 #: smallest relative tolerance brentq accepts
 RTOL_FLOOR = 4 * np.finfo(float).eps
 
-#: singular-value gate for resolvent application near the point spectrum
+#: singular-value gate for resolvent application near the point spectrum:
+#: krein_apply and dirac.dirac_correction refuse a system matrix whose
+#: smallest singular value is at most this
 POLE_GATE = 1e-8
 
 
@@ -518,8 +520,10 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
         return KreinResult(vol, free, np.zeros(g.N, complex), g, sp, alpha)
 
     op = bie.assemble_S(g, sp)
-    sym = op.symmetrized()
-    B = np.eye(g.N) - alpha * sp.lam * sym
+    # I - alpha lambda S in the symmetric basis, D (I - alpha lambda S) D^-1
+    # with D = diag(sqrt(jac)): the gate reads its singular values, and the
+    # solve for eta runs on it
+    B = np.eye(g.N) - alpha * sp.lam * op.symmetrized()
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     if smin <= POLE_GATE:
         bs_vals = alpha * sp.lam * op.eigenvalues_desc()
@@ -531,7 +535,8 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
             f"smallest singular value of I - alpha lambda S {smin:.3g}"
         )
     rhs = bie.apply_Psi_star(g, sp.conjugate, f, vol)
-    eta = np.linalg.solve(np.eye(g.N) - alpha * sp.lam * op.entries, rhs)
+    d = np.sqrt(g.jacobians)
+    eta = np.linalg.solve(B, d * rhs) / d
     corr = bie.eval_Psi(g, eta, sp, vol.points)
     return KreinResult(vol, free + alpha * corr, eta, g, sp, alpha)
 

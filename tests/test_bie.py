@@ -61,31 +61,34 @@ def _pairwise_r(points):
 
 def _mk_reference(g, kappa):
     """The Martensen-Kussmaul weights on the full N x N grid: every pair
-    (i, j) evaluated on its own, in the order of the scheme's formula."""
+    (i, j) evaluated on its own by the scheme's formula A c + weight K, with
+    A = -I_0(kappa r)/4pi, K = K_0(kappa r)/2pi and the log factor
+    c = R - weight ln 4 sin^2(pi m / N) at the offset m = |i - j|."""
     N = g.N
     r = _pairwise_r(g.points)
-    theta = g.nodes[:, None] - g.nodes[None, :]
-    off = ~np.eye(N, dtype=bool)
+    m = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
+    off = m > 0
     real_path = kappa.imag == 0
     arg = kappa.real * r if real_path else kappa * r
     A = -bie.bessel_i_array(0, arg) / (4 * np.pi)
-    ln4sin2 = np.zeros_like(r)
-    ln4sin2[off] = np.log(4 * np.sin(theta[off] / 2) ** 2)
-    B = np.zeros_like(A, dtype=float if real_path else complex)
-    kern = np.zeros_like(B)
-    kern[off] = bie.bessel_k_array(0, arg[off]) / (2 * np.pi)
-    B[off] = kern[off] - A[off] * ln4sin2[off]
+    col = bie.log_quadrature_weights(N)
+    c = np.zeros_like(r)
+    c[off] = col[m[off]] - g.weight * np.log(4 * np.sin(np.pi * m[off] / N) ** 2)
+    K = np.zeros_like(A)
+    K[off] = bie.bessel_k_array(0, arg[off]) / (2 * np.pi)
+    W = A * c + g.weight * K
     diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(g.jacobians)) / (2 * np.pi)
-    np.fill_diagonal(B, diag.real if real_path else diag)
-    return circulant(bie.log_quadrature_weights(N)) * A + g.weight * B
+    np.fill_diagonal(W, col[0] * (-1 / (4 * np.pi)) + g.weight * (diag.real if real_path
+                                                                   else diag))
+    return W
 
 
 @pytest.mark.parametrize("N", [64, 512])
 def test_mk_weights_symmetric_and_match_full_reference(kite, mirror_free, N):
-    # the kernel is evaluated on the strict lower triangle and mirrored:
-    # W is exactly symmetric, and its lower triangle, the part LAPACK's
-    # symmetric eigensolvers read, is bit-identical to the full reference
-    low = np.tril_indices(N)
+    # the kernel is evaluated on the strict upper triangle and mirrored:
+    # W is exactly symmetric, and the evaluated triangle is bit-identical to
+    # the full reference
+    up = np.triu_indices(N, 1)
     for curve in (kite, mirror_free):
         g = geometry.grid(curve, N)
         for kappa in (0.8 / curve.diameter, 5.0 / curve.diameter,
@@ -95,10 +98,22 @@ def test_mk_weights_symmetric_and_match_full_reference(kite, mirror_free, N):
             assert np.array_equal(W, W.T), (curve.name, kappa)
             ref = _mk_reference(g, kappa)
             assert W.dtype == ref.dtype
-            assert np.array_equal(W[low], ref[low]), (curve.name, kappa)
-            # the reference's upper triangle differs only by the rounding of
-            # the log weights R[i, j] = col[i - j] against col[N + i - j]
+            assert np.array_equal(W[up], ref[up]), (curve.name, kappa)
             assert np.abs(W - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_mk_blocks_hold_two_floats_per_pair_and_one_mask(kite):
+    # the kappa-independent blocks keep no index arrays: the distances and
+    # the log factor on the N (N - 1) / 2 pairs, and the triangle as a mask
+    for N in (64, 512):
+        blocks = bie._build_mk_blocks(geometry.grid(kite, N))
+        arrays = [v for v in vars(blocks).values() if isinstance(v, np.ndarray)]
+        assert not any(np.issubdtype(a.dtype, np.integer) for a in arrays)
+        floats = sum(a.size for a in arrays if a.dtype == np.float64)
+        masks = [a for a in arrays if a.dtype == bool]
+        assert floats <= 2 * N * (N - 1) // 2
+        assert len(masks) == 1 and masks[0].shape == (N, N)
+        assert sum(a.nbytes for a in arrays) <= 16 * N * (N - 1) // 2 + N * N
 
 
 def test_mk_blocks_are_built_once_per_grid(monkeypatch, kite):
@@ -136,7 +151,7 @@ def test_shared_blocks_are_read_only(kite):
     blocks = bie._build_mk_blocks(g)
     vol = bie.make_volume_grid(1.5 * kite.diameter, 8)
     _, pr, S = dirac._c_free_blocks(kite, SpectralParameter.make(1j), 32, vol)
-    arrays = [blocks.rows, blocks.cols, blocks.r, blocks.ln4sin2, blocks.R,
+    arrays = [blocks.r, blocks.c, blocks.upper,
               pr.x, pr.r, pr.k0, pr.k1, pr.L, pr.L_bar, S]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -640,6 +655,43 @@ def test_window_core_reaches_every_near_arc(kite):
     assert half[0] == max(offsets.max(), 12) + 12 > 24
 
 
+def _window_plan_reference(g, points, factor):
+    """Feet and half-widths of ``bie._window_plan`` from the full targets x
+    nodes distance array."""
+    x = points[:, None, :] - g.points[None, :, :]
+    dist = np.hypot(x[..., 0], x[..., 1])
+    feet = dist.argmin(axis=1)
+    offsets = np.abs((np.arange(g.N)[None, :] - feet[:, None] + g.N // 2) % g.N - g.N // 2)
+    near = dist < 8 * g.weight * g.jacobians[None, :]
+    half = np.maximum(np.where(near, offsets, 0).max(axis=1), 12) + 12
+    half[g.N + 2 * half * factor + 1 >= g.N * factor] = 0
+    return feet, half
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_window_plan_matches_a_brute_force_reference(kite, mirror_free, N):
+    # the plan's pair query finds the same feet and cores as a scan of every
+    # target x node pair: trace offsets, the near nodes of a volume grid, and
+    # the kite's notch target, which lies near two arcs
+    two_arcs = 0
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, N)
+        h = bie.default_h_sequence(curve)
+        traces = (g.points[None] + np.concatenate([-h, h])[:, None, None]
+                  * g.normals[None]).reshape(-1, 2)
+        vol = bie.make_volume_grid(0.75 * curve.diameter, 48).points
+        vol = vol[bie._upsample_factors(g, bie._check_points_off_curve(g, vol)) > 1]
+        notch = np.array([[-1.26, 1.26]]) if curve is kite else np.empty((0, 2))
+        for targets in (traces, np.concatenate([vol, notch])):
+            two_arcs += sum(_arcs_near(g, x) > 1 for x in targets)
+            for F in (4, bie._TRACE_UPSAMPLE):
+                feet, half = bie._window_plan(g, targets, F)
+                ref_feet, ref_half = _window_plan_reference(g, targets, F)
+                assert np.array_equal(feet, ref_feet), (curve.name, F)
+                assert np.array_equal(half, ref_half), (curve.name, F)
+    assert two_arcs > 0
+
+
 def test_worker_count_from_threads(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     monkeypatch.delenv("THREADS", raising=False)
@@ -647,9 +699,9 @@ def test_worker_count_from_threads(monkeypatch):
     for value, expect in (("1", 1), ("", cores), (str(10 ** 6), cores)):
         monkeypatch.setenv("THREADS", value)
         assert specfun._workers() == expect
-    for value in ("0", "-2", "2.5", "two"):
+    for value in ("0", "-2", "2.5", "two", " 4", "+4", "1_0", "\u0664"):
         monkeypatch.setenv("THREADS", value)
-        with pytest.raises(ConfigurationError, match=repr(value)):
+        with pytest.raises(ConfigurationError, match=re.escape(repr(value))):
             specfun._workers()
 
 

@@ -383,7 +383,7 @@ def test_manifest_hashes_the_bytes_on_disk(tmp_path, argv, outputs):
     ["oracle-check", "--lam", "-2", "--N", "64"],
     ["spectrum", "--alpha", "-1", "--count", "1", "--N", "64", "--out", "{tmp}/x.json"],
 ], ids=["oracle-check", "spectrum"])
-@pytest.mark.parametrize("threads", ["abc", "0"])
+@pytest.mark.parametrize("threads", ["abc", "0", " 4", "+4", "1_0", "\u0664"])
 def test_bad_threads_is_a_usage_error_before_numpy_loads(tmp_path, argv, threads):
     # THREADS is checked once, in the CLI, before numpy is imported; the pool
     # used to check it only when a Bessel array spanned two chunks
