@@ -18,6 +18,12 @@ Two assembly paths for the weakly singular single-layer kernel
   kernel is evaluated directly, so no cancellation occurs; its accuracy is
   limited and depends on N as well as kappa (``_single_layer_weights_local``).
 
+Both paths return the symmetric weights W, (S phi)(t_i) ~ sum_j W[i,j]
+jac_j phi_j.  The assembled operators are stored once, in the orthonormal
+basis of the weighted L2 space on the curve that every reader (eigensolves,
+eigenvectors, the Krein solve, the Dirac gaps) works in: D W D with
+D = diag(sqrt(jac)), exactly symmetric.
+
 Blocks that a public call reuses, such as the kappa-independent splitting
 blocks of a grid and the window plan of a target set, live in one call
 scope (``_call``, ``_kept``) and go when the outermost public call returns;
@@ -265,42 +271,41 @@ def single_layer_weights(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryOperatorMatrix:
-    """Dense Nystrom matrix acting on nodal density values."""
+    """Dense Nystrom matrix of a boundary operator in the orthonormal basis
+    of the weighted L2 space on the curve: D W D, D = diag(sqrt(jac)), W the
+    symmetric weights, so ``entries`` is exactly symmetric.  It applies to a
+    nodal density x as (entries @ (d * x)) / d, d = sqrt(jac)."""
 
     entries: np.ndarray
-    grid: QuadratureGrid
-
-    def symmetrized(self) -> np.ndarray:
-        """Similarity transform making the matrix represent the operator in an
-        orthonormal basis of the weighted L2 space on the curve."""
-        d = np.sqrt(self.grid.jacobians)
-        return self.entries * (d[:, None] / d[None, :])
 
     def eigenvalues_desc(self, k: int | None = None) -> np.ndarray:
         """Eigenvalues sorted by descending real part."""
-        sym = self.symmetrized()
-        if np.isrealobj(sym):
-            n = sym.shape[0]
+        A = self.entries
+        if np.isrealobj(A):
+            n = A.shape[0]
             if k is not None and n >= 512 and k < n // 4:
                 from scipy.linalg import eigh
-                vals = eigh(sym, eigvals_only=True,
+                vals = eigh(A, eigvals_only=True,
                             subset_by_index=[n - k, n - 1])
                 return vals[::-1]
-            vals = np.linalg.eigvalsh(sym)[::-1]
+            vals = np.linalg.eigvalsh(A)[::-1]
         else:
-            vals = np.linalg.eigvals(sym)
+            vals = np.linalg.eigvals(A)
             vals = vals[np.argsort(-vals.real)]
         return vals if k is None else vals[:k]
 
-    def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.symmetrized(), 2))
+
+def _orthonormal(grid: QuadratureGrid, W: np.ndarray) -> BoundaryOperatorMatrix:
+    """D W D, D = diag(sqrt(jac)), in place on W: each entry is scaled by
+    the one product d_i d_j, so a symmetric W stays exactly symmetric."""
+    d = np.sqrt(grid.jacobians)
+    W *= np.outer(d, d)
+    return BoundaryOperatorMatrix(W)
 
 
 def assemble_S(grid: QuadratureGrid, sp: SpectralParameter) -> BoundaryOperatorMatrix:
     """Single layer boundary operator S(lambda) as an N x N Nystrom matrix."""
-    W = single_layer_weights(grid, sp.kappa)
-    Q = W * grid.jacobians[None, :]
-    return BoundaryOperatorMatrix(Q, grid)
+    return _orthonormal(grid, single_layer_weights(grid, sp.kappa))
 
 
 def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperatorMatrix:
@@ -309,12 +314,10 @@ def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperator
     The compression vanishes outside the M3 spinor component, and there the
     sigma.x term dies, so only the K_0 part of the Dirac kernel survives.
     The returned matrix is that live block: (z/c^2 - 1/2) times the scalar
-    single layer matrix at the relativistic root, acting on M3-component
-    densities.
+    single layer matrix at the relativistic root, on M3-component densities.
     """
     factor = dp.lam / dp.c ** 2 - 0.5
-    W = single_layer_weights(grid, dp.kappa)
-    return BoundaryOperatorMatrix(factor * W * grid.jacobians[None, :], grid)
+    return _orthonormal(grid, factor * single_layer_weights(grid, dp.kappa))
 
 
 # ---------------------------------------------------------------------------

@@ -248,9 +248,9 @@ _gap_phi_star = _gap_phi
 
 def _gap_c(dp: DiracParameter, lam_S: np.ndarray, g: QuadratureGrid) -> float:
     """Norm of c^2 M3 C_z M3 - lambda S(lambda) M3 on the boundary; ``lam_S``
-    is lambda times the entries of S(lambda)."""
-    D = dp.c ** 2 * bie.assemble_M3CM3(g, dp).entries - lam_S
-    return bie.BoundaryOperatorMatrix(D, g).operator_norm()
+    is lambda times the entries of S(lambda).  Both matrices are in the
+    orthonormal basis of the weighted L2 space, so this is the L2 norm."""
+    return float(np.linalg.norm(dp.c ** 2 * bie.assemble_M3CM3(g, dp).entries - lam_S, 2))
 
 
 def _c_free_blocks(curve: Curve, sp: SpectralParameter, N: int, vol: VolumeGrid):
@@ -399,8 +399,12 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     M = len(vol.points)
     Nn = g.N
 
-    # Dirac side: the boundary maps act on M3-component densities, N x N
-    w_b = g.weight * g.jacobians
+    # Dirac side: the boundary maps act on M3-component densities, N x N, in
+    # the orthonormal basis of the boundary matrices, where a nodal density
+    # x is d x: the boundary-to-volume maps take the weight w d, the
+    # volume-to-boundary maps' rows the factor d
+    d = np.sqrt(g.jacobians)
+    w_b = g.weight * d
     B = np.eye(Nn) - alpha * c ** 2 * bie.assemble_M3CM3(g, dp).entries
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     if smin <= spectral.POLE_GATE:
@@ -412,13 +416,13 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     phi *= w_b
     phi *= c
     np.conj(phi_star, out=phi_star)
-    phi_star *= vol.weight
+    phi_star *= vol.weight * d
     phi_star = phi_star.T
     X = np.linalg.solve(B, alpha * c * phi_star)
 
     # limit side: Psi M2 and M2^T Psi* act on the first spinor component
     psi = pr.L * w_b
-    psi_star = np.conj(pr.L_bar).T * vol.weight
+    psi_star = np.conj(pr.L_bar).T * (vol.weight * d)[:, None]
     Y = np.linalg.solve(np.eye(Nn) - alpha * lam * S, alpha * psi_star)
 
     # K_D - K_S = [phi | -psi] [X; Y] = Q R [X; Y], psi zero-padded and Y

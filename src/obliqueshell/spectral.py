@@ -421,8 +421,7 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
         raise DomainError("lambda_n must be negative")
     g = _grid(curve, N)
     sp = SpectralParameter.make(lambda_n)
-    op = bie.assemble_S(g, sp)
-    w_all, V = np.linalg.eigh(op.symmetrized())
+    w_all, V = np.linalg.eigh(bie.assemble_S(g, sp).entries)
     bs_vals = alpha * lambda_n * w_all
     idx = int(np.argmin(np.abs(bs_vals - 1.0)))
     if abs(bs_vals[idx] - 1.0) > 10 * tol:
@@ -430,9 +429,8 @@ def eigenfunction(curve: Curve, alpha: float, lambda_n: float, n: int,
             f"no eigenvalue of alpha lambda S near 1 at lambda={lambda_n} "
             f"(nearest is {bs_vals[idx]:.6g}); lambda_n and n are inconsistent"
         )
-    phi = V[:, idx] / np.sqrt(g.jacobians)
-    norm = np.sqrt(g.weight * np.sum(np.abs(phi) ** 2 * g.jacobians))
-    phi = phi / norm
+    # the columns of V are orthonormal, so phi has unit L2 norm on the curve
+    phi = V[:, idx] / np.sqrt(g.weight * g.jacobians)
     pts = spatial_grid.points if isinstance(spatial_grid, VolumeGrid) \
         else np.atleast_2d(np.asarray(spatial_grid, dtype=float))
     values = bie.eval_Psi(g, phi, sp, pts)
@@ -520,10 +518,10 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
         return KreinResult(vol, free, np.zeros(g.N, complex), g, sp, alpha)
 
     op = bie.assemble_S(g, sp)
-    # I - alpha lambda S in the symmetric basis, D (I - alpha lambda S) D^-1
-    # with D = diag(sqrt(jac)): the gate reads its singular values, and the
-    # solve for eta runs on it
-    B = np.eye(g.N) - alpha * sp.lam * op.symmetrized()
+    # I - alpha lambda S in the orthonormal basis of S's entries, where a
+    # nodal density x is d x, d = sqrt(jac): the gate reads its singular
+    # values, and the solve for eta runs on it
+    B = np.eye(g.N) - alpha * sp.lam * op.entries
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     if smin <= POLE_GATE:
         bs_vals = alpha * sp.lam * op.eigenvalues_desc()

@@ -48,10 +48,26 @@ def test_single_layer_symmetry_and_positivity(kite):
     g = geometry.grid(kite, 96)
     sp = SpectralParameter.make(-5.0)
     S = bie.assemble_S(g, sp)
-    sym = S.symmetrized()
-    assert np.linalg.norm(sym - sym.T) <= 1e-10 * np.linalg.norm(sym)
+    assert np.array_equal(S.entries, S.entries.T)
     vals = S.eigenvalues_desc()
     assert np.all(vals > 0)
+
+
+@pytest.mark.parametrize("kd", [5.0, 20.0])
+def test_entries_are_the_nodal_operator_in_an_orthonormal_basis(kite, mirror_free, kd):
+    # S is stored as D W D, D = diag(sqrt(jac)), on both assembly paths: the
+    # splitting path at kappa d = 5, the graded panels at kappa d = 20.  It
+    # is exactly symmetric and similar to the nodal matrix W diag(jac)
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, 128)
+        lam = -(kd / curve.diameter) ** 2
+        assert (kd <= bie._split_limit(g.N)) == (kd == 5.0)
+        S = bie.assemble_S(g, SpectralParameter.make(lam))
+        assert np.array_equal(S.entries, S.entries.T), curve.name
+        nodal = bie.single_layer_weights(g, np.sqrt(-lam)) * g.jacobians[None, :]
+        ref = np.sort(np.linalg.eigvals(nodal).real)[::-1]
+        ev = S.eigenvalues_desc()
+        assert np.max(np.abs(ev - ref)) <= 1e-12 * np.abs(ref).max(), curve.name
 
 
 def _pairwise_r(points):
@@ -175,9 +191,10 @@ def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):
             d = np.exp(1j * m * g.nodes)
             a, b = W_mk @ d, W_loc @ d
             assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(a), curve.name
+        d = np.sqrt(g.jacobians)
         ev_mk, ev_loc = (
-            bie.BoundaryOperatorMatrix(W * g.jacobians[None, :], g)
-            .eigenvalues_desc(8) for W in (W_mk, W_loc))
+            bie.BoundaryOperatorMatrix(W * np.outer(d, d)).eigenvalues_desc(8)
+            for W in (W_mk, W_loc))
         assert np.allclose(ev_mk, ev_loc, rtol=1e-8), curve.name
 
 
@@ -243,7 +260,7 @@ def test_norm_envelope(circle):
     for lam in (-1e-3, -1e-1, -1.0, -1e1, -1e3):
         S = bie.assemble_S(g, SpectralParameter.make(lam))
         bound = 3.0 * np.log(np.sqrt(2 + 1 / abs(lam))) / np.sqrt(2 + abs(lam))
-        assert S.operator_norm() <= bound
+        assert np.linalg.norm(S.entries, 2) <= bound
 
 
 def test_domain_error_for_bad_kappa(circle):

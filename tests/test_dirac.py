@@ -33,22 +33,31 @@ def _spinor_flatten(K):
     return K.transpose(2, 0, 3, 1).reshape(2 * M, 2 * N)
 
 
+def _nodal(g, entries):
+    """D^-1 A D, D = diag(sqrt(jac)): the operator that an orthonormal-basis
+    matrix A stands for, acting on nodal density values."""
+    d = np.sqrt(g.jacobians)
+    return entries / d[:, None] * d[None, :]
+
+
 def test_compression_resolvent_identity(circle, kite):
     # the correction's Dirac factors on the live M3 block, as dirac_correction
-    # forms them, equal the full spinor formula
+    # forms them in the orthonormal basis of the boundary matrices, equal the
+    # full spinor formula
     # c Phi_z P3 (I - alpha c^2 M3 C_z M3)^-1 alpha c P3 Phi*_zbar with 2N x 2N
-    # padded boundary matrices
+    # padded boundary matrices acting on nodal values
     alpha, c, lam = -1.0, 8.0, 1 + 2j
     for curve in (circle, kite):
         g = geometry.grid(curve, 32)
         vol = bie.make_volume_grid(1.5 * curve.diameter, 8)  # the probe volume
         N = g.N
         w_b = g.weight * g.jacobians
+        d = np.sqrt(g.jacobians)
         dp = DiracParameter.shifted(lam, c)
         dp_bar = DiracParameter.shifted(np.conj(lam), c)
         M3CM3 = bie.assemble_M3CM3(g, dp).entries
         C = np.zeros((2 * N, 2 * N), dtype=complex)
-        C[N:, N:] = M3CM3
+        C[N:, N:] = _nodal(g, M3CM3)
         P3 = np.zeros((2 * N, 2 * N))
         P3[N:, N:] = np.eye(N)
         diff = vol.points[:, None, :] - g.points[None, :, :]
@@ -60,9 +69,9 @@ def test_compression_resolvent_identity(circle, kite):
 
         phi_z, phi_zbar = dirac._phi_m3_sides(
             dp, dirac._probes(SpectralParameter.make(lam), g, vol.points))
-        live = (c * phi_z * w_b) @ np.linalg.solve(
+        live = (c * phi_z * (g.weight * d)) @ np.linalg.solve(
             np.eye(N) - alpha * c ** 2 * M3CM3,
-            alpha * c * np.conj(phi_zbar).T * vol.weight)
+            alpha * c * d[:, None] * np.conj(phi_zbar).T * vol.weight)
         assert live.shape == ref.shape
         err = np.linalg.norm(live - ref)
         assert err <= 1e-12 * np.linalg.norm(ref), curve.name
@@ -165,7 +174,7 @@ def test_difference_norm_matches_dense_norm(circle, kite, mirror_free, lam, c):
         dp = DiracParameter.shifted(lam, c)
         dp_bar = DiracParameter.shifted(np.conj(lam), c)
         C = np.zeros((2 * N, 2 * N), dtype=complex)
-        C[N:, N:] = bie.assemble_M3CM3(g, dp).entries
+        C[N:, N:] = _nodal(g, bie.assemble_M3CM3(g, dp).entries)
         P3 = np.zeros((2 * N, 2 * N))
         P3[N:, N:] = np.eye(N)
         diff = vol.points[:, None, :] - g.points[None, :, :]
@@ -178,7 +187,7 @@ def test_difference_norm_matches_dense_norm(circle, kite, mirror_free, lam, c):
         sp = SpectralParameter.make(lam)
         psi = kernel_L(sp, diff) * w_b
         psi_star = np.conj(kernel_L(sp.conjugate, diff)).T * vol.weight
-        S = bie.assemble_S(g, sp).entries
+        S = _nodal(g, bie.assemble_S(g, sp).entries)
         K_schrod = np.zeros_like(K_dirac)
         K_schrod[:M, :M] = psi @ np.linalg.solve(np.eye(N) - alpha * lam * S,
                                                  alpha * psi_star)
