@@ -46,7 +46,8 @@ from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
 from . import kernels, specfun
-from .errors import ConfigurationError, DomainError, NumericalInstabilityError, SingularityError
+from .errors import (ConfigurationError, DomainError, NumericalInstabilityError, ParameterError,
+                     SingularityError)
 from .geometry import Curve, QuadratureGrid
 from .kernels import DiracParameter, SpectralParameter, _bessel_arg, kernel_L, kernel_U
 from .specfun import EULER_GAMMA, _run_chunks, bessel_i_array, bessel_k_array
@@ -316,8 +317,7 @@ def assemble_M3CM3(grid: QuadratureGrid, dp: DiracParameter) -> BoundaryOperator
     The returned matrix is that live block: (z/c^2 - 1/2) times the scalar
     single layer matrix at the relativistic root, on M3-component densities.
     """
-    factor = dp.lam / dp.c ** 2 - 0.5
-    return _orthonormal(grid, factor * single_layer_weights(grid, dp.kappa))
+    return _orthonormal(grid, (dp.lam / dp.c ** 2 - 0.5) * single_layer_weights(grid, dp.kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,10 @@ def _on_curve_tol(curve: Curve) -> float:
 
 def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the curve (``_curve_distance``); raises
-    SingularityError for a point on the curve."""
+    ParameterError for a point that is not finite and SingularityError for a
+    point on the curve."""
+    if not np.isfinite(points).all():
+        raise ParameterError("evaluation points must be finite")
     d = _curve_distance(grid.curve, points)
     if np.any(d < _on_curve_tol(grid.curve)):
         raise SingularityError("evaluation point lies on the curve")
@@ -371,8 +374,12 @@ def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndar
 
 
 def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
-    """Trig-interpolate density*jacobian to a factor-times-finer grid."""
+    """Trig-interpolate density*jacobian to a factor-times-finer grid.  Every
+    layer potential and trace reads its density here, so a density that is
+    not finite raises ParameterError here."""
     N = grid.N
+    if not np.isfinite(density).all():
+        raise ParameterError("density must be finite")
     g = np.asarray(density, dtype=complex) * grid.jacobians
     if factor <= 1:
         return grid.points, g, grid.weight
@@ -735,6 +742,18 @@ def check_volume_clear_of_curve(vol: VolumeGrid, grid: QuadratureGrid) -> None:
         )
 
 
+def _volume_samples(vol: VolumeGrid, f_samples) -> np.ndarray:
+    """f_samples as a flat complex array, one value per node of vol.  Raises
+    ConfigurationError naming both sizes when they differ, and ParameterError
+    for a sample that is not finite."""
+    f = np.asarray(f_samples, dtype=complex).ravel()
+    if f.size != len(vol.points):
+        raise ConfigurationError(f"f_samples: {f.size} values for {len(vol.points)} volume nodes")
+    if not np.isfinite(f).all():
+        raise ParameterError("f_samples must be finite")
+    return f
+
+
 def _lattice_convolve(vol: VolumeGrid, kernel_at, self_cell: complex,
                       f: np.ndarray) -> np.ndarray:
     """h^2 sum_j k(x_i - x_j) f_j at every node x_i, as an (nx, ny) array.
@@ -781,9 +800,7 @@ def apply_Psi_star(grid: QuadratureGrid, sp: SpectralParameter,
     """
     from scipy.interpolate import RectBivariateSpline
 
-    f = np.asarray(f_samples, dtype=complex).ravel()
-    if f.shape[0] != len(vol.points):
-        raise ConfigurationError("f_samples does not match the volume grid")
+    f = _volume_samples(vol, f_samples)
     if min(vol.shape) <= _SPLINE_DEGREE:
         raise ConfigurationError(
             f"the spline trace of Psi* f needs more than {_SPLINE_DEGREE} volume "

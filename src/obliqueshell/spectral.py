@@ -447,9 +447,16 @@ def oblique_residual(g: QuadratureGrid, density: np.ndarray,
     jump_estimate = alpha * dzbar_sum.
     """
     jump, dzbar_sum = bie.jump_traces(g, density, sp)
-    num = np.linalg.norm(jump - alpha * dzbar_sum)
-    den = max(np.linalg.norm(jump), np.linalg.norm(alpha * dzbar_sum))
-    return float(num / den)
+    return _relative_residual(jump, alpha * dzbar_sum)
+
+
+def _relative_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|) of a transmission condition; raises
+    ParameterError when both sides vanish, as they do for a zero input."""
+    den = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+    if den == 0:
+        raise ParameterError("residual undefined: both sides vanish (zero input)")
+    return float(np.linalg.norm(lhs - rhs) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +516,7 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     """
     if not math.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
-    f = np.asarray(f_samples, dtype=complex).ravel()
-    if not np.isfinite(f).all():
-        raise ParameterError("f_samples must be finite")
+    f = bie._volume_samples(vol, f_samples)
     g = make_grid(curve, N)
     free = _free_resolvent_on_grid(sp, vol, f)
     if alpha == 0:
@@ -556,7 +561,7 @@ EDGE_DECAY = 1e-6
 def _dzbar_samples(vol: VolumeGrid, f: np.ndarray) -> np.ndarray:
     """dzbar f = (d_x + i d_y) f / 2 of grid samples, by FFT differentiation;
     raises ConfigurationError when f does not decay at the box edge."""
-    fg = np.asarray(f, dtype=complex).reshape(vol.shape)
+    fg = vol.reshape(bie._volume_samples(vol, f))
     ring = max(np.abs(fg[[0, -1], :]).max(), np.abs(fg[:, [0, -1]]).max())
     peak = np.abs(fg).max()
     if ring > EDGE_DECAY * peak:
@@ -593,9 +598,7 @@ def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray) -> f
     # lhs = nu (g_+ - g_-) = -i alpha jump ;  rhs = -alpha (dzbar g_+ + dzbar g_-)
     lhs = -1j * alpha * jump
     rhs = -alpha * (2 * dz_free + alpha * 1j * dzbar_sum)
-    num = np.linalg.norm(lhs - rhs)
-    den = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    return float(num / den)
+    return _relative_residual(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from obliqueshell import bie, dirac, geometry, specfun, spectral
 from obliqueshell.errors import (
     ConfigurationError,
     DomainError,
+    ParameterError,
     PoleProximityError,
     SingularityError,
 )
@@ -359,6 +360,25 @@ def test_curve_points_between_samples_are_rejected(kite, mirror_free):
         vol = bie.VolumeGrid(node[:, 0], node[:, 1], node, 1.0)
         with pytest.raises(ConfigurationError):
             bie.check_volume_clear_of_curve(vol, g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_and_densities_are_a_typed_error(kite, bad):
+    # a non-finite point used to reach scipy's cKDTree ValueError, a NaN
+    # density value gave eval_SL a silent nan and jump_traces a trace ratio
+    # test failure, which named the wrong cause
+    g = geometry.grid(kite, 64)
+    sp = SpectralParameter.make(-3.0)
+    point = np.array([[bad, 0.1]])
+    for evaluate in (bie.eval_SL, bie.eval_Psi):
+        with pytest.raises(ParameterError, match="points must be finite"):
+            evaluate(g, np.ones(g.N), sp, point)
+    density = np.ones(g.N, dtype=complex)
+    density[7] = bad
+    with pytest.raises(ParameterError, match="density must be finite"):
+        bie.eval_SL(g, density, sp, np.array([[0.1, 0.2]]))
+    with pytest.raises(ParameterError, match="density must be finite"):
+        bie.jump_traces(g, density, sp)
 
 
 def test_jump_identities(circle):

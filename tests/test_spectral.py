@@ -595,6 +595,46 @@ def test_krein_transmission_residual_needs_decaying_samples(circle):
         spectral.krein_transmission_residual(res, f)
 
 
+def test_f_samples_of_the_wrong_size_are_a_typed_error(kite):
+    # both used to end in numpy's reshape ValueError: krein_apply's free part
+    # reshaped f before the adjoint map's own size check ran
+    vol = bie.make_volume_grid(6.0, 32)
+    sp = SpectralParameter.make(-3.0)
+    f = np.exp(-(vol.points ** 2).sum(-1) / (2 * 0.25 ** 2))
+    with pytest.raises(ConfigurationError, match=r"\b1023 values for 1024 volume nodes"):
+        spectral.krein_apply(kite, -1.0, sp, f[:-1], vol, N=64)
+    res = spectral.krein_apply(kite, -1.0, sp, f, vol, N=64)
+    with pytest.raises(ConfigurationError, match=r"\b1023 values for 1024 volume nodes"):
+        spectral.krein_transmission_residual(res, f[:-1])
+
+
+def test_residuals_of_a_zero_input_are_a_typed_error(kite):
+    # both sides of the transmission condition vanish, so the relative
+    # residual is 0/0: it used to return nan with a RuntimeWarning
+    g = geometry.grid(kite, 64)
+    sp = SpectralParameter.make(-3.0)
+    with pytest.raises(ParameterError, match="both sides vanish"):
+        spectral.oblique_residual(g, np.zeros(64), sp, -1.0)
+    vol = bie.make_volume_grid(6.0, 32)
+    f = np.zeros(len(vol.points))
+    res = spectral.krein_apply(kite, -1.0, sp, f, vol, N=64)
+    with pytest.raises(ParameterError, match="both sides vanish"):
+        spectral.krein_transmission_residual(res, f)
+
+
+def test_non_finite_eigenfunction_point_and_residual_density(circle):
+    # scipy's cKDTree used to reject the point with a ValueError, and the
+    # trace ratio test the density with a NumericalInstabilityError
+    lam1, _, _ = spectral.find_eigenvalue(circle, -1.0, 1, N=64)
+    with pytest.raises(ParameterError, match="points must be finite"):
+        spectral.eigenfunction(circle, -1.0, lam1, 1, [[np.nan, 0.0]], N=64)
+    g = geometry.grid(circle, 64)
+    density = np.ones(g.N)
+    density[5] = np.nan
+    with pytest.raises(ParameterError, match="density must be finite"):
+        spectral.oblique_residual(g, density, SpectralParameter.make(lam1), -1.0)
+
+
 def test_resolvent_volume_sums(kite, monkeypatch):
     # the adjoint map makes no direct kernel sum: it evaluates dzbar U once,
     # on the (2n - 1)^2 offset lattice less its centre, and never the oblique
