@@ -598,7 +598,8 @@ def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
     Each target is summed at the refinement of ``_upsample_factors`` for its
     distance, a near one by the windowed sum of ``_eval_layer`` where that
     costs fewer kernel evaluations than the full refined sum.  Raises
-    SingularityError for a point on the curve."""
+    SingularityError for a point on the curve, and ParameterError for a point
+    or density value that is not finite."""
     return _eval_refined(grid, density, sp, points, kernel_U)
 
 

@@ -444,7 +444,8 @@ def oblique_residual(g: QuadratureGrid, density: np.ndarray,
 
     The condition (nu1 + i nu2)(f_+ - f_-) = -alpha (dzbar f_+ + dzbar f_-)
     reduces, through the extrapolated jump identities, to
-    jump_estimate = alpha * dzbar_sum.
+    jump_estimate = alpha * dzbar_sum.  A zero density, where both sides
+    vanish, raises ParameterError.
     """
     jump, dzbar_sum = bie.jump_traces(g, density, sp)
     return _relative_residual(jump, alpha * dzbar_sum)
@@ -505,8 +506,8 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     grid (bie.apply_Psi_star); the correction is summed by bie.eval_Psi, on a
     density refined by each node's distance to the curve, for a near node
     only in a window around its foot node where that pays.  f_samples are the
-    values of f at the nodes of vol; a non-finite alpha or sample raises
-    ParameterError.  The curve must lie at least two node spacings inside
+    values of f at the nodes of vol: another number of samples raises
+    ConfigurationError, and a non-finite alpha or sample ParameterError.  The curve must lie at least two node spacings inside
     the outermost volume nodes, else ConfigurationError.  At
     alpha != 0, a volume node on the curve raises SingularityError in
     bie.eval_Psi.
@@ -589,7 +590,8 @@ def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray) -> f
     integral of U(y - x) dzbar f(x) dx, summed once at the curve nodes on the
     volume grid with dzbar f from the samples: a quadrature independent of
     the FFT route of the adjoint map, so the residual still tests Psi* f.
-    f must decay at the box edge (EDGE_DECAY), else ConfigurationError.
+    f must decay at the box edge (EDGE_DECAY), else ConfigurationError.  A
+    zero f, where both sides vanish, raises ParameterError.
     """
     g, sp, alpha, vol = result.grid, result.sp, result.alpha, result.volume
     dzbar_f = _dzbar_samples(vol, f_samples)
