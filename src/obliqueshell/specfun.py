@@ -4,7 +4,9 @@ K_0/K_1 are needed on the right half plane Re z > 0 only (every kernel
 argument has the form -i sqrt(lambda) |x| with Im sqrt(lambda) > 0), and
 ``bessel_k_array`` is their one evaluator: real arrays take scipy's k0/k1,
 complex ones the AMOS kv.  I_0/I_1 arrays serve the Martensen-Kussmaul
-splitting; integer-order I_n/K_n on the positive reals back the circle
+splitting; the ladders I_0..I_p and K_0..K_p (``_i_orders``, ``_k_orders``,
+the latter by recurrence from K_0/K_1) serve Graf's expansion in ``bie``;
+integer-order I_n/K_n on the positive reals back the circle
 diagonalization oracle.  The test fixtures pin both K paths, the I_0/I_1
 arrays and the integer orders against an independent 40-digit oracle.
 
@@ -278,6 +280,27 @@ def _k01_multiplication(mu: complex, w: np.ndarray, k0: np.ndarray, k1: np.ndarr
         out0 += a
         out1 += b
     out1 *= mu
+
+
+def _k_orders(top: int, z: np.ndarray):
+    """K_0(z), K_1(z), ..., K_top(z), one array at a time: K_0 and K_1 by
+    ``bessel_k_array``, the higher orders by the upward recurrence
+    K_(n+1) = K_(n-1) + (2n/z) K_n, which is stable for K.  A point costs
+    two Bessel evaluations whatever the order.  Elementwise, with no BLAS
+    call."""
+    prev, cur = bessel_k_array(0, z), bessel_k_array(1, z)
+    yield prev
+    for n in range(1, top + 1):
+        yield cur
+        if n < top:
+            prev, cur = cur, prev + (2 * n / z) * cur
+
+
+def _i_orders(top: int, z: np.ndarray) -> np.ndarray:
+    """I_0(z), ..., I_top(z) as the rows of a (top + 1, len(z)) array, each
+    order by its own evaluation; real z takes the real path."""
+    with np.errstate(under="ignore"):
+        return sp.iv(np.arange(top + 1)[:, None], np.asarray(z)[None, :])
 
 
 def bessel_i_array(order: int, z: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bie
 from .bie import VolumeGrid
@@ -178,6 +177,9 @@ def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
                 raise DivergenceError(f"bracket expansion passed lambda = {BRACKET_FLOOR:g}")
             f_b, step = f(b), 4 * step
         lo, hi = sorted([a, b])
+    # imported here: scipy.optimize adds about 10 MB to a process that finds no root
+    from scipy.optimize import brentq
+
     # brentq returns an end where f is 0 as it is
     return brentq(f, lo, hi, rtol=max(tol, RTOL_FLOOR), xtol=1e-300)
 
@@ -505,7 +507,8 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     -2i dzbar (R_lambda f) on the curve are FFT convolutions on the volume
     grid (bie.apply_Psi_star); the correction is summed by bie.eval_Psi, on a
     density refined by each node's distance to the curve, for a near node
-    only in a window around its foot node where that pays.  f_samples are the
+    only in a window around its foot node where that pays, and for a node
+    far from the curve by Graf's expansion about it.  f_samples are the
     values of f at the nodes of vol: another number of samples raises
     ConfigurationError, and a non-finite alpha or sample ParameterError.  The curve must lie at least two node spacings inside
     the outermost volume nodes, else ConfigurationError.  At
@@ -513,7 +516,9 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     bie.eval_Psi.
     When I - alpha lambda S is nearly singular, the PoleProximityError names
     the branch n whose alpha lambda mu_n lies nearest 1, taken from the same
-    assembly.
+    assembly.  At real lambda, where I - alpha lambda S is symmetric, the
+    gate reads its singular values |1 - alpha lambda mu_n| from the one
+    eigensolve that names the branch; at complex lambda it takes an SVD.
     """
     if not math.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
@@ -528,9 +533,16 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     # nodal density x is d x, d = sqrt(jac): the gate reads its singular
     # values, and the solve for eta runs on it
     B = np.eye(g.N) - alpha * sp.lam * op.entries
-    smin = float(np.linalg.svd(B, compute_uv=False)[-1])
-    if smin <= POLE_GATE:
+    bs_vals = None
+    if sp.lam.imag == 0:
+        # B is real symmetric, so its singular values are |1 - alpha lambda mu_n|
         bs_vals = alpha * sp.lam * op.eigenvalues_desc()
+        smin = float(np.abs(1.0 - bs_vals).min())
+    else:
+        smin = float(np.linalg.svd(B, compute_uv=False)[-1])
+    if smin <= POLE_GATE:
+        if bs_vals is None:
+            bs_vals = alpha * sp.lam * op.eigenvalues_desc()
         n = int(np.argmin(np.abs(bs_vals - 1.0)))
         raise PoleProximityError(
             f"resolvent parameter lambda={sp.lam} too close to the point "
@@ -547,9 +559,22 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
 
 def _direct_volume_field(kernel, sp, vol: VolumeGrid, f: np.ndarray,
                          points: np.ndarray) -> np.ndarray:
-    """Integral of kernel(x - y) f(y) dy at points, by direct summation."""
+    """Integral of kernel(x - y) f(y) dy at points, by the volume grid's
+    trapezoid rule.  For kernel_U (read from this module when called, so a
+    wrapper put in its place is recognised), the volume nodes at least 2R
+    from the centroid of the points, R the points' largest distance from
+    it, are summed by Graf's local expansion about that centroid
+    (``bie._local_sum``) where ``bie._graf_order`` gives an order; every
+    other node is summed directly."""
     f = np.asarray(f, dtype=complex).ravel()
-    return vol.weight * bie._kernel_sum(kernel, sp, points, vol.points, f)
+    plan = bie._graf_plan(sp.kappa, points, vol.points) if kernel is kernel_U else None
+    if plan is None:
+        return vol.weight * bie._kernel_sum(kernel, sp, points, vol.points, f)
+    near = ~plan.far
+    return vol.weight * (
+        bie._kernel_sum(kernel, sp, points, vol.points[near], f[near])
+        + bie._local_sum(sp.kappa, plan, vol.points[plan.far], f[plan.far], points)
+        / (2 * np.pi))
 
 
 #: largest |f| on the outermost ring of volume nodes, relative to max |f|,
@@ -588,8 +613,10 @@ def krein_transmission_residual(result: KreinResult, f_samples: np.ndarray) -> f
     the curve, so it drops from the jump on the left and contributes twice
     its dzbar on the right.  That dzbar is taken in the log-kernel form
     integral of U(y - x) dzbar f(x) dx, summed once at the curve nodes on the
-    volume grid with dzbar f from the samples: a quadrature independent of
-    the FFT route of the adjoint map, so the residual still tests Psi* f.
+    volume grid with dzbar f from the samples (``_direct_volume_field``:
+    directly over the volume nodes near the curve, by Graf's local expansion
+    over the far ones): a quadrature independent of the FFT route of the
+    adjoint map, so the residual still tests Psi* f.
     f must decay at the box edge (EDGE_DECAY), else ConfigurationError.  A
     zero f, where both sides vanish, raises ParameterError.
     """

@@ -381,6 +381,20 @@ def test_non_finite_points_and_densities_are_a_typed_error(kite, bad):
         bie.jump_traces(g, density, sp)
 
 
+@pytest.mark.parametrize("entry", ["eval_SL", "eval_Psi", "jump_traces", "oblique_residual"])
+def test_density_of_the_wrong_length_is_a_typed_error(kite, entry):
+    # it used to reach numpy's broadcast ValueError in _upsampled_density
+    g = geometry.grid(kite, 64)
+    sp = SpectralParameter.make(-3.0)
+    call = {"eval_SL": lambda d: bie.eval_SL(g, d, sp, [[0.1, 0.2]]),
+            "eval_Psi": lambda d: bie.eval_Psi(g, d, sp, [[0.1, 0.2]]),
+            "jump_traces": lambda d: bie.jump_traces(g, d, sp),
+            "oblique_residual": lambda d: spectral.oblique_residual(g, d, sp, -1.0)}[entry]
+    with pytest.raises(ConfigurationError, match=r"\(63,\) for 64 curve nodes"):
+        call(np.ones(63))
+    call(np.ones(64))
+
+
 def test_jump_identities(circle):
     # i (nu1 + i nu2)(jump of the oblique potential) recovers the density and
     # -i (sum of one-sided dzbar traces) recovers lambda S(lambda) density
@@ -586,6 +600,52 @@ def test_far_targets_match_upsampled_reference(kite, mirror_free, lam):
                     (curve.name, lam, kernel.__name__)
 
 
+def _abs_sum(kernel, sp, targets, sources, values):
+    """sum_j |kernel(sp, targets_i - sources_j) values_j|, the scale of a
+    sum's rounding."""
+    return bie._kernel_sum(lambda s, x: np.abs(kernel(s, x)), sp, targets, sources,
+                           np.abs(values)).real
+
+
+@pytest.mark.parametrize("lam", [-3.0, -10.0, -0.01, 1 + 2j, 5 + 0.5j, -97.5])
+def test_far_points_by_graf_match_the_direct_sum(kite, ellipse, mirror_free, lam):
+    # volume targets at least 2R from the centroid c of the curve nodes (R
+    # their largest distance from c) take Graf's expansion about c in the
+    # layer potentials, and such volume sources its transposed form in the
+    # residual's free part; each target is within 1e-13 sum_j |q_j k| of the
+    # direct sum, and within 1e-14 of its largest value.  Where the
+    # expansion is not taken (|kappa| R beyond the gate at -97.5, a term
+    # bound too slow at complex lambda) the sums keep the direct sum's bits.
+    sp = SpectralParameter.make(lam)
+    vol = bie.make_volume_grid(6.0, 96)
+    f = np.exp(-(vol.points ** 2).sum(-1) / 8 + 1j * vol.points[:, 0])
+    for curve in (kite, ellipse, mirror_free):
+        g = geometry.grid(curve, 256)
+        dens = np.exp(np.cos(g.nodes) + 1j * np.sin(2 * g.nodes))
+        q = dens * g.jacobians
+        plan = bie._graf_plan(sp.kappa, g.points, vol.points)
+        assert (plan is None) == (lam in (1 + 2j, 5 + 0.5j, -97.5)), curve.name
+        far = vol.points[plan.far] if plan else vol.points[np.hypot(*vol.points.T) > 5][::16]
+        for evaluator, kernel in ((bie.eval_SL, kernel_U), (bie.eval_Psi, kernel_L)):
+            got = evaluator(g, dens, sp, far)
+            ref = g.weight * bie._kernel_sum(kernel, sp, far, g.points, q)
+            if plan is None:
+                assert got.tobytes() == ref.tobytes(), (curve.name, kernel.__name__)
+                continue
+            err = np.abs(got - ref)
+            assert np.all(err <= 1e-13 * g.weight * _abs_sum(kernel, sp, far, g.points, q))
+            assert err.max() <= 1e-14 * np.abs(ref).max(), (curve.name, kernel.__name__)
+        got = spectral._direct_volume_field(kernel_U, sp, vol, f, g.points)
+        ref = vol.weight * bie._kernel_sum(kernel_U, sp, g.points, vol.points, f)
+        if plan is None:
+            assert got.tobytes() == ref.tobytes(), curve.name
+            continue
+        err = np.abs(got - ref)
+        assert np.all(err <= 1e-13 * vol.weight * _abs_sum(kernel_U, sp, g.points,
+                                                           vol.points, f))
+        assert err.max() <= 1e-14 * np.abs(ref).max(), curve.name
+
+
 @pytest.mark.parametrize("lam", [-3.0, 1 + 2j])
 def test_near_targets_are_refined_by_their_distance(kite, mirror_free, monkeypatch, lam):
     # targets along the normals, 0.55 to 8.8 node spacings s to both sides,
@@ -745,8 +805,10 @@ def test_worker_count_from_threads(monkeypatch):
 def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
     # inputs spanning many chunks give the same bits on 1, 2 and 4 workers
     # (4 > cores), with a short switch interval to shake out lost writes:
-    # native sums, the adjoint map, and the windowed sums of the trace
-    # offsets, whose slices gather their own sources
+    # native sums, the adjoint map, the windowed sums of the trace offsets,
+    # whose slices gather their own sources, and the layer potential and
+    # residual free part on a volume grid whose far nodes take Graf's
+    # expansion
     g = geometry.grid(kite, 256)
     sp = SpectralParameter.make(-3.0)
     vol = bie.make_volume_grid(2 * kite.diameter, 48)
@@ -759,6 +821,7 @@ def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
     half = bie._window_plan(g, traces, bie._TRACE_UPSAMPLE)[1]
     assert (half > 0).all()
     assert len(traces) * (2 * half.min() * bie._TRACE_UPSAMPLE + 1) > 8 * bie._SUM_PAIRS
+    assert bie._graf_plan(sp.kappa, g.points, vol.points).far.mean() > 0.5
     outputs = []
     interval = sys.getswitchinterval()
     try:
@@ -769,7 +832,9 @@ def test_kernel_sums_do_not_depend_on_the_pool(kite, monkeypatch):
                 outputs.append((bie._kernel_sum(kernel_L, sp, vol.points, g.points, dens),
                                 bie.apply_Psi_star(g, sp, f, vol),
                                 bie._eval_layer(g, dens, sp, traces, kernel_L,
-                                                bie._TRACE_UPSAMPLE)))
+                                                bie._TRACE_UPSAMPLE),
+                                bie.eval_Psi(g, dens, sp, vol.points),
+                                spectral._direct_volume_field(kernel_U, sp, vol, f, g.points)))
     finally:
         sys.setswitchinterval(interval)
     for parts in outputs[1:]:
@@ -781,12 +846,17 @@ def test_kernel_sums_do_not_depend_on_the_slicing(kite, monkeypatch):
     # _even_slices cuts the 6 * (rows per chunk) + 1 targets into 7, 8 and 9
     # uneven slices for 1, 2 and 3 workers; every row's sum keeps its bits.
     # Native sums at random targets, and windowed sums at trace offsets:
-    # their rows per chunk follow the window's width, not N
+    # their rows per chunk follow the window's width, not N.  Random
+    # targets over a wider box, whose far ones take Graf's expansion at
+    # real lambda and the rest the native sum, keep their bits too
     g = geometry.grid(kite, 256)
     sp = SpectralParameter.make(1 + 2j)
     step = bie._SUM_PAIRS // g.N
     rng = np.random.default_rng(7)
     targets = rng.uniform(-2.0, 2.0, size=(6 * step + 1, 2))
+    wide = rng.uniform(-6.0, 6.0, size=(6 * step + 1, 2))
+    sp_real = SpectralParameter.make(-3.0)  # complex lambda takes no expansion
+    assert 0 < bie._graf_plan(sp_real.kappa, g.points, wide).far.mean() < 1
     dens = np.exp(1j * g.nodes) + 0.5 * np.cos(3 * g.nodes)
     F = bie._TRACE_UPSAMPLE
     h = bie.default_h_sequence(kite)
@@ -808,7 +878,8 @@ def test_kernel_sums_do_not_depend_on_the_slicing(kite, monkeypatch):
                            len(specfun._even_slices(len(near), bie._SUM_PAIRS // width))])
             outputs.append((bie._kernel_sum(kernel_L, sp, targets, g.points, dens),
                             bie._window_sum(kernel_L, sp, traces[near], src, fine,
-                                            starts, phi)))
+                                            starts, phi),
+                            bie._eval_layer(g, dens, sp_real, wide, kernel_L, 1)))
     finally:
         specfun._pool.cache_clear()
         for pool in pools:
@@ -872,6 +943,7 @@ sp = SpectralParameter.make(-3.0)
 vol = bie.make_volume_grid(6.0, 64)
 dens = np.exp(np.cos(g.nodes) + 0.3j * np.sin(3 * g.nodes))
 f = np.exp(-(vol.points ** 2).sum(-1) / 8 + 1j * vol.points[:, 0])
+assert bie._graf_plan(sp.kappa, g.points, vol.points).far.mean() > 0.5
 parts = [bie.eval_Psi(g, dens, sp, vol.points), *bie.jump_traces(g, dens, sp),
          spectral._direct_volume_field(kernel_U, sp, vol, f, g.points)]
 print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
@@ -894,9 +966,10 @@ def _digests(script: str, envs: list[dict]) -> list[str]:
 
 
 def test_kernel_sums_do_not_depend_on_the_blas_thread_count():
-    # pool tasks make no BLAS call, so the volume and trace sums give the
-    # same bits at 1 and 2 BLAS threads with THREADS fixed, also outside a
-    # public call's serial BLAS scope
+    # pool tasks make no BLAS call, and Graf's expansion at the far volume
+    # nodes none either, so the volume and trace sums give the same bits at
+    # 1 and 2 BLAS threads with THREADS fixed, also outside a public call's
+    # serial BLAS scope
     digests = _digests(_KERNEL_SUM_DIGEST, [{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas}
                                             for blas in ("1", "2")])
     assert digests[0] == digests[1]

@@ -74,11 +74,15 @@ def test_traced_correction_keeps_one_span_and_one_assembly_per_speed():
 
 
 def test_traced_layer_evaluations_follow_the_window_plan(tmp_path, monkeypatch):
-    # every _eval_layer call evaluates T N kernels at refinement 1, and at
-    # F > 1 N + 2 H F + 1 per target that bie._window_plan gives a window of
-    # half-width H, N F per other target; together these are all kernel_L
-    # and kernel_U evaluations outside the direct volume sums.  The tracer's
-    # bie.layer_eval.pairs counts T F N per call, the pairs of a full sum.
+    # every _eval_layer call evaluates N kernels per target at refinement 1
+    # nearer than 2R to the centroid c of the curve nodes, R their largest
+    # distance from c, and none per target from 2R on, which takes Graf's
+    # expansion; at F > 1 N + 2 H F + 1 per target that bie._window_plan
+    # gives a window of half-width H, N F per other target.  The residual's
+    # free part evaluates U at N x the volume nodes nearer than 2R to c.
+    # Together these are all kernel_L and kernel_U evaluations.  The
+    # tracer's bie.layer_eval.pairs counts T F N per call, the pairs of a
+    # full sum, and spectral.direct_volume.pairs N x all volume nodes.
     # Proximity is checked twice: once for the correction's targets, the
     # volume nodes, and once for all trace offsets.  The adjoint map
     # evaluates no kernel between a volume node and the curve and checks none.
@@ -98,17 +102,27 @@ def test_traced_layer_evaluations_follow_the_window_plan(tmp_path, monkeypatch):
         workload.call()
     assert tracer.count_errors == []
     m = tracer.summary()
-    expected = windowed = 0
-    for grid, points, F in calls:
+    grid = calls[0][0]
+    centre = grid.points.mean(axis=0)
+    R = np.hypot(*(grid.points - centre).T).max()
+
+    def near(points):
+        return np.hypot(*(points - centre).T) < 2 * R
+
+    expected = windowed = far = 0
+    for call_grid, points, F in calls:
+        assert call_grid is grid
         if F <= 1:
-            expected += len(points) * grid.N
+            far += (~near(points)).sum()
+            expected += near(points).sum() * grid.N
             continue
         half = bie._window_plan(grid, points, F)[1]
         windowed += (half > 0).sum()
         expected += np.where(half > 0, grid.N + 2 * half * F + 1, grid.N * F).sum()
-    assert windowed > 0
-    assert expected == (m["kernels.L.evals"] + m["kernels.U.evals"]
-                        - m["spectral.direct_volume.pairs"])
+    assert windowed > 0 and far > 0
+    direct = grid.N * near(workload.vol.points).sum()
+    assert direct < m["spectral.direct_volume.pairs"]
+    assert expected + direct == m["kernels.L.evals"] + m["kernels.U.evals"]
     assert m["bie.proximity.calls"] == 2
 
 
