@@ -153,16 +153,40 @@ def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
     return blocks
 
 
+#: most triangle pairs per slice of the MK assembly, whose I_0, K_0 and
+#: weights run as one pool pass.  A pair's weight does not depend on the
+#: slice it falls in, so the size changes no bit.  On a 2-core Xeon with two
+#: pool workers, medians of one kite assembly in ms (2 runs, old = the three
+#: unsliced triangle arrays; at N = 128 every size up to 2**16 is one slice):
+#:
+#:     N, kappa        old          2**12        2**13        2**14        2**15        2**16
+#:     256, real       3.18, 3.25   3.43, 3.77   3.10, 3.58   3.09, 3.44   3.32, 3.78   3.19, 3.27
+#:     256, complex    30.7, 27.4   29.1, 27.3   28.3, 27.6   28.4, 27.4   29.7, 27.4   30.9, 27.3
+#:     512, real       11.4, 12.0   8.96, 10.2   8.14, 8.85   8.14, 9.30   9.52, 9.98   9.74, 10.4
+#:     512, complex    80.7, 93.1   78.4, 82.3   74.0, 80.7   69.1, 78.3   72.3, 80.6   73.0, 90.8
+#:
+#: A slice's complex temporaries are 256 KiB each at 2**14.
+_MK_PAIRS = 1 << 14
+
+
 def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
     """Symmetric weight matrix W of the Martensen-Kussmaul scheme.
 
     (S phi)(t_i) ~ sum_j W[i,j] jac_j phi_j.  The kernel is evaluated on the
-    strict upper triangle and mirrored, so W is exactly symmetric.
+    strict upper triangle and mirrored, so W is exactly symmetric.  I_0, K_0
+    and the weights of the triangle run as one pass over slices of
+    _MK_PAIRS pairs on the pool of ``specfun``, inside which each Bessel
+    array runs inline.
     """
     blocks = _kept(("mk", grid), lambda: _build_mk_blocks(grid))
-    A = -bessel_i_array(0, _bessel_arg(kappa, blocks.r)) / (4 * np.pi)
-    kern = bessel_k_array(0, _bessel_arg(kappa, blocks.r)) / (2 * np.pi)
-    upper = A * blocks.c + grid.weight * kern
+    upper = np.empty(len(blocks.r), dtype=float if kappa.imag == 0 else complex)
+
+    def fill(s: slice) -> None:
+        z = _bessel_arg(kappa, blocks.r[s])
+        upper[s] = -bessel_i_array(0, z) / (4 * np.pi) * blocks.c[s] \
+            + grid.weight * (bessel_k_array(0, z) / (2 * np.pi))
+
+    _run_chunks(fill, specfun._even_slices(len(upper), _MK_PAIRS))
 
     W = np.empty((grid.N, grid.N), dtype=upper.dtype)
     W[blocks.upper] = upper
@@ -286,9 +310,15 @@ class BoundaryOperatorMatrix:
 
     entries: np.ndarray
 
-    def eigenvalues_desc(self, k: int | None = None) -> np.ndarray:
-        """Eigenvalues sorted by descending real part."""
+    def eigenvalues_desc(self, k: int | None = None, vectors: int = 0):
+        """Eigenvalues sorted by descending real part.  With ``vectors`` = m
+        > 0, for real entries only, (values, V) from one eigensolve, the
+        columns of V the eigenvectors of the top m values, held apart from
+        the other eigenvectors."""
         A = self.entries
+        if vectors:
+            vals, V = np.linalg.eigh(A)
+            return vals[::-1][:k], V[:, ::-1][:, :vectors].copy()
         if np.isrealobj(A):
             n = A.shape[0]
             if k is not None and n >= 512 and k < n // 4:

@@ -13,13 +13,14 @@ arrays and the integer orders against an independent 40-digit oracle.
 This lowest layer also owns the package's one thread pool, sized by THREADS.
 Bessel arrays longer than one chunk are split into equal chunks, a whole
 number of them per worker, and evaluated on it; ``bie`` runs its kernel-sum
-rows and ``dirac`` its Phi M3 rows through the same slicing rule and submit
-helper.  The ufuncs are elementwise and release the GIL, so the chunks run in
-parallel and the result does not depend on how the array is split.  A call
-made inside a pool task runs inline, so no task ever waits on the pool.  Pool
-tasks make no BLAS call: OpenBLAS's helper threads would compete with the
-workers for the cores, and the kernel sums' bits would depend on the BLAS
-thread count.
+rows and its MK assembly's triangle (I_0, K_0 and the weights in one pass,
+``bie._MK_PAIRS``), and ``dirac`` its Phi M3 rows, through the same slicing
+rule and submit helper.  The ufuncs are elementwise and release the GIL, so
+the chunks run in parallel and the result does not depend on how the array
+is split.  A call made inside a pool task runs inline, so no task ever waits
+on the pool.  Pool tasks make no BLAS call: OpenBLAS's helper threads would
+compete with the workers for the cores, and the kernel sums' bits would
+depend on the BLAS thread count.
 
 BLAS calls on the calling thread (eigensolves, solves, Gram products) run
 serially too: every public call runs inside ``_serial_blas``, which sets the

@@ -65,11 +65,66 @@ def _check_branch(n: int, N: int) -> None:
         raise ResolutionError(f"branch n={n} needs N >= {4 * n}, got N={N}")
 
 
-def _mu_n(g: QuadratureGrid, lam: float, k: int) -> np.ndarray:
-    """mu_1 >= ... >= mu_k of S(lambda) on g: the one assembly and eigensolve
-    behind every dispersion branch."""
+def _mu_n(g: QuadratureGrid, lam: float, k: int, basis: np.ndarray | None = None,
+          vectors: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """(mu, V): mu_1 >= ... >= mu_k of S(lambda) on g, from the one assembly
+    behind every dispersion branch, and V the eigenvectors of the top
+    ``vectors`` as columns, None when that is 0.
+
+    With a ``basis`` of orthonormal columns (``_ritz_basis``), mu are the
+    Ritz values of S on its span when they pass the gate of
+    ``_ritz_values``, and no dense eigensolve runs; else, and without a
+    basis, mu come from ``eigenvalues_desc``.
+    """
     op = bie.assemble_S(g, SpectralParameter.make(lam))
-    return op.eigenvalues_desc(k=k).real
+    mu = None if basis is None else _ritz_values(op.entries, basis, k)
+    if mu is not None:
+        return mu, None
+    if vectors:
+        return op.eigenvalues_desc(k, vectors)
+    return op.eigenvalues_desc(k=k).real, None
+
+
+#: eigenvectors of a coarse root beyond the k branches its memo serves that
+#: a Ritz basis carries: they keep theta_(k+1), the gap the gate reads,
+#: apart from the top k
+_RITZ_EXTRA = 4
+
+
+def _ritz_basis(V: np.ndarray, coarse: QuadratureGrid, fine: QuadratureGrid) -> np.ndarray:
+    """Orthonormal columns on the fine grid spanning eigenvectors V of S on
+    the coarse one: each column of V, in the orthonormal basis of S's
+    entries, is divided by sqrt(jac), interpolated trigonometrically to the
+    fine nodes (both grids start at t = 0 and have an even number of
+    nodes), multiplied by sqrt(jac) there, and the columns are
+    orthonormalized by a thin QR."""
+    c = np.fft.rfft(V / np.sqrt(coarse.jacobians)[:, None], axis=0)
+    c[-1] /= 2  # the Nyquist mode of the coarse grid, split between +-N_c/2
+    B = np.fft.irfft(c, fine.N, axis=0) * np.sqrt(fine.jacobians)[:, None]
+    return np.linalg.qr(B)[0]
+
+
+def _ritz_values(S: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray | None:
+    """Top k Ritz values of the symmetric S on the span of the orthonormal
+    columns of Q (Rayleigh-Ritz), or None when they fail the gate.
+
+    theta, Y = eigh(Q^T S Q) in descending order, with residuals
+    r_i = ||S Q y_i - theta_i Q y_i||.  By the Kato-Temple bound theta_i
+    lies below the eigenvalue mu_i of S by at most r_i^2 over its gap to
+    the rest of the spectrum, for which theta_i - theta_(k+1) stands.  The
+    top k are accepted when every r_i^2 <= 16 eps |theta_1| (theta_i -
+    theta_(k+1)): each is then within a few ulps of |theta_1| of mu_i.  A
+    zero gap, as at a degenerate pair split at k, fails too.
+    """
+    SQ = S @ Q
+    theta, Y = np.linalg.eigh(Q.T @ SQ)
+    theta, Y = theta[::-1], Y[:, ::-1][:, :k]
+    R = SQ @ Y - (Q @ Y) * theta[:k]
+    gap = theta[:k] - theta[k]
+    bound = 16 * np.finfo(float).eps * abs(theta[0]) * gap
+    if np.all(gap > 0) and np.all(np.einsum("ij,ij->j", R, R) <= bound):
+        return theta[:k]
+    return None
 
 
 def _grid(curve: Curve, N: int) -> QuadratureGrid:
@@ -79,35 +134,41 @@ def _grid(curve: Curve, N: int) -> QuadratureGrid:
 
 class _Memo:
     """mu_1..mu_k of S(lambda) on the N-node grid of a curve, keyed by lambda
-    alone, so that every branch n <= k reads the same assemblies.  The grid
-    is read from the call scope, not held."""
+    alone, so that every branch n <= k reads the same assemblies, and with
+    ``vectors`` > 0 the eigenvectors of the top ``vectors`` at each lambda,
+    from the same eigensolve.  The grid is read from the call scope, not
+    held."""
 
-    def __init__(self, curve: Curve, N: int, k: int) -> None:
-        self.curve, self.N, self.k = curve, N, k
+    def __init__(self, curve: Curve, N: int, k: int, vectors: int = 0) -> None:
+        self.curve, self.N, self.k, self.vectors = curve, N, k, vectors
         self.mus: dict[float, np.ndarray] = {}
+        self.eigvecs: dict[float, np.ndarray | None] = {}
 
-    def mu(self, lam: float, n: int) -> float:
+    def mu(self, lam: float, n: int, basis: np.ndarray | None = None) -> float:
+        """mu_n(S(lambda)), assembled on first read, by ``_mu_n`` with
+        ``basis``."""
         lam = float(lam)
         if lam not in self.mus:
-            self.mus[lam] = _mu_n(_grid(self.curve, self.N), lam, self.k)
+            self.mus[lam], self.eigvecs[lam] = _mu_n(_grid(self.curve, self.N), lam,
+                                                      self.k, basis, self.vectors)
         return float(self.mus[lam][n - 1])
 
 
 @contextlib.contextmanager
-def _branch(curve: Curve, n: int, N: int):
+def _branch(curve: Curve, n: int, N: int, vectors: int = 0):
     """The memo through which branches 1..n on an N-node grid reach mu_n.
 
     The only way the spectral routines reach mu_n, so a root finder that
     revisits an abscissa (a bracket end, the root itself, another branch's
     abscissa) costs no assembly.  It opens the call scope (``bie._call``)
-    and keeps one memo per curve and N there, so every call made inside the
-    block shares it, and the memo, the grid and its blocks go when the
-    outermost scope ends.  An enclosing block serves branches up to its own
-    n, which the public callers open at their largest branch.
+    and keeps one memo per curve, N and ``vectors`` there, so every call
+    made inside the block shares it, and the memo, the grid and its blocks
+    go when the outermost scope ends.  An enclosing block serves branches
+    up to its own n, which the public callers open at their largest branch.
     """
     _check_branch(n, N)
     with bie._call():
-        yield bie._kept(("memo", curve, N), lambda: _Memo(curve, N, n))
+        yield bie._kept(("memo", curve, N, vectors), lambda: _Memo(curve, N, n, vectors))
 
 
 def dispersion(curve: Curve, n: int, lam: float, N: int = 256) -> DispersionSample:
@@ -201,14 +262,15 @@ def _coarse_nodes(k: int, N: int) -> int | None:
 
 
 def _solve_branch(memo: _Memo, alpha: float, n: int, tol: float, points,
-                  step: float) -> tuple[float, float]:
+                  step: float, basis: np.ndarray | None = None) -> tuple[float, float]:
     """Root of lambda mu_n(S(lambda)) = 1/alpha on the memo's grid, bracketed
     from ``points`` by ``step`` (``_bracket_and_solve``), and the zero of the
     secant through the nearest evaluated abscissae on either side of it,
-    which costs no assembly."""
+    which costs no assembly.  Abscissae new to the memo are evaluated with
+    ``basis`` (``_mu_n``)."""
 
     def f(lam: float) -> float:
-        return lam * memo.mu(lam, n) - 1.0 / alpha
+        return lam * memo.mu(lam, n, basis) - 1.0 / alpha
 
     root = _bracket_and_solve(f, points, step, tol, increasing=True)
     if root is None:
@@ -226,9 +288,12 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
     """Unique root of lambda mu_n(S(lambda)) = 1/alpha for alpha < 0.
 
     Returns (lambda_n, birman_schwinger_residual, error_estimate).  The
-    residual is |alpha lambda_n mu_n(S(lambda_n)) - 1| from the assembly
-    that found the root: it measures how well the root finder solved the
-    discrete equation, not how close lambda_n is to the true eigenvalue.
+    residual is |alpha lambda_n mu_n(S(lambda_n)) - 1|, with mu_n the value
+    the root finder read at lambda_n, from the assembly that found the root:
+    after a coarse pass the Ritz value of that assembly, else (and where the
+    Ritz gate fails) its dense eigenvalue.  It measures how well the root
+    finder solved the discrete equation, not how close lambda_n is to the
+    true eigenvalue.
 
     The branch is first solved on N_c = ``_coarse_nodes(k, N)`` nodes, k the
     largest branch of the enclosing call (n for a lone call), with a memo
@@ -244,6 +309,15 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
     lambda_hat(N_c)| is a discretization-error estimate that the residual
     cannot give, at no assembly.  It is None when no coarse pass runs
     (2 N_c > N).
+
+    The coarse memo keeps the top k + 4 eigenvectors of each of its
+    assemblies.  Those at the abscissa brentq returned as the coarse root
+    span the basis (``_ritz_basis``) from which the pass at N takes
+    mu_1..mu_k by one Rayleigh-Ritz step per assembly, with no dense
+    eigensolve.  An abscissa whose Ritz values fail their gate
+    (``_ritz_values``: a residual too large for its gap, or a zero gap)
+    takes the dense eigensolve instead; so does every abscissa when no
+    coarse pass runs.
     """
     if not -math.inf < alpha < 0:
         raise ParameterError(f"find_eigenvalue needs finite alpha < 0, got {alpha}")
@@ -255,17 +329,19 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
         raise ParameterError(f"alpha={alpha} is too close to 0: the root bracket seed "
                              "1/(2 alpha^2) overflows")
     with _branch(curve, n, N) as memo:
-        coarse = None
+        coarse = basis = None
         Nc = _coarse_nodes(memo.k, N)
         points, step = list(memo.mus) or [-seed], math.inf
         if Nc is not None:
-            with _branch(curve, memo.k, Nc) as coarse_memo:
-                _, coarse = _solve_branch(coarse_memo, alpha, n, tol,
-                                          list(coarse_memo.mus) or [-seed], math.inf)
+            with _branch(curve, memo.k, Nc, memo.k + _RITZ_EXTRA) as coarse_memo:
+                lam_c, coarse = _solve_branch(coarse_memo, alpha, n, tol,
+                                              list(coarse_memo.mus) or [-seed], math.inf)
+            # brentq returns an abscissa it evaluated, so its vectors are kept
+            basis = _ritz_basis(coarse_memo.eigvecs[lam_c], _grid(curve, Nc), _grid(curve, N))
             # a step of at least brentq's rtol floor moves off the coarse
             # root however small tol is
             points, step = [coarse], max(tol, RTOL_FLOOR) * abs(coarse) / 2
-        root, lam_hat = _solve_branch(memo, alpha, n, tol, points, step)
+        root, lam_hat = _solve_branch(memo, alpha, n, tol, points, step, basis)
         estimate = None if coarse is None else abs(lam_hat - coarse)
         # brentq returns an abscissa it evaluated, so this reads the memo
         residual = abs(alpha * root * memo.mu(root, n) - 1.0)

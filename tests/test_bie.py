@@ -994,6 +994,33 @@ def test_krein_apply_is_bit_identical_for_any_thread_count():
     assert digests[0] == digests[1]
 
 
+_MK_DIGEST = """
+import hashlib
+from obliqueshell import bie, geometry
+from obliqueshell.kernels import SpectralParameter
+kite = geometry.make_curve("kite")
+W = [bie._single_layer_weights_mk(geometry.grid(kite, N), SpectralParameter.make(lam).kappa)
+     for N in (512, 384) for lam in (-5.0, complex(1.0, 2.0))]
+assert [w.dtype for w in W] == [float, complex] * 2
+print(hashlib.sha256(b"".join(w.tobytes() for w in W)).hexdigest())
+"""
+
+
+def test_mk_assembly_is_bit_identical_for_any_thread_count(monkeypatch):
+    # the MK triangle runs as slices on the pool, cut by the worker count
+    # that THREADS sets; each weight is computed elementwise, so the real
+    # and complex kappa weights at N = 512 have the same bits at 1 and 2
+    # workers.  At N = 384 the two counts cut the triangle differently
+    cuts = []
+    for workers in (1, 2):
+        monkeypatch.setattr(specfun, "_workers", lambda: workers)
+        cuts.append(specfun._even_slices(384 * 383 // 2, bie._MK_PAIRS))
+    assert len(cuts[0]) > 1 and cuts[0] != cuts[1]
+    monkeypatch.undo()
+    digests = _digests(_MK_DIGEST, [{"THREADS": threads} for threads in ("1", "2")])
+    assert digests[0] == digests[1]
+
+
 needs_blas_setter = pytest.mark.skipif(
     not specfun._blas_setters(),
     reason="no OpenBLAS with openblas_set_num_threads_local in this process")

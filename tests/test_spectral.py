@@ -140,12 +140,16 @@ def test_no_branch_assembles_a_kappa_twice(monkeypatch, circle, kite):
                         lambda *args: mu_n_calls.append(1) or mu_n(*args))
     for run in (lambda: spectral.enumerate_spectrum(kite, -1.0, 6, N=64),
                 lambda: spectral.delta_spectrum(circle, -0.1, 3, N=64),
-                lambda: spectral.find_eigenvalue(kite, -1.0, 3, N=64)):
+                lambda: spectral.find_eigenvalue(kite, -1.0, 3, N=64),
+                # a coarse pass at 128 nodes, whose Ritz bases come from the
+                # eigenvectors of its own assemblies
+                lambda: spectral.enumerate_spectrum(kite, -1.0, 4, N=256)):
         kappas.clear()
         mu_n_calls.clear()
         run()
         assert kappas and len(set(kappas)) == len(kappas)
         assert len(mu_n_calls) == len(kappas)
+    assert {N for N, _ in kappas} == {128, 256}
 
 
 def test_branches_bracket_from_the_shared_memo(monkeypatch, kite):
@@ -187,6 +191,80 @@ def test_seeded_roots_match_the_cold_path(monkeypatch, circle, ellipse, kite):
         assert all(e.error_estimate is None for e in cold.eigenvalues)
         np.testing.assert_allclose(seeded[curve.name], cold.lambdas(), rtol=1e-9,
                                    err_msg=curve.name)
+
+
+@pytest.mark.parametrize("name", ["kite", "ellipse", "circle", "mirror_free"])
+def test_ritz_values_match_the_dense_eigensolve(request, name):
+    # a basis from the top k + 4 eigenvectors at 128 nodes gives the top k
+    # at 512 nodes, 1e-8 off the coarse lambda as a root at N is, as the
+    # dense eigensolve does: within 64 eps |mu_1|, where two dense solvers
+    # (eigvalsh, subset eigh) differ by up to 32 eps |mu_1| at kappa d = 10.
+    # Up to kappa d = 8 the gate accepts them, also on the circle, whose top
+    # k hold double eigenvalues; at kappa d = 10, the limit of the splitting
+    # path, the kite's basis fails it and the dense eigensolve would run
+    curve, k = request.getfixturevalue(name), 9
+    eps = np.finfo(float).eps
+    with bie._call():
+        coarse, fine = spectral._grid(curve, 128), spectral._grid(curve, 512)
+        for kd in (0.5, 2.0, 5.0, 8.0, 10.0):
+            lam = -(kd / curve.diameter) ** 2
+            _, V = bie.assemble_S(coarse, SpectralParameter.make(lam)).eigenvalues_desc(
+                k, k + spectral._RITZ_EXTRA)
+            Q = spectral._ritz_basis(V, coarse, fine)
+            assert Q.shape == (512, k + spectral._RITZ_EXTRA)
+            np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-14)
+            S = bie.assemble_S(fine, SpectralParameter.make(lam * (1 + 1e-8))).entries
+            theta = spectral._ritz_values(S, Q, k)
+            assert theta is not None or kd == 10.0, (name, kd)
+            if theta is not None:
+                mu = np.linalg.eigvalsh(S)[::-1][:k]
+                assert np.abs(theta - mu).max() <= 64 * eps * mu[0], (name, kd)
+
+
+def test_ritz_gate_rejects_a_zero_gap_and_a_poor_basis():
+    # theta_k = theta_(k+1) (a degenerate pair split at k) and a basis far
+    # from the top eigenvectors both fail the gate, so the dense eigensolve
+    # runs; an exact invariant subspace passes it
+    S = np.diag([4.0, 3.0, 2.0, 2.0, 1.0, 0.5])
+    exact = np.eye(6)[:, :5]
+    assert spectral._ritz_values(S, exact, 2) == pytest.approx([4.0, 3.0], abs=0)
+    assert spectral._ritz_values(S, exact, 3) is None
+    poor = np.linalg.qr(exact + 1e-3 * np.random.default_rng(2).standard_normal((6, 5)))[0]
+    assert spectral._ritz_values(S, poor, 2) is None
+
+
+def _ritz_outcomes(monkeypatch) -> list:
+    """Every Ritz step from now on: its accepted values, or None."""
+    outcomes = []
+    ritz = spectral._ritz_values
+    monkeypatch.setattr(spectral, "_ritz_values",
+                        lambda *args: outcomes.append(ritz(*args)) or outcomes[-1])
+    return outcomes
+
+
+def test_fine_pass_takes_ritz_values_and_falls_back_to_the_same_roots(monkeypatch, kite):
+    # every evaluation at N takes its Ritz values from the coarse root's
+    # basis.  A perturbed basis fails the gate at every one of them, and the
+    # dense eigensolve that then runs gives the roots of a run with no Ritz
+    # step to the bit, and the Ritz roots to a few ulps
+    outcomes = _ritz_outcomes(monkeypatch)
+    ritz = spectral.enumerate_spectrum(kite, -1.0, 4, N=256)
+    assert outcomes and all(o is not None for o in outcomes)
+    outcomes.clear()
+    build = spectral._ritz_basis
+
+    def perturbed(V, coarse, fine):
+        Q = build(V, coarse, fine)
+        noise = np.random.default_rng(1).standard_normal(Q.shape)
+        return np.linalg.qr(Q + 1e-4 * noise)[0]
+
+    monkeypatch.setattr(spectral, "_ritz_basis", perturbed)
+    fallback = spectral.enumerate_spectrum(kite, -1.0, 4, N=256)
+    assert len(outcomes) >= 4 and all(o is None for o in outcomes)
+    monkeypatch.setattr(spectral, "_ritz_values", lambda *args: None)
+    dense = spectral.enumerate_spectrum(kite, -1.0, 4, N=256)
+    assert fallback.to_dict() == dense.to_dict()
+    np.testing.assert_allclose(ritz.lambdas(), dense.lambdas(), rtol=1e-14, atol=0)
 
 
 def test_seeded_root_widens_from_a_poor_coarse_root(monkeypatch, kite):
@@ -362,12 +440,14 @@ def test_seeded_start_that_crosses_costs_two_evaluations():
 def _synthetic_branch(monkeypatch, scale):
     """Replace every assembly by mu(lambda) = scale[N] / sqrt(-lambda), whose
     branch lambda mu(lambda) = 1/alpha has the root -(alpha scale[N])^-2 on
-    an N-node grid; returns the (N, lambda) of every evaluation."""
+    an N-node grid, with the first unit vectors as the eigenvectors a coarse
+    memo keeps; returns the (N, lambda) of every evaluation."""
     evaluated = []
 
-    def mu(g, lam, k):
+    def mu(g, lam, k, basis=None, vectors=0):
         evaluated.append((g.N, lam))
-        return np.full(k, scale[g.N] / math.sqrt(-lam))
+        return np.full(k, scale[g.N] / math.sqrt(-lam)), \
+            np.eye(g.N, vectors) if vectors else None
 
     monkeypatch.setattr(spectral, "_mu_n", mu)
     return evaluated
@@ -396,10 +476,10 @@ def test_seeded_march_at_the_smallest_tolerance_returns(monkeypatch, kite):
     reads, assemblies = [], _record_assemblies(monkeypatch)
     read = spectral._Memo.mu
 
-    def counted(memo, lam, n):
+    def counted(memo, lam, n, basis=None):
         reads.append(lam)
         assert len(reads) <= 300 and len(assemblies) <= 60, "no bracket found"
-        return read(memo, lam, n)
+        return read(memo, lam, n, basis)
 
     monkeypatch.setattr(spectral._Memo, "mu", counted)
     lam, res, estimate = spectral.find_eigenvalue(kite, -10.0, 1, tol=5e-324, N=256)
