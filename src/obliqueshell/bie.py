@@ -156,17 +156,22 @@ def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
 #: most triangle pairs per slice of the MK assembly, whose I_0, K_0 and
 #: weights run as one pool pass.  A pair's weight does not depend on the
 #: slice it falls in, so the size changes no bit.  On a 2-core Xeon with two
-#: pool workers, medians of one kite assembly in ms (2 runs, old = the three
-#: unsliced triangle arrays; at N = 128 every size up to 2**16 is one slice):
+#: pool workers, medians of one kite assembly in ms (2 runs; whole = I_0,
+#: K_0 and the weights as three arrays over the whole triangle, each Bessel
+#: array cut only by its own chunks; at N = 128 every size up to 2**16 is
+#: one slice and reads as whole):
 #:
-#:     N, kappa        old          2**12        2**13        2**14        2**15        2**16
+#:     N, kappa        whole        2**12        2**13        2**14        2**15        2**16
 #:     256, real       3.18, 3.25   3.43, 3.77   3.10, 3.58   3.09, 3.44   3.32, 3.78   3.19, 3.27
 #:     256, complex    30.7, 27.4   29.1, 27.3   28.3, 27.6   28.4, 27.4   29.7, 27.4   30.9, 27.3
 #:     512, real       11.4, 12.0   8.96, 10.2   8.14, 8.85   8.14, 9.30   9.52, 9.98   9.74, 10.4
 #:     512, complex    80.7, 93.1   78.4, 82.3   74.0, 80.7   69.1, 78.3   72.3, 80.6   73.0, 90.8
 #:
-#: A slice's complex temporaries are 256 KiB each at 2**14.
-_MK_PAIRS = 1 << 14
+#: 2**13 is as fast as 2**14 at real kappa, which the root finders
+#: assemble, and lowers the peak memory: a process of 4 calls of the
+#: spectrum benchmark read 93.1-93.5 MB against 93.7-94.1 MB at 2**14 (3
+#: processes each).  A slice's real temporaries are 64 KiB each.
+_MK_PAIRS = 1 << 13
 
 
 def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray:

@@ -267,6 +267,26 @@ def test_fine_pass_takes_ritz_values_and_falls_back_to_the_same_roots(monkeypatc
     np.testing.assert_allclose(ritz.lambdas(), dense.lambdas(), rtol=1e-14, atol=0)
 
 
+def test_ordered_branches_keep_the_vectors_of_their_coarse_roots(monkeypatch, circle,
+                                                                 kite):
+    # the coarse memo drops the vectors above each coarse root but the
+    # nearest, yet every branch of an enumeration, the circle's double ones
+    # included, builds its basis from the vectors at its own coarse root.
+    # Out of order, a root whose vectors went takes the dense eigensolve
+    bases = []
+    build = spectral._ritz_basis
+    monkeypatch.setattr(spectral, "_ritz_basis", lambda *args: bases.append(1) or build(*args))
+    for curve in (circle, kite):
+        bases.clear()
+        spectral.enumerate_spectrum(curve, -1.0, 6, N=256)
+        assert len(bases) == 6, curve.name
+    with bie._call():
+        res = spectral.enumerate_spectrum(kite, -1.0, 4, N=256)
+        bases.clear()
+        lam, _, _ = spectral.find_eigenvalue(kite, -1.0, 1, N=256)
+    assert bases == [] and lam == pytest.approx(res.eigenvalues[0].lam, rel=1e-9)
+
+
 def test_seeded_root_widens_from_a_poor_coarse_root(monkeypatch, kite):
     # a coarse root 1e-6 off, 2000 tolerances, is not bracketed by the first
     # step at N: the step widens 4-fold until the sign changes and Brent's
