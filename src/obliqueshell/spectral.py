@@ -262,8 +262,9 @@ def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
 #: fewest nodes of the coarse pass that seeds each root: from 128 nodes on,
 #: both passes assemble every lambda on the same path (bie._split_limit), so
 #: the two roots differ by discretization error alone.  On a 2-core box an
-#: MK assembly of the kite took 1.4 ms there, 5.2 ms at N = 256 and 14 ms at
-#: N = 512
+#: MK assembly of the kite (``bie.assemble_S`` at lambda = -5, medians of 40
+#: in one call scope, 3 processes) took 1.0-1.5 ms there, 3.6-3.7 ms at
+#: N = 256 and 11-15 ms at N = 512
 COARSE_N = 128
 
 
@@ -325,13 +326,15 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
     (2 N_c > N).
 
     The coarse memo keeps the top k + 4 eigenvectors of each of its
-    assemblies.  Those at the abscissa brentq returned as the coarse root
-    span the basis (``_ritz_basis``) from which the pass at N takes
-    mu_1..mu_k by one Rayleigh-Ritz step per assembly, with no dense
-    eigensolve.  An abscissa whose Ritz values fail their gate
-    (``_ritz_values``: a residual too large for its gap, or a zero gap)
-    takes the dense eigensolve instead; so does every abscissa when no
-    coarse pass runs.
+    assemblies (``_Memo.drop_vectors_above`` drops those no later branch
+    reads).  Those at the abscissa brentq returned as the coarse root span
+    the basis (``_ritz_basis``) from which the pass at N takes mu_1..mu_k
+    by one Rayleigh-Ritz step per assembly, with no dense eigensolve.  An
+    abscissa whose Ritz values fail their gate (``_ritz_values``: a
+    residual too large for its gap, or a zero gap) takes the dense
+    eigensolve instead; so does every abscissa when no coarse pass runs,
+    or when a branch solved after a lower one finds its coarse root's
+    vectors dropped.
     """
     if not -math.inf < alpha < 0:
         raise ParameterError(f"find_eigenvalue needs finite alpha < 0, got {alpha}")
@@ -350,7 +353,8 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
             with _branch(curve, memo.k, Nc, memo.k + _RITZ_EXTRA) as coarse_memo:
                 lam_c, coarse = _solve_branch(coarse_memo, alpha, n, tol,
                                               list(coarse_memo.mus) or [-seed], math.inf)
-                # brentq returns an abscissa it evaluated
+                # brentq returns an evaluated abscissa, whose vectors went
+                # only if a lower root of this call was found first
                 V = coarse_memo.eigvecs.get(lam_c)
                 coarse_memo.drop_vectors_above(lam_c)
             if V is not None:

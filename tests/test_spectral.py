@@ -233,21 +233,15 @@ def test_ritz_gate_rejects_a_zero_gap_and_a_poor_basis():
     assert spectral._ritz_values(S, poor, 2) is None
 
 
-def _ritz_outcomes(monkeypatch) -> list:
-    """Every Ritz step from now on: its accepted values, or None."""
-    outcomes = []
-    ritz = spectral._ritz_values
-    monkeypatch.setattr(spectral, "_ritz_values",
-                        lambda *args: outcomes.append(ritz(*args)) or outcomes[-1])
-    return outcomes
-
-
 def test_fine_pass_takes_ritz_values_and_falls_back_to_the_same_roots(monkeypatch, kite):
     # every evaluation at N takes its Ritz values from the coarse root's
     # basis.  A perturbed basis fails the gate at every one of them, and the
     # dense eigensolve that then runs gives the roots of a run with no Ritz
     # step to the bit, and the Ritz roots to a few ulps
-    outcomes = _ritz_outcomes(monkeypatch)
+    outcomes = []  # every Ritz step's accepted values, or None
+    values = spectral._ritz_values
+    monkeypatch.setattr(spectral, "_ritz_values",
+                        lambda *args: outcomes.append(values(*args)) or outcomes[-1])
     ritz = spectral.enumerate_spectrum(kite, -1.0, 4, N=256)
     assert outcomes and all(o is not None for o in outcomes)
     outcomes.clear()
