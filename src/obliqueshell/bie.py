@@ -158,8 +158,8 @@ def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
 #: slice it falls in, so the size changes no bit.  On a 2-core Xeon with two
 #: pool workers, medians of one kite assembly in ms (2 runs; whole = I_0,
 #: K_0 and the weights as three arrays over the whole triangle, each Bessel
-#: array cut only by its own chunks; at N = 128 every size up to 2**16 is
-#: one slice and reads as whole):
+#: array cut only by its own chunks; at N = 128, 8,128 pairs, every size
+#: from 2**13 up is one slice, which runs inline):
 #:
 #:     N, kappa        whole        2**12        2**13        2**14        2**15        2**16
 #:     256, real       3.18, 3.25   3.43, 3.77   3.10, 3.58   3.09, 3.44   3.32, 3.78   3.19, 3.27

@@ -195,10 +195,11 @@ def test_seeded_roots_match_the_cold_path(monkeypatch, circle, ellipse, kite):
 
 @pytest.mark.parametrize("name", ["kite", "ellipse", "circle", "mirror_free"])
 def test_ritz_values_match_the_dense_eigensolve(request, name):
-    # a basis from the top k + 4 eigenvectors at 128 nodes gives the top k
-    # at 512 nodes, 1e-8 off the coarse lambda as a root at N is, as the
-    # dense eigensolve does: within 64 eps |mu_1|, where two dense solvers
-    # (eigvalsh, subset eigh) differ by up to 32 eps |mu_1| at kappa d = 10.
+    # a basis from the top k + 4 eigenvectors at lambda on 128 nodes gives
+    # the top k on 512 nodes at lambda (1 + 1e-8), about as far as a root at
+    # N lies from the coarse one, as the dense eigensolve does: within
+    # 64 eps |mu_1|, where two dense solvers (eigvalsh, subset eigh) differ
+    # by up to 32 eps |mu_1| at kappa d = 10.
     # Up to kappa d = 8 the gate accepts them, also on the circle, whose top
     # k hold double eigenvalues; at kappa d = 10, the limit of the splitting
     # path, the kite's basis fails it and the dense eigensolve would run
