@@ -29,7 +29,8 @@ targets on a density refined in a window around their foot node, targets
 far from the curve by Graf's addition theorem about the centroid of the
 nodes (the one-level form of the fast multipole method), which costs two
 Bessel evaluations per target instead of N; ``spectral`` takes far volume
-sources the same way.
+sources the same way, and ``dirac`` the kernel rows of its far probes
+(``_graf_rows``).
 
 Blocks that a public call reuses, such as the kappa-independent splitting
 blocks of a grid and the window plan of a target set, live in one call
@@ -520,10 +521,10 @@ def _window_sum(kernel, sp, targets: np.ndarray, sources: np.ndarray, values: np
 #: 1.5e-13 at 9.2 and 1.3e-11 at 16.5, against 1e-13 allowed
 _GRAF_LIMIT = 8.0
 
-#: most orders of the expansion.  At real kappa within _GRAF_LIMIT the kite,
-#: ellipse(2, 1) and a mirror-free curve need 46 to 59; a kappa whose term
-#: bound needs more (one well off the real axis, Re kappa << |kappa|) is
-#: summed directly
+#: most orders of the expansion.  Within _GRAF_LIMIT the kite, ellipse(2, 1)
+#: and a mirror-free curve need 46 to 61, at real kappa and at lambda = i,
+#: 1 + 2i, 5 + 0.5i, -3 + i and -20 + 5i alike; a kappa whose term bound
+#: needs more is summed directly
 _GRAF_MAX_ORDER = 80
 
 
@@ -532,8 +533,11 @@ def _graf_order(kappa: complex, R: float) -> int | None:
     K_0(kappa |x - y|) = sum_n I_n(kappa rho_y) K_n(kappa rho_x) e^(in(theta_x - theta_y)),
     for points y within R of a centre and x at least 2R from it, in polar
     coordinates (rho, theta) about the centre: the least p at which the
-    term bound |I_p(kappa rho_y) K_p(kappa rho_x)| <= I_p(|kappa| R) K_p(2R Re kappa)
-    has fallen to one unit roundoff of its n = 0 value.  None where
+    term bound |I_p(kappa rho_y) K_p(kappa rho_x)| <= I_p(|kappa| R) |K_p(2R kappa)|
+    has fallen to one unit roundoff of its n = 0 value.  |K_p| is taken at
+    the complex argument, real where kappa is: on 31 rays with |arg z| <= 1.5,
+    for p = 0, 3, ..., 87 and |z| in [0.05, 60], |K_p(z)| never grew along a
+    ray, so it bounds |K_p(kappa rho_x)| for rho_x >= 2R.  None where
     |kappa| R > _GRAF_LIMIT, or where the bound needs more than
     _GRAF_MAX_ORDER orders or is not a positive finite number up to p + 1,
     the highest order a sum reads; those points are summed directly.
@@ -543,7 +547,7 @@ def _graf_order(kappa: complex, R: float) -> int | None:
     n = np.arange(_GRAF_MAX_ORDER + 2)
     with np.errstate(all="ignore"):
         # the scaled functions keep their ratios and do not overflow
-        bound = ive(n, abs(kappa) * R) * kve(n, 2 * R * kappa.real)
+        bound = ive(n, abs(kappa) * R) * np.abs(kve(n, _bessel_arg(kappa, 2 * R)))
     below = np.flatnonzero(bound[:-1] <= np.finfo(float).eps / 2 * bound[0])
     if below.size == 0:
         return None
@@ -615,6 +619,47 @@ def _graf_sum(orders_at_sources, u_sources: np.ndarray, q: np.ndarray,
         out += term
         power = power * u_targets
     return out
+
+
+#: most target-source pairs per row chunk of ``_graf_rows``: at N = 128 the
+#: gap study's probes (``dirac._probes``) took 75, 71, 68 and 70 ms with
+#: chunks of 2**13 to 2**16 pairs (medians of 15 on a 2-core Xeon); a
+#: chunk's blocks are 0.5 MB each
+_GRAF_ROW_PAIRS = 1 << 15
+
+
+def _graf_rows(kappa: complex, plan: _GrafPlan, sources: np.ndarray, targets: np.ndarray):
+    """K_0(kappa r) and K_1(kappa r) e^(-i arg(x - y)), r = |x - y|, between
+    the targets x that ``plan`` marks far and every source y, as
+    (rows, K_0 block, K_1 block) for chunks of those rows of at most
+    _GRAF_ROW_PAIRS pairs: Graf's expansion of ``_graf_sum`` as products.
+    With A[m] = K_|m|(kappa rho_x) u_x^m at the targets (|m| <= p, p the
+    plan's order) and B[n] = I_|n|(kappa rho_y) conj(u_y)^n at the sources
+    (|n| <= p + 1), u = e^(i theta) about the centre, the blocks are
+    A @ B[m] and A @ B[m + 1].  B is built once and A per chunk, so no
+    far-targets-by-sources temporary is held; a target costs two Bessel
+    evaluations (``specfun._k_orders``).  Runs on the calling thread: the
+    products are BLAS calls."""
+    p = plan.order
+    rho_y, u_y = _polar(sources, plan.centre)
+    B = np.empty((2 * p + 3, len(sources)), dtype=complex)  # B[n] at row n + p + 1
+    power = np.ones_like(u_y)
+    for n, I in enumerate(specfun._i_orders(p + 1, _bessel_arg(kappa, rho_y))):
+        B[p + 1 + n] = I * power.conj()
+        B[p + 1 - n] = I * power
+        power = power * u_y
+    far = np.flatnonzero(plan.far)
+    step = max(1, _GRAF_ROW_PAIRS // len(sources))
+    for start in range(0, len(far), step):
+        rows = far[start:start + step]
+        rho_x, u_x = _polar(targets[rows], plan.centre)
+        A = np.empty((len(rows), 2 * p + 1), dtype=complex)  # A[m] at column m + p
+        power = np.ones_like(u_x)
+        for n, K in enumerate(specfun._k_orders(p, _bessel_arg(kappa, rho_x))):
+            A[:, p + n] = K * power
+            A[:, p - n] = K * power.conj()
+            power = power * u_x
+        yield rows, A @ B[1:-1], A @ B[2:]
 
 
 def _multipole_sum(kappa: complex, plan: _GrafPlan, sources: np.ndarray, q: np.ndarray,
@@ -797,8 +842,8 @@ def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
     costs fewer kernel evaluations than the full refined sum.  A target at
     least 2R from the centroid of the curve nodes, R their largest distance
     from it, is summed by Graf's expansion about that centroid where
-    ``_graf_order`` gives an order (at real lambda with |kappa| R <= 8): two
-    Bessel evaluations per target instead of N.  Raises SingularityError for
+    ``_graf_order`` gives an order (at |kappa| R <= 8, real or complex
+    lambda): two Bessel evaluations per target instead of N.  Raises SingularityError for
     a point on the curve, ConfigurationError for a density whose length is
     not N, and ParameterError for a point or density value that is not
     finite."""

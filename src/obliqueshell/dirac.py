@@ -23,9 +23,17 @@ Every K_0/K_1 array is evaluated once per (kappa, geometry).  The blocks that
 do not depend on c (the grid, its probe-box check, probe-to-node offsets and
 radii, K_0/K_1 at w = kappa(lambda) r, L(lambda), L(lambdabar), S(lambda))
 come from one helper shared by the gap study and the correction, read-only
-and kept in the call scope of ``bie._call``.  The study builds them, and U on
-the gap (a) lattice, once; ``correction_convergence`` builds them once for
-its whole c-list, though it calls ``dirac_correction`` per speed.  Every
+and kept in the call scope of ``bie._call``.  Probes at least 2R from the
+centroid of the nodes (``bie._graf_plan``, R the nodes' largest distance from
+it) take K_0/K_1 from Graf's addition theorem about that centroid, as one
+product of K_n at the probes and I_n at the nodes, so such a probe costs two
+Bessel evaluations instead of 2N; the others take ``bessel_k_array``.  The
+study builds the blocks, and U on the gap (a) lattice, once; gap (a) still
+evaluates kernel_G on its lattice at every speed.  ``correction_convergence``
+builds the blocks once for its whole c-list, though it calls
+``dirac_correction`` per speed, and with them the correction's limit side
+(Psi M2 and its solve against I - alpha lambda S), which does not depend on
+c either.  Every
 speed takes K_0/K_1 at kappa(z) r = mu w from that one set by the
 multiplication theorem (DLMF 10.44.2): |1 - mu^2| = |lambda|/c^2, so the
 series in (1 - mu^2) w/2 needs a few terms, counted from a bound once per
@@ -135,14 +143,30 @@ class _Probes:
 
 
 def _probes(sp: SpectralParameter, g: QuadratureGrid, points: np.ndarray) -> _Probes:
-    """One K_1 array serves both sides: kappa(lambdabar) = conj kappa(lambda)
-    and K_1(conj w) = conj K_1(w).  K_0 and K_1 seed every speed's
-    ``_phi_m3_sides``.  The arrays are read-only: every speed reads them."""
+    """Probes at least 2R from the centroid of the nodes (``bie._graf_plan``)
+    take K_0 and K_1 from Graf's expansion (``bie._graf_rows``), the others
+    from ``bessel_k_array``.  One K_1 array serves both sides:
+    kappa(lambdabar) = conj kappa(lambda) and K_1(conj w) = conj K_1(w).  K_0
+    and K_1 seed every speed's ``_phi_m3_sides``.  The arrays are read-only:
+    every speed reads them."""
     x = points[:, None, :] - g.points[None, :, :]
     r = _radii(x)
-    w = sp.kappa * r
-    k0 = specfun.bessel_k_array(0, w)
-    k1 = specfun.bessel_k_array(1, w)
+    plan = bie._graf_plan(sp.kappa, g.points, points)
+    if plan is None:
+        w = sp.kappa * r
+        k0 = specfun.bessel_k_array(0, w)
+        k1 = specfun.bessel_k_array(1, w)
+    else:
+        k0, k1 = np.empty(r.shape, dtype=complex), np.empty(r.shape, dtype=complex)
+        near = ~plan.far
+        w = sp.kappa * r[near]
+        k0[near] = specfun.bessel_k_array(0, w)
+        k1[near] = specfun.bessel_k_array(1, w)
+        for rows, k0_rows, k1_rows in bie._graf_rows(sp.kappa, plan, g.points, points):
+            xr = x[rows]
+            k1_rows *= xr[..., 0] + 1j * xr[..., 1]  # e^(i theta) = (x1 + i x2)/r
+            k1_rows /= r[rows]
+            k0[rows], k1[rows] = k0_rows, k1_rows
     L, L_bar = _L_body(sp, x, r, k1), _L_body(sp.conjugate, x, r, np.conj(k1))
     for arr in (x, r, k0, k1, L, L_bar):
         arr.setflags(write=False)
@@ -368,6 +392,22 @@ def nonrel_limit_study(curve: Curve, lam: complex, c_values, N: int = 128,
 CORRECTION_PROBE_HALFWIDTH = 1.5
 
 
+def _limit_side(alpha: float, sp: SpectralParameter, g: QuadratureGrid, pr: _Probes,
+                S: np.ndarray, vol: VolumeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The correction's limit-side factors, which do not depend on c: Psi M2
+    and Y = (I - alpha lambda S M3)^-1 alpha M2^T Psi*_lambdabar, both acting
+    on the first spinor component, in the weighting of ``dirac_correction``.
+    Built once per call scope for each curve, alpha, lambda, N and probe
+    set, read-only."""
+    d = np.sqrt(g.jacobians)
+    psi = pr.L * (g.weight * d)
+    psi_star = np.conj(pr.L_bar).T * (vol.weight * d)[:, None]
+    Y = np.linalg.solve(np.eye(g.N) - alpha * sp.lam * S, alpha * psi_star)
+    for arr in (psi, Y):
+        arr.setflags(write=False)
+    return psi, Y
+
+
 @bie._call()
 def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
                      N: int = 128, probe_n: int = 24) -> float:
@@ -420,10 +460,8 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     phi_star = phi_star.T
     X = np.linalg.solve(B, alpha * c * phi_star)
 
-    # limit side: Psi M2 and M2^T Psi* act on the first spinor component
-    psi = pr.L * w_b
-    psi_star = np.conj(pr.L_bar).T * (vol.weight * d)[:, None]
-    Y = np.linalg.solve(np.eye(Nn) - alpha * lam * S, alpha * psi_star)
+    psi, Y = bie._kept(("limit_side", curve, sp.lam, N, alpha, vol.points.tobytes()),
+                       lambda: _limit_side(alpha, sp, g, pr, S, vol))
 
     # K_D - K_S = [phi | -psi] [X; Y] = Q R [X; Y], psi zero-padded and Y
     # acting on the first M columns only; Q has orthonormal columns

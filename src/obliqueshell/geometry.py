@@ -17,6 +17,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import ParameterError
 
@@ -79,8 +80,7 @@ class Curve:
         """
         if "_diameter" not in self.__dict__:
             pts = self.point(np.linspace(0.0, 2 * np.pi, 512, endpoint=False))
-            dx = pts[:, None, :] - pts[None, :, :]
-            object.__setattr__(self, "_diameter", float(np.sqrt((dx ** 2).sum(-1)).max()))
+            object.__setattr__(self, "_diameter", float(pdist(pts).max()))
         return self._diameter
 
     def signed_area(self) -> float:

@@ -218,14 +218,18 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
     vol = bie.make_volume_grid(3 * kite.diameter, 16)
     study = dirac.nonrel_limit_study(kite, 1j, [8, 16], N=32, volume_box=vol)
     assert seen and repeats == []
-    # a third speed adds no Bessel array on the probe-node pairs
-    probe_pairs = (len(vol.points), 32)
-    two_speeds = calls.count(probe_pairs)
+    # a third speed adds no Bessel array on the probes: neither on the pairs
+    # of the near probes nor on the far probes of Graf's expansion
+    far = bie._graf_plan(SpectralParameter.make(1j).kappa, geometry.grid(kite, 32).points,
+                         vol.points).far
+    probe_arrays = ((int((~far).sum()), 32), (int(far.sum()),))
+    two_speeds = [calls.count(shape) for shape in probe_arrays]
     seen.clear()
     calls.clear()
     dirac.nonrel_limit_study(kite, 1j, [8, 16, 32], N=32, volume_box=vol)
     assert repeats == []
-    assert two_speeds > 0 and calls.count(probe_pairs) == two_speeds
+    assert min(two_speeds) > 0
+    assert [calls.count(shape) for shape in probe_arrays] == two_speeds
     seen.clear()
     dirac.dirac_correction(kite, -1.0, 1j, 16, N=32, probe_n=8)
     assert seen and repeats == []
@@ -238,6 +242,23 @@ def test_no_bessel_array_is_evaluated_twice(kite, monkeypatch):
     for i, c in enumerate(study.c_values):
         row = next(dirac._gap_rows(kite, 1j, [c], 32, vol, False))
         assert row == tuple(study.gaps()[k][i] for k in ("a0", "phi", "phistar", "c"))
+
+
+def _assert_direct_probe_arrays(sp, g, pr, points, rel=1e-13):
+    """The probes' K_0, K_1, L(lambda) and L(lambdabar) against
+    bessel_k_array and kernel_L on every pair: bit for bit on the rows that
+    take the direct arrays, within ``rel`` of each entry on the rows of
+    Graf's expansion (``bie._graf_plan``'s far probes)."""
+    plan = bie._graf_plan(sp.kappa, g.points, points)
+    far = np.zeros(len(points), dtype=bool) if plan is None else plan.far
+    w = sp.kappa * pr.r
+    for got, ref in ((pr.k0, specfun.bessel_k_array(0, w)),
+                     (pr.k1, specfun.bessel_k_array(1, w)),
+                     (pr.L, kernel_L(sp, pr.x)), (pr.L_bar, kernel_L(sp.conjugate, pr.x))):
+        assert np.array_equal(got[~far], ref[~far])
+        err = np.abs(got[far] - ref[far]) / np.abs(ref[far])
+        assert far.sum() == 0 or err.max() <= rel, err.max()
+    return far
 
 
 def _phi_m3_reference(dp, x):
@@ -255,27 +276,86 @@ def _series_terms(dp, pr):
 
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
 def test_multiplication_series_matches_bessel_arrays(kite, mirror_free, lam):
-    # K_0/K_1 at kappa(z) r from the probes' set at kappa(lambda) r agree
-    # pointwise with bessel_k_array there; the error is that of rounding the
-    # argument, about eps |w| |K_1/K_0|
+    # K_0/K_1 at kappa(z) r from K_0/K_1 at kappa(lambda) r agree pointwise
+    # with bessel_k_array there.  Seeded with the direct arrays, the error is
+    # that of rounding the argument, about eps |w| |K_1/K_0|; seeded with the
+    # probes' set, whose far rows come from Graf's expansion, it adds theirs
     sp = SpectralParameter.make(lam)
     for curve in (kite, mirror_free):
         g = geometry.grid(curve, 64)
         vol = bie.make_volume_grid(3 * curve.diameter, 24)
         pr = dirac._probes(sp, g, vol.points)
-        assert np.array_equal(pr.k0, specfun.bessel_k_array(0, sp.kappa * pr.r))
-        assert np.array_equal(pr.k1, specfun.bessel_k_array(1, sp.kappa * pr.r))
+        assert _assert_direct_probe_arrays(sp, g, pr, vol.points).any()
+        direct = [specfun.bessel_k_array(order, sp.kappa * pr.r) for order in (0, 1)]
         for c in (8.0, 16.0, 64.0, 256.0):
             dp = DiracParameter.shifted(lam, c)
             terms = _series_terms(dp, pr)
             assert terms is not None and terms <= 20, (curve.name, c, terms)
-            got = np.empty((2,) + pr.r.shape, dtype=complex)
-            specfun._k01_multiplication(dp.kappa / sp.kappa, sp.kappa * pr.r,
-                                        pr.k0, pr.k1, terms, *got)
-            for order, k in enumerate(got):
-                ref = specfun.bessel_k_array(order, dp.kappa * pr.r)
-                err = np.max(np.abs(k - ref) / np.abs(ref))
-                assert err <= 1e-14, (curve.name, c, order, err)
+            refs = [specfun.bessel_k_array(order, dp.kappa * pr.r) for order in (0, 1)]
+            for seeds, bound in ((direct, 1e-14), ((pr.k0, pr.k1), 1e-13)):
+                got = np.empty((2,) + pr.r.shape, dtype=complex)
+                specfun._k01_multiplication(dp.kappa / sp.kappa, sp.kappa * pr.r,
+                                            *seeds, terms, *got)
+                for order, (k, ref) in enumerate(zip(got, refs)):
+                    err = np.max(np.abs(k - ref) / np.abs(ref))
+                    assert err <= bound, (curve.name, c, order, err)
+
+
+@pytest.mark.parametrize("lam", [1j, 1 + 2j, -3 + 1j])
+def test_far_probe_rows_by_graf_match_the_direct_arrays(kite, ellipse, mirror_free, lam):
+    # probes at least 2R from the centroid of the nodes take K_0/K_1 from
+    # Graf's expansion, the others the direct arrays bit for bit.  A far
+    # entry is within 2e-14 of the largest entry of its row.  Relative to
+    # itself it is within 1e-13 at lambda = i and 1 + 2i; at -3 + i the
+    # expansion's terms exceed the smallest entries, on the far side of the
+    # curve, by up to e^(2 Re kappa R) (about 10^3 on the ellipse), and
+    # those entries read up to 3.2e-13 relative
+    sp = SpectralParameter.make(lam)
+    for curve in (kite, ellipse, mirror_free):
+        g = geometry.grid(curve, 64)
+        vol = bie.make_volume_grid(3 * curve.diameter, 24)
+        pr = dirac._probes(sp, g, vol.points)
+        far = _assert_direct_probe_arrays(sp, g, pr, vol.points,
+                                          rel=1e-13 if lam != -3 + 1j else 5e-13)
+        assert far.mean() > 0.8, curve.name
+        w = sp.kappa * pr.r[far]
+        for got, ref in ((pr.k0, specfun.bessel_k_array(0, w)),
+                         (pr.k1, specfun.bessel_k_array(1, w)),
+                         (pr.L, kernel_L(sp, pr.x[far])),
+                         (pr.L_bar, kernel_L(sp.conjugate, pr.x[far]))):
+            err = np.abs(got[far] - ref)
+            assert np.all(err <= 2e-14 * np.abs(ref).max(axis=1, keepdims=True)), curve.name
+
+
+def test_probes_refused_by_the_graf_gate_take_the_direct_arrays(kite):
+    # at |kappa| R > _GRAF_LIMIT no probe takes Graf's expansion, and every
+    # array is the direct one bit for bit
+    sp = SpectralParameter.make(-30 + 10j)
+    g = geometry.grid(kite, 64)
+    vol = bie.make_volume_grid(3 * kite.diameter, 24)
+    assert bie._graf_plan(sp.kappa, g.points, vol.points) is None
+    pr = dirac._probes(sp, g, vol.points)
+    assert not _assert_direct_probe_arrays(sp, g, pr, vol.points).any()
+
+
+def test_probes_hold_little_beyond_their_outputs(kite):
+    # on the gap study's 48^2 x 128 probe set, the far rows are built in row
+    # chunks: the peak over the call is the outputs, the conjugated K_1 that
+    # L(lambdabar) is built from, and less than 1 MB besides
+    g = geometry.grid(kite, 128)
+    vol = bie.make_volume_grid(3.0 * kite.diameter, 48)
+    sp = SpectralParameter.make(1j)
+    assert bie._graf_plan(sp.kappa, g.points, vol.points).far.mean() > 0.8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pr = dirac._probes(sp, g, vol.points)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (pr.x, pr.r, pr.k0, pr.k1, pr.L, pr.L_bar))
+    assert outputs == 48 ** 2 * 128 * (16 + 8 + 4 * 16)
+    assert peak <= outputs + pr.k1.nbytes + 2 ** 20, (peak - outputs) / 2 ** 20
 
 
 def test_slow_speeds_take_the_bessel_array_path(mirror_free):
@@ -305,18 +385,20 @@ def test_slow_speeds_take_the_bessel_array_path(mirror_free):
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
 def test_conjugate_side_equals_direct_evaluation(mirror_free, lam):
     # the (zbar, lambdabar) blocks built from conjugated K_0/K_1 arrays are
-    # those of kernel_G and kernel_L evaluated there: bit for bit for L and
-    # on the bessel_k_array path (c = 2), to the series' rounding (c = 8, 64)
-    # (the 24^2-probe box gives arrays above numpy's 256 kB threshold for
-    # reusing temporaries in place, where operand order can change bits)
+    # those of kernel_G and kernel_L evaluated there: for L bit for bit on the
+    # near probes and within 1e-13 of each entry on the far probes of Graf's
+    # expansion; on the bessel_k_array path (c = 2) bit for bit on the near
+    # probes, and to the series' rounding (c = 8, 64) (the 24^2-probe box
+    # gives arrays above numpy's 256 kB threshold for reusing temporaries in
+    # place, where operand order can change bits)
     curve = mirror_free
     g = geometry.grid(curve, 32)
     sp = SpectralParameter.make(lam)
     for n in (8, 24):
         vol = bie.make_volume_grid(1.5 * curve.diameter, n)
         pr = dirac._probes(sp, g, vol.points)
-        assert np.array_equal(pr.L, kernel_L(sp, pr.x))
-        assert np.array_equal(pr.L_bar, kernel_L(sp.conjugate, pr.x))
+        far = _assert_direct_probe_arrays(sp, g, pr, vol.points)
+        assert far.any() and not far.all()
         for c in (2.0, 8.0, 64.0):
             dp = DiracParameter.shifted(lam, c)
             dp_bar = DiracParameter.make(np.conj(dp.lam), c)
@@ -327,7 +409,9 @@ def test_conjugate_side_equals_direct_evaluation(mirror_free, lam):
                 if series:
                     assert np.max(np.abs(side - ref)) <= 1e-14 * np.max(np.abs(ref))
                 else:
-                    assert np.array_equal(side, ref)
+                    rows = np.concatenate([~far, ~far])
+                    assert np.array_equal(side[rows], ref[rows])
+                    assert np.max(np.abs(side - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_phi_m3_sides_hold_little_beyond_their_outputs(kite, monkeypatch):
@@ -374,6 +458,26 @@ def test_gap_phi_from_gram_matrix_equals_svd(kite, mirror_free, c):
 
 def test_correction_reference_block_structure(circle):
     assert dirac.dirac_correction(circle, -1.0, 1j, 16.0, N=48, probe_n=10) > 0
+
+
+def test_correction_limit_side_is_solved_once_per_c_list(kite, monkeypatch):
+    # Psi M2 and Y = (I - alpha lambda S)^-1 alpha Psi* do not depend on c:
+    # one correction_convergence over three speeds solves for them once, and
+    # its norms are those of one dirac_correction call per speed, bit for bit
+    solved = []
+    limit_side = dirac._limit_side
+    monkeypatch.setattr(dirac, "_limit_side",
+                        lambda *args: solved.append(args[0]) or limit_side(*args))
+    c_values = [16.0, 64.0, 256.0]
+    norms, _ = dirac.correction_convergence(kite, -1.0, 1j, c_values, N=32, probe_n=8)
+    assert solved == [-1.0]
+    alone = [dirac.dirac_correction(kite, -1.0, 1j, c, N=32, probe_n=8) for c in c_values]
+    assert len(solved) == 4 and norms == alone
+    # another alpha within one call scope solves again
+    with bie._call():
+        dirac.dirac_correction(kite, -1.0, 1j, 16.0, N=32, probe_n=8)
+        dirac.dirac_correction(kite, -0.5, 1j, 16.0, N=32, probe_n=8)
+    assert solved[4:] == [-1.0, -0.5]
 
 
 def test_correction_convergence_rate(circle):

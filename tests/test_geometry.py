@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,25 @@ def test_diameter_samples_the_curve_once(monkeypatch):
                         lambda self, t: calls.append(len(t)) or point(self, t))
     assert kite.diameter == kite.diameter == pytest.approx(3.0, rel=1e-12)
     assert calls == [512]
+
+
+def test_diameter_equals_the_dense_distance_formula(circle, ellipse, kite, mirror_free):
+    # the condensed pair distances give the dense formula's largest distance,
+    # bit for bit, holding one distance per pair instead of the 512 x 512 x 2
+    # differences, their squares and the row sums
+    for curve in (circle, ellipse, kite, mirror_free):
+        fresh = geometry.Curve(curve.x_coeffs, curve.y_coeffs, curve.name)
+        pts = fresh.point(np.linspace(0.0, 2 * np.pi, 512, endpoint=False))
+        dx = pts[:, None, :] - pts[None, :, :]
+        dense = float(np.sqrt((dx ** 2).sum(-1)).max())
+        tracemalloc.start()
+        try:
+            got = fresh.diameter
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == dense, curve.name
+        assert peak <= 2 * 2 ** 20, (curve.name, peak / 2 ** 20)
 
 
 def test_grid_validation(circle):
