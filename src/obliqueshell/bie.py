@@ -843,10 +843,10 @@ def eval_SL(grid: QuadratureGrid, density: np.ndarray, sp: SpectralParameter,
     least 2R from the centroid of the curve nodes, R their largest distance
     from it, is summed by Graf's expansion about that centroid where
     ``_graf_order`` gives an order (at |kappa| R <= 8, real or complex
-    lambda): two Bessel evaluations per target instead of N.  Raises SingularityError for
-    a point on the curve, ConfigurationError for a density whose length is
-    not N, and ParameterError for a point or density value that is not
-    finite."""
+    lambda): two Bessel evaluations per target instead of N.  Raises
+    SingularityError for a point on the curve, ConfigurationError for a
+    density whose length is not N, and ParameterError for a point or
+    density value that is not finite."""
     return _eval_refined(grid, density, sp, points, kernel_U)
 
 

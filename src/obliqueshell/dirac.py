@@ -160,8 +160,12 @@ def _probes(sp: SpectralParameter, g: QuadratureGrid, points: np.ndarray) -> _Pr
         k0, k1 = np.empty(r.shape, dtype=complex), np.empty(r.shape, dtype=complex)
         near = ~plan.far
         w = sp.kappa * r[near]
-        k0[near] = specfun.bessel_k_array(0, w)
-        k1[near] = specfun.bessel_k_array(1, w)
+
+        def fill_near(order: int) -> None:
+            (k0, k1)[order][near] = specfun.bessel_k_array(order, w)
+
+        # one order per worker: the near pairs are too few to be split
+        specfun._run_chunks(fill_near, [0, 1])
         for rows, k0_rows, k1_rows in bie._graf_rows(sp.kappa, plan, g.points, points):
             xr = x[rows]
             k1_rows *= xr[..., 0] + 1j * xr[..., 1]  # e^(i theta) = (x1 + i x2)/r
