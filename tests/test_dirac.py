@@ -285,7 +285,6 @@ def test_multiplication_series_matches_bessel_arrays(kite, mirror_free, lam):
         g = geometry.grid(curve, 64)
         vol = bie.make_volume_grid(3 * curve.diameter, 24)
         pr = dirac._probes(sp, g, vol.points)
-        assert _assert_direct_probe_arrays(sp, g, pr, vol.points).any()
         direct = [specfun.bessel_k_array(order, sp.kappa * pr.r) for order in (0, 1)]
         for c in (8.0, 16.0, 64.0, 256.0):
             dp = DiracParameter.shifted(lam, c)
