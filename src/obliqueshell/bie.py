@@ -1,24 +1,22 @@
 """Nystrom discretization of the boundary operators and layer potentials.
 
-Two assembly paths for the weakly singular single-layer kernel
-(1/2pi) K_0(kappa |x-y|), kappa = -i sqrt(lambda):
+One quadrature for the weakly singular single-layer kernel
+(1/2pi) K_0(kappa |x-y|), kappa = -i sqrt(lambda), at every kappa: the
+Martensen-Kussmaul split, localized.  K_0 is split into
+-(1/2) chi I_0 ln(4 sin^2((t-s)/2)) plus a smooth periodic remainder, chi
+a smooth cutoff of the node offset that is 1 near the singular node and 0
+beyond a band of offsets; the log factor is integrated with the exact
+Fourier log-weights, the remainder with the trapezoid rule.  So I_0, which
+grows like e^{kappa r}, is evaluated on the band only, where it cannot
+overflow, and the kappa-independent part of a grid is its pair distances
+and the log factor of each band offset, chi folded in.  Spectrally
+accurate on analytic curves wherever the kernel's decay is resolved on the
+nodes; where |kappa| max jac 2pi/N is too large for that, the N rows at the
+nodes are assembled on an F-fold refined grid and the F N columns mapped
+back through the trigonometric interpolant (``_refinement``).  Past the
+largest F the assembly raises ResolutionError.
 
-* moderate kappa: Martensen-Kussmaul splitting.  K_0 is split into
-  -(1/2) I_0 ln(4 sin^2((t-s)/2)) plus a smooth periodic remainder; the log
-  factor is integrated with the exact Fourier log-weights, the remainder
-  with the trapezoid rule.  Spectrally accurate on analytic curves.  Both
-  rules together weight -I_0/4pi by one factor of the index offset, so the
-  kappa-independent part of a grid is its pair distances and that factor.
-
-* large real kappa (Re kappa * diameter beyond a threshold): the splitting
-  is abandoned because I_0(kappa r) overflows/cancels catastrophically.
-  Instead each row integral is computed by product integration on dyadically
-  graded Gauss-Legendre panels around the singular node, with the density
-  transferred off-grid through the exact trigonometric interpolant.  The
-  kernel is evaluated directly, so no cancellation occurs; its accuracy is
-  limited and depends on N as well as kappa (``_single_layer_weights_local``).
-
-Both paths return the symmetric weights W, (S phi)(t_i) ~ sum_j W[i,j]
+The assembly returns the symmetric weights W, (S phi)(t_i) ~ sum_j W[i,j]
 jac_j phi_j.  The assembled operators are stored once, in the orthonormal
 basis of the weighted L2 space on the curve that every reader (eigensolves,
 eigenvectors, the Krein solve, the Dirac gaps) works in: D W D with
@@ -47,37 +45,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft2, ifft2, next_fast_len
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import erfc, ive, kve
 
 from . import kernels, specfun
 from .errors import (ConfigurationError, DomainError, NumericalInstabilityError, ParameterError,
-                     SingularityError)
+                     ResolutionError, SingularityError)
 from .geometry import Curve, QuadratureGrid
 from .kernels import DiracParameter, SpectralParameter, _bessel_arg, kernel_L, kernel_U
 from .specfun import EULER_GAMMA, _run_chunks, bessel_i_array, bessel_k_array
-
-#: Largest Re(kappa) * diameter the splitting path takes, set by its accuracy
-#: on the eigenvalues a root finder reads: the top N/8, the branches that
-#: ``count <= N/8`` lets it reach.  The splitting's smooth remainder carries
-#: Fourier tails of size e^{2 kappa d}, which the trapezoid rule damps only
-#: where it resolves them, so the usable range grows with N.  Against the
-#: circle's closed form, the top N/8 are within 3e-12 for kappa d <= 10 at
-#: every N >= 128, but off by 8.6e-2 at kappa d = 12 with N = 256; at N = 64
-#: they are within 2e-13 at kappa d = 8 and off by 0.7 at kappa d = 10.
-SPLIT_LIMIT = 10.0
-
-#: fewest nodes at which the splitting path is accurate up to SPLIT_LIMIT;
-#: below it the limit falls to log2(N)
-_SPLIT_LIMIT_N = 128
-
-
-def _split_limit(N: int) -> float:
-    return SPLIT_LIMIT if N >= _SPLIT_LIMIT_N else min(SPLIT_LIMIT, float(np.log2(N)))
-
 
 # ---------------------------------------------------------------------------
 # the call scope
@@ -114,28 +92,69 @@ def _kept(key: tuple, build):
 # assembly
 
 
-def log_quadrature_weights(N: int) -> np.ndarray:
-    """First column c of the circulant log-weight matrix: R[i,j] =
-    c[(i - j) mod N] is the exact quadrature weight of the periodic log kernel
-    ln(4 sin^2((t_i - t_j)/2)) at node t_j."""
+def _log_weights(N: int, offsets: np.ndarray) -> np.ndarray:
+    """The log weights R of an N-node grid at the given index offsets."""
     n = N // 2
-    theta = 2 * np.pi * np.arange(N) / N
+    theta = 2 * np.pi * offsets / N
     m = np.arange(1, n)
     return -(2 * np.pi / n) * (np.cos(np.outer(theta, m)) / m).sum(axis=1) \
         - (np.pi / n ** 2) * np.cos(n * theta)
 
 
+def log_quadrature_weights(N: int) -> np.ndarray:
+    """First column c of the circulant log-weight matrix: R[i,j] =
+    c[(i - j) mod N] is the exact quadrature weight of the periodic log kernel
+    ln(4 sin^2((t_i - t_j)/2)) at node t_j."""
+    return _log_weights(N, np.arange(N))
+
+
+#: the cutoff chi(tau) = [erfc((tau - a)/b) + erfc((-tau - a)/b)]/2 - 1 of the
+#: localized split, tau the periodic node offset: its half-width a and width
+#: b in node spacings.  1 - chi is below 1e-16 near tau = 0 and chi below
+#: 1e-17 beyond a + 6 b = _BAND, where the log part is dropped.  A width of
+#: 4 spacings is resolved on the nodes to about exp(-(2 pi)^2) = 7e-18.
+_CUT_HALF = 24
+_CUT_WIDTH = 4
+_BAND = _CUT_HALF + 6 * _CUT_WIDTH
+
+
+def _log_factor(M: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The band of an M-node grid: its offsets tau = 1 .. min(_BAND, M/2),
+    the log factor chi (R - w ln 4 sin^2(pi tau / M)) at each (R the log
+    weights, w = 2 pi / M), and R at offset 0.  Where M <= 2 _BAND the band
+    is the whole circle, on which chi would not vanish at the antipode, and
+    chi = 1: the plain Martensen-Kussmaul split."""
+    tau = np.arange(1, min(_BAND, M // 2) + 1)
+    col = _log_weights(M, np.arange(len(tau) + 1))
+    c = col[tau] - 2 * np.pi / M * np.log(4 * np.sin(np.pi * tau / M) ** 2)
+    if M > 2 * _BAND:
+        # the two erfc terms as one difference, accurate in the tail
+        c *= 0.5 * (erfc((tau - _CUT_HALF) / _CUT_WIDTH) - erfc((tau + _CUT_HALF) / _CUT_WIDTH))
+    return tau, c, float(col[0])
+
+
+def _self_weight(kappa: complex, jacobians: np.ndarray, R0: float, w: float) -> np.ndarray:
+    """Weight of a node against itself on a grid of spacing w: A at r = 0,
+    -I_0(0)/4pi = -1/4pi, times R at offset 0, and the limit of the smooth
+    remainder K_0/2pi - A ln 4 sin^2 times w."""
+    diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(jacobians)) / (2 * np.pi)
+    if kappa.imag == 0:
+        diag = diag.real
+    return R0 * (-1 / (4 * np.pi)) + w * diag
+
+
 @dataclass(frozen=True)
 class _MKBlocks:
-    """The kappa-independent part of the Martensen-Kussmaul scheme on the
-    strict upper triangle i < j, in row-major order: the distances r and the
-    log factor c = R - weight ln 4 sin^2 of the pairs, which depends only on
-    the offset j - i (R the log weights), the triangle as a boolean mask, and
-    R on the diagonal."""
+    """The kappa-independent part of the split on one grid (F = 1): the
+    distances r of the strict upper triangle i < j in row-major order and
+    the triangle as a boolean mask; for the band, ``band[tau - 1, i]`` the
+    index in the triangle of the pair (i, i + tau mod N), and ``c[tau - 1]``
+    its log factor; and R on the diagonal."""
 
     r: np.ndarray
-    c: np.ndarray
     upper: np.ndarray
+    band: np.ndarray
+    c: np.ndarray
     R_diag: float
 
 
@@ -143,24 +162,27 @@ def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
     """The blocks, read-only: every assembly on the grid in one call reads
     them."""
     N = grid.N
-    col = log_quadrature_weights(N)
-    c = col[1:] - grid.weight * np.log(4 * np.sin(np.pi * np.arange(1, N) / N) ** 2)
-    # row i of the triangle holds the offsets 1 .. N - 1 - i
-    c = np.concatenate([c[:N - 1 - i] for i in range(N - 1)])
-    upper = np.triu(np.ones((N, N), dtype=bool), 1)
-    blocks = _MKBlocks(pdist(grid.points), c, upper, float(col[0]))
-    for arr in (blocks.r, blocks.c, blocks.upper):
+    tau, c, R_diag = _log_factor(N)
+    i = np.arange(N)
+    j = (i + tau[:, None]) % N
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    # row lo of the triangle starts at lo N - lo (lo + 1)/2, at offset 1
+    band = (lo * N - lo * (lo + 1) // 2 + hi - lo - 1).astype(np.int32)
+    blocks = _MKBlocks(pdist(grid.points), np.triu(np.ones((N, N), dtype=bool), 1),
+                       band, c[:, None], R_diag)
+    for arr in (blocks.r, blocks.upper, blocks.band, blocks.c):
         arr.setflags(write=False)
     return blocks
 
 
-#: most triangle pairs per slice of the MK assembly, whose I_0, K_0 and
-#: weights run as one pool pass.  A pair's weight does not depend on the
-#: slice it falls in, so the size changes no bit.  On a 2-core Xeon with two
-#: pool workers, medians of one kite assembly in ms (2 runs; whole = I_0,
+#: most pairs per slice of the K_0 pass of ``_split_weights``, which runs K_0
+#: and the weights as one pool pass.  A pair's weight does not depend on the
+#: slice it falls in, so the size changes no bit.  On a 2-core Xeon with
+#: two pool workers, medians of one kite assembly in ms (2 runs; whole = I_0,
 #: K_0 and the weights as three arrays over the whole triangle, each Bessel
 #: array cut only by its own chunks; at N = 128, 8,128 pairs, every size
-#: from 2**13 up is one slice, which runs inline):
+#: from 2**13 up is one slice, which runs inline), measured with I_0 on every
+#: pair:
 #:
 #:     N, kappa        whole        2**12        2**13        2**14        2**15        2**16
 #:     256, real       3.18, 3.25   3.43, 3.77   3.10, 3.58   3.09, 3.44   3.32, 3.78   3.19, 3.27
@@ -175,136 +197,148 @@ def _build_mk_blocks(grid: QuadratureGrid) -> _MKBlocks:
 _MK_PAIRS = 1 << 13
 
 
-def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
-    """Symmetric weight matrix W of the Martensen-Kussmaul scheme.
-
-    (S phi)(t_i) ~ sum_j W[i,j] jac_j phi_j.  The kernel is evaluated on the
-    strict upper triangle and mirrored, so W is exactly symmetric.  I_0, K_0
-    and the weights of the triangle run as one pass over slices of
-    _MK_PAIRS pairs on the pool of ``specfun``, inside which each Bessel
-    array runs inline.
-    """
-    blocks = _kept(("mk", grid), lambda: _build_mk_blocks(grid))
-    upper = np.empty(len(blocks.r), dtype=float if kappa.imag == 0 else complex)
+def _split_weights(r: np.ndarray, band: np.ndarray, c: np.ndarray, kappa: complex,
+                   w: float) -> np.ndarray:
+    """The weights of the pairs at the distances r, flattened: w K_0(kappa
+    r)/2pi, in slices of _MK_PAIRS pairs on the pool of ``specfun``, inside
+    which each Bessel array runs inline, and on the pairs that ``band``
+    indexes the log part -I_0(kappa r)/4pi times their log factor c as
+    well.  A pair listed twice in the band, as at the antipodal offset, gets
+    the same sum each time."""
+    r = r.reshape(-1)
+    out = np.empty(r.size, dtype=float if kappa.imag == 0 else complex)
 
     def fill(s: slice) -> None:
-        z = _bessel_arg(kappa, blocks.r[s])
-        upper[s] = -bessel_i_array(0, z) / (4 * np.pi) * blocks.c[s] \
-            + grid.weight * (bessel_k_array(0, z) / (2 * np.pi))
+        out[s] = w * (bessel_k_array(0, _bessel_arg(kappa, r[s])) / (2 * np.pi))
 
-    _run_chunks(fill, specfun._even_slices(len(upper), _MK_PAIRS))
-
-    W = np.empty((grid.N, grid.N), dtype=upper.dtype)
-    W[blocks.upper] = upper
-    W.T[blocks.upper] = upper
-    # diagonal: A at r = 0, -I_0(0)/4pi = -1/4pi, and the limit of the
-    # smooth remainder K_0/2pi - A ln 4 sin^2
-    diag = -(np.log(kappa / 2) + EULER_GAMMA + np.log(grid.jacobians)) / (2 * np.pi)
-    if kappa.imag == 0:
-        diag = diag.real
-    np.fill_diagonal(W, blocks.R_diag * (-1 / (4 * np.pi)) + grid.weight * diag)
-    return W
-
-
-def _trig_interp_kernel(theta: np.ndarray, N: int) -> np.ndarray:
-    """Cardinal function of trigonometric interpolation at N uniform nodes."""
-    n = N // 2
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(np.remainder(theta + np.pi, 2 * np.pi) - np.pi) < 1e-12
-    th = np.where(small, 1.0, theta)
-    out = np.sin(n * th) * np.cos(th / 2) / (N * np.sin(th / 2))
-    out[small] = 1.0
+    _run_chunks(fill, specfun._even_slices(r.size, _MK_PAIRS))
+    out[band] += -bessel_i_array(0, _bessel_arg(kappa, r[band])) / (4 * np.pi) * c
     return out
 
 
-def _graded_offsets(kappa_scale: float, n_panel: int = 16) -> tuple[np.ndarray, np.ndarray, float]:
-    """One-sided offsets/weights of dyadically graded GL panels on (delta, pi].
+def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
+    """Symmetric weight matrix W of the localized split on the grid itself
+    (F = 1).
 
-    Returns (offsets, weights, delta); panels halve toward the singularity
-    until kappa_scale * delta <= 6e-4 (freezing the density over the innermost
-    interval leaves an error of order delta^3).
+    (S phi)(t_i) ~ sum_j W[i,j] jac_j phi_j.  The weights run over the strict
+    upper triangle (``_split_weights``), I_0 only over the band, and the
+    triangle is mirrored, so W is exactly symmetric.
     """
-    levels = max(10, int(np.ceil(np.log2(max(np.pi * kappa_scale / 6e-4, 2.0)))))
-    xg, wg = leggauss(n_panel)
-    offs, wts = [], []
-    hi = np.pi
-    for _ in range(levels):
-        lo = hi / 2
-        offs.append(0.5 * (hi - lo) * xg + 0.5 * (hi + lo))
-        wts.append(0.5 * (hi - lo) * wg)
-        hi = lo
-    return np.concatenate(offs), np.concatenate(wts), hi
-
-
-def _single_layer_weights_local(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
-    """Graded-panel product integration.
-
-    Its accuracy depends on N as well as kappa.  Against the circle's closed
-    form, over the top N/8 eigenvalues at kappa d = Re kappa * diameter: 3.3e-9
-    at kappa d = 8-12 with N = 256, but 1.4e-5 at kappa d = 8 with N = 512;
-    at kappa = 0.5 it is off by 25% (N = 128) and 89% (N = 512).
-    ``single_layer_weights`` uses it only beyond the splitting path's limit.
-    """
-    N = grid.N
-    t = grid.nodes
-    curve = grid.curve
-    jac_max = float(grid.jacobians.max())
-    offs, wts, delta = _graded_offsets(abs(kappa) * jac_max)
-    Q = len(offs)
-
-    real_path = kappa.imag == 0
-    dtype = float if real_path else complex
-    W = np.zeros((N, N), dtype=dtype)
-    # with uniform nodes, t_i - t_j = t_{(i-j) mod N}, so the cardinal factor
-    # is circulant and each panel node contributes one rank structure;
-    # summing over panel nodes is a single (N,Q) x (Q,N) product per side.
-    # The cardinal function of panel node t_i + s at node t_j is
-    # l(s - t_{j-i}), so column d of the product lands on the diagonal
-    # d = (j - i) mod N.
-    idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-    rows = np.arange(N)[:, None]
-    # the per-side temporaries are updated in place and dropped early: this
-    # assembly sets the peak memory of a spectrum run
-    for sgn in (+1.0, -1.0):
-        s = (t[:, None] + sgn * offs[None, :]).ravel()
-        pts = curve.point(s).reshape(N, Q, 2)
-        pts -= grid.points[:, None, :]
-        r = np.linalg.norm(pts, axis=-1)
-        del pts
-        A = bessel_k_array(0, _bessel_arg(kappa, r))
-        del r
-        A /= 2 * np.pi
-        A *= curve.jacobian(s).reshape(N, Q)
-        A *= wts[None, :]
-        del s
-        AC = A @ _trig_interp_kernel(sgn * offs[:, None] - t[None, :], N)
-        del A
-        W += AC[rows, idx]
-        del AC
-    # innermost [0, delta]: kernel ~ K_0(kappa jac sigma), density frozen.
-    a = kappa * grid.jacobians
-    x = a * delta
-    inner = delta * (1.0 - np.log(x / 2) - EULER_GAMMA) \
-        - delta * x ** 2 / 12 * (np.log(x / 2) + EULER_GAMMA - 4.0 / 3.0) \
-        - delta * x ** 4 / 320 * (np.log(x / 2) + EULER_GAMMA - 17.0 / 10.0)
-    inner = grid.jacobians * inner / np.pi  # both sides, 1/(2 pi) kernel factor
-    if real_path:
-        inner = inner.real
-    W[np.arange(N), np.arange(N)] += inner
-    # divide out the jacobian column factor applied by the caller
-    W /= grid.jacobians[None, :]
-    W += W.T
-    W *= 0.5
+    blocks = _kept(("mk", grid), lambda: _build_mk_blocks(grid))
+    upper = _split_weights(blocks.r, blocks.band, blocks.c, kappa, grid.weight)
+    W = np.empty((grid.N, grid.N), dtype=upper.dtype)
+    W[blocks.upper] = upper
+    W.T[blocks.upper] = upper
+    np.fill_diagonal(W, _self_weight(kappa, grid.jacobians, blocks.R_diag, grid.weight))
     return W
 
 
+@dataclass(frozen=True)
+class _RowBlocks:
+    """The kappa-independent part of the split on the rows of an F-fold
+    refined grid of M = F N nodes at the N coarse nodes (node F i of the
+    fine grid is coarse node i): the distances r from each coarse node to
+    every fine node, 1 at the self pairs, whose weight is set apart; for the
+    band, ``band[k, i]`` the flat index in r of the pair (F i, F i + tau mod
+    M), tau = +-1, +-2, ..., and ``c[k]`` its log factor; R at offset 0; and
+    ``interp``, the (M, N) trigonometric interpolation from the coarse nodes
+    to the fine ones."""
+
+    r: np.ndarray
+    band: np.ndarray
+    c: np.ndarray
+    R_diag: float
+    interp: np.ndarray
+
+
+def _build_row_blocks(grid: QuadratureGrid, F: int) -> _RowBlocks:
+    N, M = grid.N, F * grid.N
+    s = 2 * np.pi * np.arange(M) / M
+    fine = grid.curve.point(s)
+    rows = F * np.arange(N)
+    r = cdist(fine[rows], fine)
+    r.reshape(-1)[::M + F] = 1.0
+    tau, c, R_diag = _log_factor(M)
+    tau = np.concatenate([tau, -tau])
+    band = np.arange(N) * M + (rows + tau[:, None]) % M
+    # the cardinal function of trigonometric interpolation at the N coarse
+    # nodes, sin(N t/2) cos(t/2) / (N sin(t/2)), of coarse node j at fine
+    # node m depends on m - F j alone
+    t = s[1:]
+    cardinal = np.concatenate([[1.0], np.sin(N // 2 * t) * np.cos(t / 2) / (N * np.sin(t / 2))])
+    blocks = _RowBlocks(r, band, np.concatenate([c, c])[:, None], R_diag,
+                        cardinal[(np.arange(M)[:, None] - rows) % M])
+    for arr in (blocks.r, blocks.band, blocks.c, blocks.interp):
+        arr.setflags(write=False)
+    return blocks
+
+
+def _single_layer_weights_local(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
+    """Symmetric weight matrix W of the localized split on the rows of an
+    F-fold refined grid (``_refinement``), F >= 2.
+
+    The N rows at the coarse nodes are assembled as ``_single_layer_weights_mk``
+    assembles rows, on the F N fine nodes; a density phi enters them as the
+    trigonometric interpolant of jac phi, so W = W_fine @ interp, which is
+    then symmetrized.  The cost is N F N kernel evaluations and one
+    N x F N x N product.
+    """
+    F = _refinement(grid, kappa)
+    blocks = _kept(("rows", grid, F), lambda: _build_row_blocks(grid, F))
+    M = F * grid.N
+    rows = _split_weights(blocks.r, blocks.band, blocks.c, kappa, 2 * np.pi / M)
+    rows[::M + F] = _self_weight(kappa, grid.jacobians, blocks.R_diag, 2 * np.pi / M)
+    W = rows.reshape(grid.N, M) @ blocks.interp
+    return 0.5 * (W + W.T)
+
+
+#: largest |kappa| max jac 2 pi / N, the kernel's decay over a node spacing,
+#: at which the split is assembled on the grid itself.  Measured with F = 1
+#: against the circle's closed form (top N/8) and against references at 2 N
+#: (top 8 of the kite, ellipse(2, 1) and a mirror-free curve), N = 128 and
+#: 256: within 2e-14 at 0.3 and 3e-13 at 0.42 on every curve, but off by
+#: 5e-2 at 0.45 on the circle at N = 128 and by up to 0.6 at 0.49 elsewhere
+_RESOLVED = 0.3
+
+#: largest |kappa| diameter at which the split spans the whole curve, on
+#: grids too small for a local band (at most 2 _BAND nodes, where chi = 1).
+#: On the circle, the top N/8 are within 3e-13 at kappa d = 8 for N = 48 to
+#: 96, but off by 0.1 to 2 at kappa d = 10, where the step is still 0.33 to
+#: 0.65
+_WHOLE_CURVE_KD = 8.0
+
+#: largest refinement of the rows; they hold about 3 F N^2 floats
+_MAX_REFINEMENT = 64
+
+
+def _refinement(grid: QuadratureGrid, kappa: complex) -> int:
+    """F, the least power of 2 at which |kappa| max jac 2 pi / (F N) <=
+    _RESOLVED and, where F N <= 2 _BAND, |kappa| diameter <=
+    _WHOLE_CURVE_KD.  Raises ResolutionError, naming kappa and N, where F
+    would exceed _MAX_REFINEMENT."""
+    step = abs(kappa) * float(grid.jacobians.max()) * grid.weight
+    F = 1
+    while step > _RESOLVED * F or (F * grid.N <= 2 * _BAND
+                                   and abs(kappa) * grid.curve.diameter > _WHOLE_CURVE_KD):
+        if F == _MAX_REFINEMENT:
+            raise ResolutionError(
+                f"single layer at |kappa| = {abs(kappa):.6g} is not resolved on "
+                f"{_MAX_REFINEMENT}-fold refined rows of N = {grid.N} nodes; raise N")
+        F *= 2
+    return F
+
+
 def single_layer_weights(grid: QuadratureGrid, kappa: complex) -> np.ndarray:
+    """Symmetric weights W of the single layer, (S phi)(t_i) ~ sum_j W[i,j]
+    jac_j phi_j, by the localized split: on the grid itself where
+    ``_refinement`` gives F = 1 (``_single_layer_weights_mk``), else on
+    F-fold refined rows (``_single_layer_weights_local``).  Raises
+    DomainError for Re kappa <= 0 and ResolutionError past the largest F."""
     kappa = complex(kappa)
     if kappa.real <= 0:
         raise DomainError("single layer kernel needs Re kappa > 0")
-    if kappa.real * grid.curve.diameter <= _split_limit(grid.N):
-        return _single_layer_weights_mk(grid, kappa)
-    return _single_layer_weights_local(grid, kappa)
+    refined = _refinement(grid, kappa) > 1
+    return (_single_layer_weights_local if refined else _single_layer_weights_mk)(grid, kappa)
 
 
 @dataclass(frozen=True)
@@ -326,12 +360,6 @@ class BoundaryOperatorMatrix:
             vals, V = np.linalg.eigh(A)
             return vals[::-1][:k], V[:, ::-1][:, :vectors].copy()
         if np.isrealobj(A):
-            n = A.shape[0]
-            if k is not None and n >= 512 and k < n // 4:
-                from scipy.linalg import eigh
-                vals = eigh(A, eigvals_only=True,
-                            subset_by_index=[n - k, n - 1])
-                return vals[::-1]
             vals = np.linalg.eigvalsh(A)[::-1]
         else:
             vals = np.linalg.eigvals(A)
@@ -579,6 +607,12 @@ def _graf_plan(kappa: complex, near: np.ndarray, other: np.ndarray) -> _GrafPlan
     return _GrafPlan(centre, order, far) if far.any() else None
 
 
+def _far(plan: _GrafPlan | None, count: int) -> np.ndarray:
+    """The far mask of the plan for count points; with no plan every point
+    is near."""
+    return np.zeros(count, dtype=bool) if plan is None else plan.far
+
+
 def _polar(points: np.ndarray, centre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho and e^(i theta) of points about centre; e^(i theta) = 1 at rho = 0."""
     z = (points[:, 0] - centre[0]) + 1j * (points[:, 1] - centre[1])
@@ -796,13 +830,12 @@ def _eval_layer(grid, density, sp, points, kernel, upsample):
     if upsample <= 1:
         shift = _layer_shift(kernel)
         plan = None if shift is None else _graf_plan(sp.kappa, src, points)
-        if plan is None:
-            return w * _kernel_sum(kernel, sp, points, src, g)
+        far = _far(plan, len(points))
         out = np.empty(len(points), dtype=complex)
-        out[~plan.far] = w * _kernel_sum(kernel, sp, points[~plan.far], src, g)
-        scale = (1.0, sp.sqrt_lam)[shift] / (2 * np.pi)
-        out[plan.far] = (w * scale) * _multipole_sum(sp.kappa, plan, src, g,
-                                                      points[plan.far], shift)
+        out[~far] = w * _kernel_sum(kernel, sp, points[~far], src, g)
+        if plan is not None:
+            scale = (1.0, sp.sqrt_lam)[shift] / (2 * np.pi)
+            out[far] = (w * scale) * _multipole_sum(sp.kappa, plan, src, g, points[far], shift)
         return out
     feet, half = _window_plan(grid, points, upsample)
     full = half == 0

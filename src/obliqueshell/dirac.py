@@ -152,20 +152,16 @@ def _probes(sp: SpectralParameter, g: QuadratureGrid, points: np.ndarray) -> _Pr
     x = points[:, None, :] - g.points[None, :, :]
     r = _radii(x)
     plan = bie._graf_plan(sp.kappa, g.points, points)
-    if plan is None:
-        w = sp.kappa * r
-        k0 = specfun.bessel_k_array(0, w)
-        k1 = specfun.bessel_k_array(1, w)
-    else:
-        k0, k1 = np.empty(r.shape, dtype=complex), np.empty(r.shape, dtype=complex)
-        near = ~plan.far
-        w = sp.kappa * r[near]
+    k0, k1 = np.empty(r.shape, dtype=complex), np.empty(r.shape, dtype=complex)
+    near = ~bie._far(plan, len(points))
+    w = sp.kappa * r[near]
 
-        def fill_near(order: int) -> None:
-            (k0, k1)[order][near] = specfun.bessel_k_array(order, w)
+    def fill_near(order: int) -> None:
+        (k0, k1)[order][near] = specfun.bessel_k_array(order, w)
 
-        # one order per worker: the near pairs are too few to be split
-        specfun._run_chunks(fill_near, [0, 1])
+    # one order per worker, each inline on it
+    specfun._run_chunks(fill_near, [0, 1])
+    if plan is not None:
         for rows, k0_rows, k1_rows in bie._graf_rows(sp.kappa, plan, g.points, points):
             xr = x[rows]
             k1_rows *= xr[..., 0] + 1j * xr[..., 1]  # e^(i theta) = (x1 + i x2)/r

@@ -143,14 +143,23 @@ class _Memo:
         self.curve, self.N, self.k, self.vectors = curve, N, k, vectors
         self.mus: dict[float, np.ndarray] = {}
         self.eigvecs: dict[float, np.ndarray] = {}
+        #: the abscissa assembled at each kappa
+        self.assembled: dict[complex, float] = {}
 
     def mu(self, lam: float, n: int, basis: np.ndarray | None = None) -> float:
         """mu_n(S(lambda)), assembled on first read, by ``_mu_n`` with
-        ``basis``."""
+        ``basis``.  S depends on lambda through kappa alone, so an abscissa
+        whose kappa an earlier one shares, as the seeded brackets of the two
+        roots of a degenerate pair one ulp apart can, reads its values."""
         lam = float(lam)
         if lam not in self.mus:
-            self.mus[lam], V = _mu_n(_grid(self.curve, self.N), lam, self.k, basis,
-                                     self.vectors)
+            kappa = SpectralParameter.make(lam).kappa
+            twin = self.assembled.setdefault(kappa, lam)
+            if twin == lam:
+                self.mus[lam], V = _mu_n(_grid(self.curve, self.N), lam, self.k, basis,
+                                         self.vectors)
+            else:
+                self.mus[lam], V = self.mus[twin], self.eigvecs.get(twin)
             if V is not None:
                 self.eigvecs[lam] = V
         return float(self.mus[lam][n - 1])
@@ -259,12 +268,15 @@ def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
     return brentq(f, lo, hi, rtol=max(tol, RTOL_FLOOR), xtol=1e-300)
 
 
-#: fewest nodes of the coarse pass that seeds each root: from 128 nodes on,
-#: both passes assemble every lambda on the same path (bie._split_limit), so
-#: the two roots differ by discretization error alone.  On a 2-core box an
-#: MK assembly of the kite (``bie.assemble_S`` at lambda = -5, medians of 40
-#: in one call scope, 3 processes) took 1.0-1.5 ms there, 3.6-3.7 ms at
-#: N = 256 and 11-15 ms at N = 512
+#: fewest nodes of the coarse pass that seeds each root.  At 128 nodes the
+#: top 8 of the kite, ellipse(2, 1) and a mirror-free curve are within
+#: 5e-13 of their values at 256 nodes from kappa d = 0.5 to 60, whether the
+#: split runs on the grid itself or on refined rows (``bie._refinement``),
+#: so the coarse root differs from the root at N by discretization error
+#: alone.  On a 2-core box an assembly of the kite at lambda = -5
+#: (``bie.assemble_S``, medians of 15 in one call scope) took 0.9 ms there,
+#: 2.7 ms at N = 256 and 9.0 ms at N = 512; at lambda = -8, on 2-fold
+#: refined rows at 128 nodes, 2.5 ms
 COARSE_N = 128
 
 
@@ -607,10 +619,10 @@ def krein_apply(curve: Curve, alpha: float, sp: SpectralParameter,
     only in a window around its foot node where that pays, and for a node
     far from the curve by Graf's expansion about it.  f_samples are the
     values of f at the nodes of vol: another number of samples raises
-    ConfigurationError, and a non-finite alpha or sample ParameterError.  The curve must lie at least two node spacings inside
-    the outermost volume nodes, else ConfigurationError.  At
-    alpha != 0, a volume node on the curve raises SingularityError in
-    bie.eval_Psi.
+    ConfigurationError, and a non-finite alpha or sample ParameterError.
+    The curve must lie at least two node spacings inside the outermost
+    volume nodes, else ConfigurationError.  At alpha != 0, a volume node on
+    the curve raises SingularityError in bie.eval_Psi.
     When I - alpha lambda S is nearly singular, the PoleProximityError names
     the branch n whose alpha lambda mu_n lies nearest 1, taken from the same
     assembly.  At real lambda, where I - alpha lambda S is symmetric, the
@@ -665,13 +677,12 @@ def _direct_volume_field(kernel, sp, vol: VolumeGrid, f: np.ndarray,
     other node is summed directly."""
     f = np.asarray(f, dtype=complex).ravel()
     plan = bie._graf_plan(sp.kappa, points, vol.points) if kernel is kernel_U else None
-    if plan is None:
-        return vol.weight * bie._kernel_sum(kernel, sp, points, vol.points, f)
-    near = ~plan.far
-    return vol.weight * (
-        bie._kernel_sum(kernel, sp, points, vol.points[near], f[near])
-        + bie._local_sum(sp.kappa, plan, vol.points[plan.far], f[plan.far], points)
-        / (2 * np.pi))
+    near = ~bie._far(plan, len(vol.points))
+    field = bie._kernel_sum(kernel, sp, points, vol.points[near], f[near])
+    if plan is not None:
+        field += bie._local_sum(sp.kappa, plan, vol.points[plan.far], f[plan.far], points) \
+            / (2 * np.pi)
+    return vol.weight * field
 
 
 #: largest |f| on the outermost ring of volume nodes, relative to max |f|,

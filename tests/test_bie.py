@@ -19,6 +19,7 @@ from obliqueshell.errors import (
     DomainError,
     ParameterError,
     PoleProximityError,
+    ResolutionError,
     SingularityError,
 )
 from obliqueshell.kernels import (
@@ -57,12 +58,13 @@ def test_single_layer_symmetry_and_positivity(kite):
 @pytest.mark.parametrize("kd", [5.0, 20.0])
 def test_entries_are_the_nodal_operator_in_an_orthonormal_basis(kite, mirror_free, kd):
     # S is stored as D W D, D = diag(sqrt(jac)), on both assembly paths: the
-    # splitting path at kappa d = 5, the graded panels at kappa d = 20.  It
-    # is exactly symmetric and similar to the nodal matrix W diag(jac)
+    # split on the grid itself at kappa d = 5, on refined rows at kappa
+    # d = 20.  It is exactly symmetric and similar to the nodal matrix
+    # W diag(jac)
     for curve in (kite, mirror_free):
         g = geometry.grid(curve, 128)
         lam = -(kd / curve.diameter) ** 2
-        assert (kd <= bie._split_limit(g.N)) == (kd == 5.0)
+        assert (bie._refinement(g, np.sqrt(-lam)) > 1) == (kd == 20.0)
         S = bie.assemble_S(g, SpectralParameter.make(lam))
         assert np.array_equal(S.entries, S.entries.T), curve.name
         nodal = bie.single_layer_weights(g, np.sqrt(-lam)) * g.jacobians[None, :]
@@ -76,14 +78,18 @@ def _pairwise_r(points):
     return np.sqrt((diff ** 2).sum(-1))
 
 
-def _mk_reference(g, kappa):
+def _mk_reference(g, kappa, cutoff=False):
     """The Martensen-Kussmaul weights on the full N x N grid: every pair
     (i, j) evaluated on its own by the scheme's formula A c + weight K, with
     A = -I_0(kappa r)/4pi, K = K_0(kappa r)/2pi and the log factor
-    c = R - weight ln 4 sin^2(pi m / N) at the offset m = |i - j|."""
+    c = R - weight ln 4 sin^2(pi m / N) at the periodic offset
+    m = min(|i - j|, N - |i - j|).  With ``cutoff``, c is multiplied by the
+    localized split's chi(m) = [erfc((m - a)/b) - erfc((m + a)/b)]/2 up to
+    m = a + 6 b and is 0 beyond, on grids of more than 2 (a + 6 b) nodes."""
     N = g.N
     r = _pairwise_r(g.points)
     m = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
+    m = np.minimum(m, N - m)
     off = m > 0
     real_path = kappa.imag == 0
     arg = kappa.real * r if real_path else kappa * r
@@ -91,6 +97,10 @@ def _mk_reference(g, kappa):
     col = bie.log_quadrature_weights(N)
     c = np.zeros_like(r)
     c[off] = col[m[off]] - g.weight * np.log(4 * np.sin(np.pi * m[off] / N) ** 2)
+    a, b = bie._CUT_HALF, bie._CUT_WIDTH
+    if cutoff and N > 2 * (a + 6 * b):
+        chi = 0.5 * (special.erfc((m - a) / b) - special.erfc((m + a) / b))
+        c = np.where(m <= a + 6 * b, c * chi, 0.0)
     K = np.zeros_like(A)
     K[off] = bie.bessel_k_array(0, arg[off]) / (2 * np.pi)
     W = A * c + g.weight * K
@@ -104,7 +114,8 @@ def _mk_reference(g, kappa):
 def test_mk_weights_symmetric_and_match_full_reference(kite, mirror_free, N):
     # the kernel is evaluated on the strict upper triangle and mirrored:
     # W is exactly symmetric, and the evaluated triangle is bit-identical to
-    # the full reference
+    # the full reference of the localized split, which at N = 64, where the
+    # band is the whole circle, is the plain Martensen-Kussmaul split
     up = np.triu_indices(N, 1)
     for curve in (kite, mirror_free):
         g = geometry.grid(curve, N)
@@ -113,19 +124,23 @@ def test_mk_weights_symmetric_and_match_full_reference(kite, mirror_free, N):
             kappa = complex(kappa)
             W = bie._single_layer_weights_mk(g, kappa)
             assert np.array_equal(W, W.T), (curve.name, kappa)
-            ref = _mk_reference(g, kappa)
+            ref = _mk_reference(g, kappa, cutoff=True)
+            if N == 64:
+                assert np.array_equal(ref, _mk_reference(g, kappa))
             assert W.dtype == ref.dtype
             assert np.array_equal(W[up], ref[up]), (curve.name, kappa)
             assert np.abs(W - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_mk_blocks_hold_two_floats_per_pair_and_one_mask(kite):
-    # the kappa-independent blocks keep no index arrays: the distances and
-    # the log factor on the N (N - 1) / 2 pairs, and the triangle as a mask
+    # the kappa-independent blocks keep no index array over the pairs: the
+    # distances on the N (N - 1) / 2 pairs, the triangle as a mask, and the
+    # band's triangle index, int32, with one row per offset up to _BAND
     for N in (64, 512):
         blocks = bie._build_mk_blocks(geometry.grid(kite, N))
         arrays = [v for v in vars(blocks).values() if isinstance(v, np.ndarray)]
-        assert not any(np.issubdtype(a.dtype, np.integer) for a in arrays)
+        ints = [a for a in arrays if np.issubdtype(a.dtype, np.integer)]
+        assert [(a.dtype, a.shape) for a in ints] == [(np.int32, (min(bie._BAND, N // 2), N))]
         floats = sum(a.size for a in arrays if a.dtype == np.float64)
         masks = [a for a in arrays if a.dtype == bool]
         assert floats <= 2 * N * (N - 1) // 2
@@ -142,20 +157,20 @@ def test_mk_blocks_are_built_once_per_grid(monkeypatch, kite):
     monkeypatch.setattr(bie, "_build_mk_blocks", lambda g: built.append(g) or build(g))
     g = geometry.grid(kite, 64)
     with bie._call():
-        for lam in (-0.5, -2.0, 1j):
+        for lam in (-0.5, -1.0, 1j):
             bie.assemble_S(g, SpectralParameter.make(lam))
         assert built == [g]
         bie.assemble_S(geometry.grid(kite, 64), SpectralParameter.make(-1.0))
         assert len(built) == 2
     built.clear()
-    for lam in (-0.5, -2.0):
+    for lam in (-0.5, -1.0):
         bie.assemble_S(g, SpectralParameter.make(lam))
     assert built == [g, g]
     # a public call builds them once for all its assemblies: every root
     # evaluation, or S(lambda) and M3 C M3 at every speed
     for run in (lambda: spectral.enumerate_spectrum(kite, -1.0, 3, N=64),
                 lambda: dirac.correction_convergence(kite, -1.0, 1j, [16, 64, 256],
-                                                     N=32, probe_n=8)):
+                                                     N=64, probe_n=8)):
         built.clear()
         run()
         assert len(built) == 1
@@ -177,16 +192,22 @@ def test_shared_blocks_are_read_only(kite):
             arr *= 2
 
 
-def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):
-    # Re(kappa) * diameter = 5 < log2(128): the global splitting path is
-    # valid, so the graded-panel local path must reproduce it.  The circle's
-    # rotational symmetry hides pairing errors between the two sides of the
-    # singular node, so the ellipse and the kite are checked as well.
+def test_both_assembly_paths_agree_in_overlap(monkeypatch, circle, ellipse, kite):
+    # Re(kappa) * diameter = 5 at N = 128: the split on the grid itself is
+    # accurate, so the split on 4-fold refined rows, forced here by a lower
+    # threshold, must reproduce it.  The circle's rotational symmetry hides
+    # pairing errors between the two sides of the singular node, so the
+    # ellipse and the kite are checked as well.
     for curve in (circle, ellipse, kite):
         g = geometry.grid(curve, 128)
-        kappa = 5.0 / curve.diameter
+        kappa = complex(5.0 / curve.diameter)
         W_mk = bie._single_layer_weights_mk(g, kappa)
-        W_loc = bie._single_layer_weights_local(g, kappa)
+        step = abs(kappa) * g.jacobians.max() * g.weight
+        with monkeypatch.context() as patch:
+            patch.setattr(bie, "_RESOLVED", step / 3)
+            assert bie._refinement(g, kappa) == 4
+            W_loc = bie._single_layer_weights_local(g, kappa)
+        assert np.array_equal(W_loc, W_loc.T)
         # the two quadrature rules differ entrywise but must agree as operators
         for m in (0, 1, 3):
             d = np.exp(1j * m * g.nodes)
@@ -196,26 +217,85 @@ def test_both_assembly_paths_agree_in_overlap(circle, ellipse, kite):
         ev_mk, ev_loc = (
             bie.BoundaryOperatorMatrix(W * np.outer(d, d)).eigenvalues_desc(8)
             for W in (W_mk, W_loc))
-        assert np.allclose(ev_mk, ev_loc, rtol=1e-8), curve.name
+        assert np.allclose(ev_mk, ev_loc, rtol=1e-12, atol=0), curve.name
 
 
-@pytest.mark.parametrize("N", [128, 256, 512])
-def test_mk_path_is_accurate_up_to_the_switch(circle, N):
-    # the switch to the graded-panel path sits where the splitting path's
-    # top N/8 eigenvalues, the branches count <= N/8 lets a root finder
-    # reach, stop matching the circle's closed form: kappa d = 10 from
-    # N = 128 on, log2 N below
-    assert bie._split_limit(N) == bie.SPLIT_LIMIT == 10.0
-    assert bie._split_limit(64) == 6.0
+@pytest.mark.parametrize("N", [64, 128, 256, 512, 1024])
+def test_circle_top_eighth_matches_the_oracle_at_every_kappa(circle, N):
+    # one split at every kappa: the top N/8 eigenvalues, the branches
+    # count <= N/8 lets a root finder reach, match the circle's closed form
+    # from kappa d = 0.1 to 60, on the grid itself and on refined rows
     k = N // 8
     orders = np.repeat(np.arange(k), 2)[1:k + 1]  # order 0 once, then pairs
-    for kd in (7.0, 8.0, 9.0, 10.0):
+    g = geometry.grid(circle, N)
+    refined = set()
+    for kd in (0.1, 1.0, 4.0, 8.0, 10.0, 12.0, 16.0, 20.0, 30.0, 40.0, 60.0):
         lam = -(kd / circle.diameter) ** 2
-        g = geometry.grid(circle, N)
-        assert kd <= bie._split_limit(N)  # assemble_S takes the MK path
+        refined.add(bie._refinement(g, np.sqrt(-lam)) > 1)
         ev = bie.assemble_S(g, SpectralParameter.make(lam)).eigenvalues_desc(k).real
         oracle = np.array([spectral.circle_oracle_mu(int(m), 1.0, lam) for m in orders])
-        assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11, kd
+        assert np.max(np.abs(ev - oracle) / oracle) <= 1e-12, kd
+    assert refined == ({False, True} if N <= 512 else {False})
+
+
+def _top8(g, W):
+    d = np.sqrt(g.jacobians)
+    return bie.BoundaryOperatorMatrix(W * np.outer(d, d)).eigenvalues_desc(8).real
+
+
+def test_non_circles_refine_and_match_plain_mk(kite, ellipse, mirror_free):
+    # on curves without the circle's symmetry the top 8 agree between N and
+    # 2 N from kappa d = 0.5 to 60, whichever path each N takes, and match
+    # the plain Martensen-Kussmaul reference where it is accurate
+    # (kappa d <= 10)
+    for curve in (kite, ellipse, mirror_free):
+        g, g2 = geometry.grid(curve, 128), geometry.grid(curve, 256)
+        for kd in (0.5, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0):
+            kappa = complex(kd / curve.diameter)
+            top = _top8(g, bie.single_layer_weights(g, kappa))
+            top2 = _top8(g2, bie.single_layer_weights(g2, kappa))
+            assert np.max(np.abs(top - top2) / top2) <= 1e-12, (curve.name, kd)
+            if kd <= 10:
+                plain = _top8(g, _mk_reference(g, kappa))
+                assert np.max(np.abs(top - plain) / plain) <= 1e-12, (curve.name, kd)
+
+
+def test_unresolved_kappa_is_a_resolution_error(circle):
+    # past the largest refinement no rows are assembled: the error names
+    # kappa and N
+    g = geometry.grid(circle, 32)
+    top = bie._RESOLVED * bie._MAX_REFINEMENT / (g.jacobians.max() * g.weight)
+    assert bie._refinement(g, top) == bie._MAX_REFINEMENT
+    with pytest.raises(ResolutionError,
+                       match=r"\|kappa\| = 97\.79\d* is not resolved .* N = 32 nodes"):
+        bie.assemble_S(g, SpectralParameter.make(-(1.0001 * top) ** 2))
+
+
+def test_assembly_blocks_memory(kite):
+    # the kappa-independent blocks: at N = 2048 on the grid itself, the
+    # distances, the triangle mask and the band, 20.4 MiB (36.0 MiB with a
+    # log factor per pair); at N = 128 on 16-fold refined rows, the
+    # distances and the interpolation, 4.1 MiB
+    for build, held_bound, peak_bound in (
+            (lambda: bie._build_mk_blocks(geometry.grid(kite, 2048)), 20.5, 31.0),
+            (lambda: bie._build_row_blocks(geometry.grid(kite, 128), 16), 4.2, 6.5)):
+        tracemalloc.start()
+        try:
+            blocks = build()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del blocks
+        assert held <= held_bound * 2 ** 20 and peak <= peak_bound * 2 ** 20
+
+
+def test_eigenvalues_desc_is_the_top_of_eigvalsh(kite):
+    # real entries take eigvalsh at every size and k: the top k are its
+    # values bit for bit, also at N = 512 with k < N / 4
+    S = bie.assemble_S(geometry.grid(kite, 512), SpectralParameter.make(-5.0))
+    full = np.linalg.eigvalsh(S.entries)[::-1]
+    for k in (8, 64, None):
+        assert np.array_equal(S.eigenvalues_desc(k), full[:k])
 
 
 def test_spectral_convergence_on_circle(circle):
@@ -246,8 +326,8 @@ def test_circle_eigenvalues_all_orders(circle):
 
 
 def test_large_kappa_path(circle):
-    # the local product-integration path must stay accurate deep beyond the
-    # validity range of the global splitting
+    # refined rows stay accurate deep beyond the range of the split on the
+    # grid itself
     sp = SpectralParameter.make(-1600.0)  # kappa = 40, kappa * diam = 80
     S = bie.assemble_S(geometry.grid(circle, 256), sp)
     iv, kv = bessel_ik_int(0, 40.0)

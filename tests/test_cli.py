@@ -401,10 +401,11 @@ def test_bad_threads_is_a_usage_error_before_numpy_loads(tmp_path, argv, threads
 
 
 def test_oracle_check_mismatch_is_a_numerical_failure(capsys):
-    # at N=16 the tenth eigenvalue is off by 2.1e-5, above the 1e-8 bound
-    assert run(["oracle-check", "--lam", "-2", "--N", "16"]) == 1
+    # at N=16 and lambda = -0.5 the tenth eigenvalue is off by 7.1e-8, above
+    # the 1e-8 bound
+    assert run(["oracle-check", "--lam", "-0.5", "--N", "16"]) == 1
     captured = capsys.readouterr()
-    assert 2e-5 < float(captured.out.split(":")[1]) < 2.2e-5
+    assert 7.0e-8 < float(captured.out.split(":")[1]) < 7.2e-8
     assert captured.err == "numerical failure: oracle check FAILED\n"
 
 

@@ -9,7 +9,6 @@ import pytest
 from obliqueshell import bie, dirac, geometry, kernels, spectral
 from obliqueshell.errors import (
     ConfigurationError,
-    DivergenceError,
     DomainError,
     NumericalInstabilityError,
     ParameterError,
@@ -82,29 +81,30 @@ def test_find_eigenvalue_validation(circle):
 
 
 def test_kite_roots_across_assembly_path_switch(kite):
-    # alpha = -1: the root brackets straddle the switch between the MK and
-    # graded-panel paths, Re kappa * diam = 10 for N >= 128 (lambda = -11.1
-    # on the kite): branch 13's root lies on the MK side (kappa d = 9.83),
-    # branch 14's on the panel side (10.25).  References are MK-path roots
-    # at N=512 with the switch moved to kappa d = 11, where the MK path still
-    # matches the circle's closed form to 7e-12.
+    # alpha = -1: at N = 128 the root brackets straddle the switch from the
+    # split on the grid itself to the split on refined rows, |kappa| max jac
+    # 2 pi / N = 0.3 (lambda = -7.25 on the kite), and both roots lie on the
+    # refined side; at N = 512 every assembly is on the grid itself.  The
+    # references are plain Martensen-Kussmaul roots at N = 512, which match
+    # the circle's closed form to 7e-12 up to kappa d = 11; branch 13's root
+    # lies at kappa d = 9.83, branch 14's at 10.25.
     refs = {13: -10.741630167127695, 14: -11.664223832082476}
     for n, ref in refs.items():
         lam, res, _ = spectral.find_eigenvalue(kite, -1.0, n, N=128)
         assert lam == pytest.approx(ref, rel=1e-8), n
         assert res <= 1e-8
-    # lambda_14 at N=512, seeded from its 128-node root on the same path; a
-    # mismatched panel assembly makes mu_14 jump at the switch and the root
+    # lambda_14 at N=512, seeded from its 128-node root on refined rows; a
+    # mismatched assembly would make mu_14 jump at the switch and the root
     # collapse onto it
     lam, res, _ = spectral.find_eigenvalue(kite, -1.0, 14, N=512)
     assert res <= 1e-8
     assert lam == pytest.approx(refs[14], rel=1e-9)
 
 
-def test_graded_panel_ground_state_refines_on_non_circles(kite, ellipse):
+def test_refined_rows_ground_state_refines_on_non_circles(kite, ellipse):
     # alpha = -0.2 puts the ground state at kappa * diam = 29.6 on the kite
-    # and 40.0 on the ellipse, far past log2 N: every assembly near the root
-    # takes the graded-panel path, where the circle hides pairing errors.
+    # and 40.0 on the ellipse: every assembly near the root, at N = 128 and
+    # 256, takes refined rows, where the circle hides pairing errors.
     # Both roots are solved to 1e-12, the agreement asked of them; the N=256
     # call seeds from its own 128-node pass, whose estimate reads the same gap
     roots = {}
@@ -320,7 +320,8 @@ def test_no_memo_outlives_a_call(monkeypatch, kite):
     kappas = _record_assemblies(monkeypatch)
     touching = bie.make_volume_grid(1.5, 3)  # a node at the kite's (1, 0)
     failing = [
-        (lambda: spectral.find_eigenvalue(kite, -1e-6, 1, N=32), DivergenceError),
+        # the first abscissa, -5e11, needs more than the largest row refinement
+        (lambda: spectral.find_eigenvalue(kite, -1e-6, 1, N=32), ResolutionError),
         (lambda: dirac.nonrel_limit_study(kite, 1j, [8, 16], N=32, volume_box=touching),
          ConfigurationError),
     ]
