@@ -13,7 +13,7 @@ and the log factor of each band offset, chi folded in.  Spectrally
 accurate on analytic curves wherever the kernel's decay is resolved on the
 nodes; where |kappa| max jac 2pi/N is too large for that, the N rows at the
 nodes are assembled on an F-fold refined grid and the F N columns mapped
-back through the trigonometric interpolant (``_refinement``).  Past the
+back to the N nodes by FFT (``_refinement``, ``_trig_map``).  Past the
 largest F the assembly raises ResolutionError.
 
 The assembly returns the symmetric weights W, (S phi)(t_i) ~ sum_j W[i,j]
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft2, ifft2, next_fast_len
+from scipy.fft import fft2, ifft2, irfft, next_fast_len, rfft
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import erfc, ive, kve
@@ -99,13 +99,6 @@ def _log_weights(N: int, offsets: np.ndarray) -> np.ndarray:
     m = np.arange(1, n)
     return -(2 * np.pi / n) * (np.cos(np.outer(theta, m)) / m).sum(axis=1) \
         - (np.pi / n ** 2) * np.cos(n * theta)
-
-
-def log_quadrature_weights(N: int) -> np.ndarray:
-    """First column c of the circulant log-weight matrix: R[i,j] =
-    c[(i - j) mod N] is the exact quadrature weight of the periodic log kernel
-    ln(4 sin^2((t_i - t_j)/2)) at node t_j."""
-    return _log_weights(N, np.arange(N))
 
 
 #: the cutoff chi(tau) = [erfc((tau - a)/b) + erfc((-tau - a)/b)]/2 - 1 of the
@@ -233,6 +226,25 @@ def _single_layer_weights_mk(grid: QuadratureGrid, kappa: complex) -> np.ndarray
     return W
 
 
+def _trig_map(x: np.ndarray, M: int) -> np.ndarray:
+    """Values at the M uniform nodes 2 pi m / M of the trigonometric
+    interpolant of the N uniform samples of x along its last axis, N and M
+    even: the modes |k| < min(N, M)/2 as they are, and the mode +-min(N, M)/2
+    split evenly between +-N/2 where M > N, the mean of the +-M/2 modes where
+    M < N.  So the map from M nodes to N is N/M times the transpose of the
+    map from N to M.  Real transforms along the last axis; a complex x is
+    mapped as its real and imaginary parts."""
+    if np.iscomplexobj(x):
+        return _trig_map(x.real, M) + 1j * _trig_map(x.imag, M)
+    N = x.shape[-1]
+    n = min(N, M) // 2
+    # irfft reads the real part of the last mode, which at M < N is the mean
+    c = rfft(x)[..., :n + 1]
+    if M > N:
+        c[..., n] /= 2
+    return irfft(c, M) * (M / N)
+
+
 @dataclass(frozen=True)
 class _RowBlocks:
     """The kappa-independent part of the split on the rows of an F-fold
@@ -240,35 +252,26 @@ class _RowBlocks:
     fine grid is coarse node i): the distances r from each coarse node to
     every fine node, 1 at the self pairs, whose weight is set apart; for the
     band, ``band[k, i]`` the flat index in r of the pair (F i, F i + tau mod
-    M), tau = +-1, +-2, ..., and ``c[k]`` its log factor; R at offset 0; and
-    ``interp``, the (M, N) trigonometric interpolation from the coarse nodes
-    to the fine ones."""
+    M), tau = +-1, +-2, ..., and ``c[k]`` its log factor; and R at offset
+    0."""
 
     r: np.ndarray
     band: np.ndarray
     c: np.ndarray
     R_diag: float
-    interp: np.ndarray
 
 
 def _build_row_blocks(grid: QuadratureGrid, F: int) -> _RowBlocks:
     N, M = grid.N, F * grid.N
-    s = 2 * np.pi * np.arange(M) / M
-    fine = grid.curve.point(s)
+    fine = grid.curve.point(2 * np.pi * np.arange(M) / M)
     rows = F * np.arange(N)
     r = cdist(fine[rows], fine)
     r.reshape(-1)[::M + F] = 1.0
     tau, c, R_diag = _log_factor(M)
     tau = np.concatenate([tau, -tau])
     band = np.arange(N) * M + (rows + tau[:, None]) % M
-    # the cardinal function of trigonometric interpolation at the N coarse
-    # nodes, sin(N t/2) cos(t/2) / (N sin(t/2)), of coarse node j at fine
-    # node m depends on m - F j alone
-    t = s[1:]
-    cardinal = np.concatenate([[1.0], np.sin(N // 2 * t) * np.cos(t / 2) / (N * np.sin(t / 2))])
-    blocks = _RowBlocks(r, band, np.concatenate([c, c])[:, None], R_diag,
-                        cardinal[(np.arange(M)[:, None] - rows) % M])
-    for arr in (blocks.r, blocks.band, blocks.c, blocks.interp):
+    blocks = _RowBlocks(r, band, np.concatenate([c, c])[:, None], R_diag)
+    for arr in (blocks.r, blocks.band, blocks.c):
         arr.setflags(write=False)
     return blocks
 
@@ -279,16 +282,18 @@ def _single_layer_weights_local(grid: QuadratureGrid, kappa: complex) -> np.ndar
 
     The N rows at the coarse nodes are assembled as ``_single_layer_weights_mk``
     assembles rows, on the F N fine nodes; a density phi enters them as the
-    trigonometric interpolant of jac phi, so W = W_fine @ interp, which is
-    then symmetrized.  The cost is N F N kernel evaluations and one
-    N x F N x N product.
+    trigonometric interpolant of jac phi at the fine nodes, so W is the
+    rows times that interpolation, which is F times the transpose of the map
+    from the fine nodes to the coarse ones: W = F ``_trig_map``(rows, N),
+    one real FFT pair per row, then symmetrized.  The cost is N F N kernel
+    evaluations and 2 N transforms of length F N.
     """
     F = _refinement(grid, kappa)
     blocks = _kept(("rows", grid, F), lambda: _build_row_blocks(grid, F))
     M = F * grid.N
     rows = _split_weights(blocks.r, blocks.band, blocks.c, kappa, 2 * np.pi / M)
     rows[::M + F] = _self_weight(kappa, grid.jacobians, blocks.R_diag, 2 * np.pi / M)
-    W = rows.reshape(grid.N, M) @ blocks.interp
+    W = F * _trig_map(rows.reshape(grid.N, M), grid.N)
     return 0.5 * (W + W.T)
 
 
@@ -307,7 +312,8 @@ _RESOLVED = 0.3
 #: 0.65
 _WHOLE_CURVE_KD = 8.0
 
-#: largest refinement of the rows; they hold about 3 F N^2 floats
+#: largest refinement of the rows; their blocks hold F N^2 floats, and an
+#: assembly on them about 2 F N^2 more while it runs
 _MAX_REFINEMENT = 64
 
 
@@ -445,7 +451,8 @@ def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndar
 
 
 def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
-    """Trig-interpolate density*jacobian to a factor-times-finer grid.  Every
+    """Trig-interpolate density*jacobian to a factor-times-finer grid
+    (``_trig_map``).  Every
     layer potential and trace reads its density here, so a density of
     another length than the grid's raises ConfigurationError naming both
     sizes here, and one that is not finite ParameterError."""
@@ -458,16 +465,7 @@ def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
     if factor <= 1:
         return grid.points, g, grid.weight
     M = factor * N
-    gh = np.fft.fft(g)
-    Gh = np.zeros(M, dtype=complex)
-    n = N // 2
-    Gh[:n] = gh[:n]
-    Gh[-(n - 1):] = gh[-(n - 1):]
-    Gh[n] = gh[n] / 2
-    Gh[M - n] = gh[n] / 2
-    fine_vals = np.fft.ifft(Gh) * factor
-    fine_t = 2 * np.pi * np.arange(M) / M
-    return grid.curve.point(fine_t), fine_vals, 2 * np.pi / M
+    return grid.curve.point(2 * np.pi * np.arange(M) / M), _trig_map(g, M), 2 * np.pi / M
 
 
 #: most target x source pairs per kernel-sum slice.  A row's sum does not

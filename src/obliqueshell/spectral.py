@@ -35,9 +35,6 @@ from .geometry import Curve, QuadratureGrid, grid as make_grid
 from .kernels import SpectralParameter, _bessel_arg, kernel_U, kernel_dzbar_U  # noqa: F401
 from .specfun import bessel_ik_int
 
-#: smallest lambda the bracket expansion may visit before giving up
-BRACKET_FLOOR = -1e12
-
 #: smallest relative tolerance brentq accepts
 RTOL_FLOOR = 4 * np.finfo(float).eps
 
@@ -95,13 +92,10 @@ def _ritz_basis(V: np.ndarray, coarse: QuadratureGrid, fine: QuadratureGrid) -> 
     """Orthonormal columns on the fine grid spanning eigenvectors V of S on
     the coarse one: each column of V, in the orthonormal basis of S's
     entries, is divided by sqrt(jac), interpolated trigonometrically to the
-    fine nodes (both grids start at t = 0 and have an even number of
-    nodes), multiplied by sqrt(jac) there, and the columns are
-    orthonormalized by a thin QR."""
-    c = np.fft.rfft(V / np.sqrt(coarse.jacobians)[:, None], axis=0)
-    c[-1] /= 2  # the Nyquist mode of the coarse grid, split between +-N_c/2
-    B = np.fft.irfft(c, fine.N, axis=0) * np.sqrt(fine.jacobians)[:, None]
-    return np.linalg.qr(B)[0]
+    fine nodes (``bie._trig_map``; both grids start at t = 0), multiplied
+    by sqrt(jac) there, and the columns are orthonormalized by a thin QR."""
+    B = bie._trig_map(V.T / np.sqrt(coarse.jacobians), fine.N).T
+    return np.linalg.qr(B * np.sqrt(fine.jacobians)[:, None])[0]
 
 
 def _ritz_values(S: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray | None:
@@ -235,8 +229,10 @@ def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
     branch).  Brent's method then solves on the bracket; on one already
     narrower than tol |lambda| it evaluates f at no new abscissa and returns
     the end with the smaller |f|.  Returns None when the march toward 0
-    passes -1e-14 without a sign change; raises DivergenceError when the
-    march toward -infinity passes BRACKET_FLOOR.
+    passes -1e-14 without a sign change.  The march toward -infinity ends
+    in a typed error from f: ResolutionError where the assembly passes its
+    largest refinement (``bie._refinement``), DomainError past any finite
+    lambda (``SpectralParameter.make``).
     """
     sign_at_left = -1.0 if increasing else 1.0  # sign of f near -infinity
     lo = hi = None
@@ -257,8 +253,6 @@ def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
             b = min(a + step, a / 8) if rightward else max(a - step, 8 * a)
             if b > -1e-14:
                 return None  # no crossing before lambda -> 0-
-            if b < BRACKET_FLOOR:
-                raise DivergenceError(f"bracket expansion passed lambda = {BRACKET_FLOOR:g}")
             f_b, step = f(b), 4 * step
         lo, hi = sorted([a, b])
     # imported here: scipy.optimize adds about 10 MB to a process that finds no root

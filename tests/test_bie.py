@@ -36,7 +36,7 @@ def test_log_quadrature_weights_reproduce_log_integral():
     # the circulant weights integrate f(t) log(4 sin^2((t0 - t)/2)) exactly
     # for trigonometric polynomials; check against the known value for f = cos
     N = 32
-    R = circulant(bie.log_quadrature_weights(N))
+    R = circulant(bie._log_weights(N, np.arange(N)))
     t = 2 * np.pi * np.arange(N) / N
     # integral of cos(m t) log(4 sin^2(t/2)) dt over [0, 2 pi] is -2 pi / m
     for m in (1, 2, 5):
@@ -94,7 +94,7 @@ def _mk_reference(g, kappa, cutoff=False):
     real_path = kappa.imag == 0
     arg = kappa.real * r if real_path else kappa * r
     A = -bie.bessel_i_array(0, arg) / (4 * np.pi)
-    col = bie.log_quadrature_weights(N)
+    col = bie._log_weights(N, np.arange(N))
     c = np.zeros_like(r)
     c[off] = col[m[off]] - g.weight * np.log(4 * np.sin(np.pi * m[off] / N) ** 2)
     a, b = bie._CUT_HALF, bie._CUT_WIDTH
@@ -220,6 +220,67 @@ def test_both_assembly_paths_agree_in_overlap(monkeypatch, circle, ellipse, kite
         assert np.allclose(ev_mk, ev_loc, rtol=1e-12, atol=0), curve.name
 
 
+def _cardinal_interp(N, F):
+    """The (F N, N) trigonometric interpolation from N uniform nodes to the
+    F N nodes of the refined grid, node F j of which is coarse node j: the
+    cardinal function sin(N t/2) cos(t/2) / (N sin(t/2)), 1 at t = 0, of
+    coarse node j at fine node m, t = 2 pi (m - F j) / (F N)."""
+    M = F * N
+    t = 2 * np.pi * np.arange(1, M) / M
+    cardinal = np.concatenate([[1.0], np.sin(N // 2 * t) * np.cos(t / 2) / (N * np.sin(t / 2))])
+    return cardinal[(np.arange(M)[:, None] - F * np.arange(N)) % M]
+
+
+@pytest.mark.parametrize("F", [2, 16])
+def test_refined_rows_map_back_as_the_cardinal_matrix(monkeypatch, kite, mirror_free, F):
+    # the F N columns of the refined rows are mapped back to the N nodes by
+    # FFT; the result is the rows times the dense cardinal interpolation,
+    # symmetrized, at real and complex kappa
+    mapped = []
+    trig_map = bie._trig_map
+    monkeypatch.setattr(bie, "_trig_map", lambda x, M: mapped.append(x) or trig_map(x, M))
+    for curve in (kite, mirror_free):
+        g = geometry.grid(curve, 128)
+        top = 0.9 * bie._RESOLVED * F / (g.jacobians.max() * g.weight)
+        for kappa in (complex(top), top * np.exp(0.6j)):
+            assert bie._refinement(g, kappa) == F
+            mapped.clear()
+            W = bie._single_layer_weights_local(g, kappa)
+            ref = mapped[0] @ _cardinal_interp(g.N, F)
+            ref = 0.5 * (ref + ref.T)
+            assert W.dtype == ref.dtype
+            assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max(), (curve.name, kappa)
+
+
+@pytest.mark.parametrize("N, M", [(16, 64), (64, 16), (32, 48), (24, 24)])
+def test_trig_map_back_is_the_scaled_transpose(N, M):
+    # the map from M nodes to N is N/M times the transpose of the map from N
+    # to M: the +-min(N, M)/2 mode is split evenly going up and averaged
+    # going down
+    up = bie._trig_map(np.eye(N), M)
+    assert up.shape == (N, M)
+    assert np.abs(up - M / N * bie._trig_map(np.eye(M), N).T).max() <= 1e-15
+    if M % N == 0 and M > N:
+        assert np.allclose(up, _cardinal_interp(N, M // N).T, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("M", [64, 96, 256])
+def test_trig_map_there_and_back_is_the_identity_without_nyquist(M):
+    # samples with no +-N/2 component are a trigonometric polynomial of
+    # degree < N/2, which the M-node samples carry unchanged; so are their
+    # real and imaginary parts, which are mapped apart
+    N = 32
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, N)) + 1j * rng.standard_normal((3, N))
+    alternating = (-1.0) ** np.arange(N)
+    x -= np.mean(x * alternating, axis=-1, keepdims=True) * alternating
+    fine = bie._trig_map(x, M)
+    assert np.abs(bie._trig_map(fine, N) - x).max() <= 1e-14
+    t = 2 * np.pi * np.arange(M) / M
+    assert np.allclose(bie._trig_map(np.cos(3 * t[::M // N]) + 2j, M), np.cos(3 * t) + 2j,
+                       rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("N", [64, 128, 256, 512, 1024])
 def test_circle_top_eighth_matches_the_oracle_at_every_kappa(circle, N):
     # one split at every kappa: the top N/8 eigenvalues, the branches
@@ -275,10 +336,11 @@ def test_assembly_blocks_memory(kite):
     # the kappa-independent blocks: at N = 2048 on the grid itself, the
     # distances, the triangle mask and the band, 20.4 MiB (36.0 MiB with a
     # log factor per pair); at N = 128 on 16-fold refined rows, the
-    # distances and the interpolation, 4.1 MiB
+    # distances and the band, 2.1 MiB (4.1 MiB with a dense interpolation
+    # matrix)
     for build, held_bound, peak_bound in (
             (lambda: bie._build_mk_blocks(geometry.grid(kite, 2048)), 20.5, 31.0),
-            (lambda: bie._build_row_blocks(geometry.grid(kite, 128), 16), 4.2, 6.5)):
+            (lambda: bie._build_row_blocks(geometry.grid(kite, 128), 16), 2.2, 3.0)):
         tracemalloc.start()
         try:
             blocks = build()
