@@ -452,10 +452,10 @@ def _check_points_off_curve(grid: QuadratureGrid, points: np.ndarray) -> np.ndar
 
 def _upsampled_density(grid: QuadratureGrid, density: np.ndarray, factor: int):
     """Trig-interpolate density*jacobian to a factor-times-finer grid
-    (``_trig_map``).  Every
-    layer potential and trace reads its density here, so a density of
-    another length than the grid's raises ConfigurationError naming both
-    sizes here, and one that is not finite ParameterError."""
+    (``_trig_map``).  Every layer potential and trace reads its density
+    here, so a density of another length than the grid's raises
+    ConfigurationError naming both sizes here, and one that is not finite
+    ParameterError."""
     N = grid.N
     if np.shape(density) != (N,):
         raise ConfigurationError(f"density: shape {np.shape(density)} for {N} curve nodes")
