@@ -356,15 +356,9 @@ class BoundaryOperatorMatrix:
 
     entries: np.ndarray
 
-    def eigenvalues_desc(self, k: int | None = None, vectors: int = 0):
-        """Eigenvalues sorted by descending real part.  With ``vectors`` = m
-        > 0, for real entries only, (values, V) from one eigensolve, the
-        columns of V the eigenvectors of the top m values, held apart from
-        the other eigenvectors."""
+    def eigenvalues_desc(self, k: int | None = None):
+        """Eigenvalues sorted by descending real part, the top k of them."""
         A = self.entries
-        if vectors:
-            vals, V = np.linalg.eigh(A)
-            return vals[::-1][:k], V[:, ::-1][:, :vectors].copy()
         if np.isrealobj(A):
             vals = np.linalg.eigvalsh(A)[::-1]
         else:

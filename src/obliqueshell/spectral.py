@@ -62,30 +62,32 @@ def _check_branch(n: int, N: int) -> None:
         raise ResolutionError(f"branch n={n} needs N >= {4 * n}, got N={N}")
 
 
-def _mu_n(g: QuadratureGrid, lam: float, k: int, basis: np.ndarray | None = None,
-          vectors: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
-    """(mu, V): mu_1 >= ... >= mu_k of S(lambda) on g, from the one assembly
-    behind every dispersion branch, and V the eigenvectors of the top
-    ``vectors`` as columns, None when that is 0.
+def _mu_n(g: QuadratureGrid, lam: float, k: int,
+          basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, S): mu_1 >= ... >= mu_k of S(lambda) on g, from the one assembly
+    behind every dispersion branch, and the entries S of that assembly.
 
     With a ``basis`` of orthonormal columns (``_ritz_basis``), mu are the
     Ritz values of S on its span when they pass the gate of
     ``_ritz_values``, and no dense eigensolve runs; else, and without a
-    basis, mu come from ``eigenvalues_desc``.
+    basis, mu come from ``eigenvalues_desc``, which computes no
+    eigenvectors.
     """
     op = bie.assemble_S(g, SpectralParameter.make(lam))
     mu = None if basis is None else _ritz_values(op.entries, basis, k)
-    if mu is not None:
-        return mu, None
-    if vectors:
-        return op.eigenvalues_desc(k, vectors)
-    return op.eigenvalues_desc(k=k).real, None
+    return (op.eigenvalues_desc(k) if mu is None else mu), op.entries
 
 
 #: eigenvectors of a coarse root beyond the k branches its memo serves that
 #: a Ritz basis carries: they keep theta_(k+1), the gap the gate reads,
 #: apart from the top k
 _RITZ_EXTRA = 4
+
+
+def _top_vectors(S: np.ndarray, m: int) -> np.ndarray:
+    """Eigenvectors of the symmetric S for its m largest eigenvalues, as
+    columns in descending order, held apart from the other eigenvectors."""
+    return np.linalg.eigh(S)[1][:, :-m - 1:-1].copy()
 
 
 def _ritz_basis(V: np.ndarray, coarse: QuadratureGrid, fine: QuadratureGrid) -> np.ndarray:
@@ -128,17 +130,23 @@ def _grid(curve: Curve, N: int) -> QuadratureGrid:
 
 class _Memo:
     """mu_1..mu_k of S(lambda) on the N-node grid of a curve, keyed by lambda
-    alone, so that every branch n <= k reads the same assemblies, and with
-    ``vectors`` > 0 the eigenvectors of the top ``vectors`` at each lambda,
-    from the same eigensolve, until ``drop_vectors_above`` drops them.  The
-    grid is read from the call scope, not held."""
+    alone, so that every branch n <= k reads the same assemblies.  The grid
+    is read from the call scope, not held.
 
-    def __init__(self, curve: Curve, N: int, k: int, vectors: int = 0) -> None:
-        self.curve, self.N, self.k, self.vectors = curve, N, k, vectors
+    A coarse memo (``hold``) also holds the entries of its latest assembly,
+    and only those, until ``root_vectors`` takes the eigenvectors of the
+    coarse root from them (``_root``); it keeps no eigenvectors of any
+    other abscissa."""
+
+    def __init__(self, curve: Curve, N: int, k: int, hold: bool = False) -> None:
+        self.curve, self.N, self.k, self.hold = curve, N, k, hold
         self.mus: dict[float, np.ndarray] = {}
-        self.eigvecs: dict[float, np.ndarray] = {}
         #: the abscissa assembled at each kappa
         self.assembled: dict[complex, float] = {}
+        #: entries of the latest assembly, while a coarse memo holds them
+        self.last: np.ndarray | None = None
+        #: the eigenvectors ``root_vectors`` returned last
+        self.vectors: np.ndarray | None = None
 
     def mu(self, lam: float, n: int, basis: np.ndarray | None = None) -> float:
         """mu_n(S(lambda)), assembled on first read, by ``_mu_n`` with
@@ -150,42 +158,39 @@ class _Memo:
             kappa = SpectralParameter.make(lam).kappa
             twin = self.assembled.setdefault(kappa, lam)
             if twin == lam:
-                self.mus[lam], V = _mu_n(_grid(self.curve, self.N), lam, self.k, basis,
-                                         self.vectors)
+                self.mus[lam], S = _mu_n(_grid(self.curve, self.N), lam, self.k, basis)
+                if self.hold:
+                    self.last = S
             else:
-                self.mus[lam], V = self.mus[twin], self.eigvecs.get(twin)
-            if V is not None:
-                self.eigvecs[lam] = V
+                self.mus[lam] = self.mus[twin]
         return float(self.mus[lam][n - 1])
 
-    def drop_vectors_above(self, root: float) -> None:
-        """Drop the eigenvectors kept above the nearest abscissa above a
-        root of branch n.  The root of a branch m > n lies at or below that
-        of n, and brentq returns the evaluated abscissa nearest to the root
-        on one side, so ordered branches need none of them; a later root
-        whose vectors went takes no Ritz basis.  Kept, they would hold
-        about 0.6 MB over a spectrum call at 128 nodes and raise its peak
-        memory by about 1.5 MB."""
-        above = sorted(lam for lam in self.eigvecs if lam > root)
-        for lam in above[1:]:
-            del self.eigvecs[lam]
+    def root_vectors(self) -> np.ndarray:
+        """The top k + _RITZ_EXTRA eigenvectors of S at the latest abscissa
+        assembled, by one eigh, after which its entries go.  When nothing
+        was assembled since the last call, as for the second root of a
+        circle's degenerate pair, whose solve reads the first one's
+        abscissae, the vectors that call returned."""
+        if self.last is not None:
+            self.vectors, self.last = _top_vectors(self.last, self.k + _RITZ_EXTRA), None
+        return self.vectors
 
 
 @contextlib.contextmanager
-def _branch(curve: Curve, n: int, N: int, vectors: int = 0):
+def _branch(curve: Curve, n: int, N: int):
     """The memo through which branches 1..n on an N-node grid reach mu_n.
 
     The only way the spectral routines reach mu_n, so a root finder that
     revisits an abscissa (a bracket end, the root itself, another branch's
     abscissa) costs no assembly.  It opens the call scope (``bie._call``)
-    and keeps one memo per curve, N and ``vectors`` there, so every call
-    made inside the block shares it, and the memo, the grid and its blocks
-    go when the outermost scope ends.  An enclosing block serves branches
-    up to its own n, which the public callers open at their largest branch.
+    and keeps one memo per curve and N there, so every call made inside the
+    block shares it, and the memo, the grid and its blocks go when the
+    outermost scope ends.  An enclosing block serves branches up to its own
+    n, which the public callers open at their largest branch.
     """
     _check_branch(n, N)
     with bie._call():
-        yield bie._kept(("memo", curve, N, vectors), lambda: _Memo(curve, N, n, vectors))
+        yield bie._kept(("memo", curve, N), lambda: _Memo(curve, N, n))
 
 
 def dispersion(curve: Curve, n: int, lam: float, N: int = 256) -> DispersionSample:
@@ -216,8 +221,8 @@ def circle_oracle_mu(n: int, R: float, lam: float) -> float:
 # root finding on a monotone branch
 
 
-def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
-    """Root of the monotone function f on (-inf, 0); f is in lambda < 0.
+def _bracket_and_solve(f, points, step: float, tol: float):
+    """Root of the increasing function f on (-inf, 0); f is in lambda < 0.
 
     f is evaluated at every abscissa in ``points`` (memoized assemblies cost
     nothing), and the nearest of them on each side of the sign change bound
@@ -234,13 +239,12 @@ def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
     largest refinement (``bie._refinement``), DomainError past any finite
     lambda (``SpectralParameter.make``).
     """
-    sign_at_left = -1.0 if increasing else 1.0  # sign of f near -infinity
     lo = hi = None
     for lam in sorted(points):
         v = f(lam)
         if v == 0:
             return lam
-        if np.sign(v) == sign_at_left:
+        if v < 0:
             lo, f_lo, hi = lam, v, None
         elif hi is None:
             hi, f_hi = lam, v
@@ -248,7 +252,7 @@ def _bracket_and_solve(f, points, step: float, tol: float, increasing: bool):
         rightward = hi is None  # from the -infinity side toward 0
         b, f_b = (lo, f_lo) if rightward else (hi, f_hi)
         # while f(b) is nonzero and on the side the march started from
-        while (np.sign(f_b) == sign_at_left) == rightward and f_b != 0:
+        while (f_b < 0) == rightward and f_b != 0:
             a = b
             b = min(a + step, a / 8) if rightward else max(a - step, 8 * a)
             if b > -1e-14:
@@ -282,65 +286,94 @@ def _coarse_nodes(k: int, N: int) -> int | None:
     return Nc if 2 * Nc <= N else None
 
 
-def _solve_branch(memo: _Memo, alpha: float, n: int, tol: float, points,
-                  step: float, basis: np.ndarray | None = None) -> tuple[float, float]:
-    """Root of lambda mu_n(S(lambda)) = 1/alpha on the memo's grid, bracketed
-    from ``points`` by ``step`` (``_bracket_and_solve``), and the zero of the
-    secant through the nearest evaluated abscissae on either side of it,
-    which costs no assembly.  Abscissae new to the memo are evaluated with
-    ``basis`` (``_mu_n``)."""
-
-    def f(lam: float) -> float:
-        return lam * memo.mu(lam, n, basis) - 1.0 / alpha
-
-    root = _bracket_and_solve(f, points, step, tol, increasing=True)
-    if root is None:
-        raise DivergenceError("dispersion root escaped toward lambda = 0")
+def _secant(memo: _Memo, f) -> tuple[float, float] | None:
+    """(lambda_hat, s): the zero and the slope of the secant of the
+    increasing f through the nearest abscissae the memo evaluated on either
+    side of its root, at no assembly; None when one side has none."""
     values = {lam: f(lam) for lam in memo.mus}
-    lo = max(lam for lam, v in values.items() if v <= 0)
-    if values[lo] == 0:
-        return float(root), lo
-    hi = min(lam for lam, v in values.items() if v > 0)
-    return float(root), lo - values[lo] * (hi - lo) / (values[hi] - values[lo])
+    lo = max((lam for lam, v in values.items() if v <= 0), default=None)
+    hi = min((lam for lam, v in values.items() if v > 0), default=None)
+    if lo is None or hi is None:
+        return None
+    rise = values[hi] - values[lo]
+    return lo - values[lo] * (hi - lo) / rise, rise / (hi - lo)
+
+
+def _root(memo: _Memo, alpha: float, n: int, tol: float, h, c: float,
+          seed: float) -> tuple[float, float, float | None, float | None] | None:
+    """Root of alpha h(lambda) mu_n(S(lambda)) = c on the memo's grid, alpha
+    < 0: h(lambda) = lambda and c = 1 for the oblique spectrum, h = 1 and
+    c = -1 for the delta spectrum.  Both make f = h mu_n - c / alpha
+    increasing in lambda.  Returns (lambda_N, residual, error_estimate,
+    slope), the first three as ``EigenvalueEntry`` states them and slope
+    that of f at lambda_N as the step below read it (the secant of the
+    final bracket at N after a march; None when that has one side), or
+    None when f has no root before lambda = 0.
+
+    Without a coarse pass (2 N_c > N, N_c = ``_coarse_nodes(k, N)``, k the
+    memo's largest branch), ``_bracket_and_solve`` solves at N from the
+    memo's abscissae, or from ``seed`` when it is empty, marching by
+    factors of 8.  So does the coarse pass on N_c nodes, with a memo of its
+    own in the same call scope.  Its final bracket gives the secant zero
+    lambda_c and slope s_c (``_secant``), and one eigh at the latest
+    abscissa it assembled (``_Memo.root_vectors``) the Ritz basis
+    (``_ritz_basis``) from which every evaluation at N takes mu_1..mu_k,
+    with no dense eigensolve while the Ritz gate holds.  f is evaluated at
+    N once, at lambda_c, and a Newton step on the coarse slope gives
+    lambda_N = lambda_c - f_N(lambda_c) / s_c.  Its relative error is about
+    (step / lambda)^2 + step / lambda times the relative error of s_c, so
+    the step is taken when |step| <= sqrt(tol) |lambda_c| (sqrt(tol) capped
+    at 1/2, so that lambda_N < 0).  A longer step, or a coarse memo with no
+    evaluated abscissa on one side of the root, falls back to the march at
+    N from lambda_c: a first step of max(tol, RTOL_FLOOR) |lambda_c| / 2
+    that widens 4-fold, no step moving lambda by more than a factor of 8,
+    and Brent's method.  A branch whose coarse pass finds no root, as a
+    delta branch can, is decided at N by the cold march.
+    """
+    curve, N, k = memo.curve, memo.N, memo.k
+    basis = lam_c = None
+
+    def f_on(m: _Memo, basis: np.ndarray | None):
+        return lambda lam: h(lam) * m.mu(lam, n, basis) - c / alpha
+
+    Nc = _coarse_nodes(k, N)
+    if Nc is not None:
+        coarse = bie._kept(("coarse memo", curve, Nc), lambda: _Memo(curve, Nc, k, hold=True))
+        f_c = f_on(coarse, None)
+        found = _bracket_and_solve(f_c, list(coarse.mus) or [seed], math.inf, tol)
+        if found is not None:
+            # a NaN slope, where one side has no abscissa, fails the gate
+            lam_c, s_c = _secant(coarse, f_c) or (found, math.nan)
+            basis = _ritz_basis(coarse.root_vectors(), _grid(curve, Nc), _grid(curve, N))
+    f = f_on(memo, basis)
+    if lam_c is None:
+        root = _bracket_and_solve(f, list(memo.mus) or [seed], math.inf, tol)
+    else:
+        step = f(lam_c) / s_c
+        if abs(step) <= math.sqrt(min(tol, 0.25)) * abs(lam_c):
+            return lam_c - step, abs(alpha * f(lam_c)), abs(step), s_c
+        # a first step of at least brentq's rtol floor moves off lambda_c
+        # however small tol is
+        root = _bracket_and_solve(f, [lam_c], max(tol, RTOL_FLOOR) * abs(lam_c) / 2, tol)
+    if root is None:
+        return None
+    lam_hat, slope = _secant(memo, f) or (root, None)
+    estimate = None if lam_c is None else abs(lam_hat - lam_c)
+    # brentq returns an abscissa it evaluated, so f(root) reads the memo
+    return float(root), abs(alpha * f(root)), estimate, slope
 
 
 def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
                     N: int = 256) -> tuple[float, float, float | None]:
     """Unique root of lambda mu_n(S(lambda)) = 1/alpha for alpha < 0.
 
-    Returns (lambda_n, birman_schwinger_residual, error_estimate).  The
-    residual is |alpha lambda_n mu_n(S(lambda_n)) - 1|, with mu_n the value
-    the root finder read at lambda_n, from the assembly that found the root:
-    after a coarse pass the Ritz value of that assembly, else (and where the
-    Ritz gate fails) its dense eigenvalue.  It measures how well the root
-    finder solved the discrete equation, not how close lambda_n is to the
-    true eigenvalue.
-
-    The branch is first solved on N_c = ``_coarse_nodes(k, N)`` nodes, k the
-    largest branch of the enclosing call (n for a lone call), with a memo
-    of its own in the same call scope.  Both solves take the one bracketing
-    loop of ``_bracket_and_solve``.  The coarse one starts from the memo's
-    abscissae, or from -max(1, 1/(2 alpha^2)) when it is empty, and marches
-    by factors of 8; so does the one at N when no coarse pass runs.  Else
-    the one at N starts from the coarse root lambda_hat(N_c) alone, with a
-    first step of max(tol, RTOL_FLOOR) |lambda_hat| / 2 that widens 4-fold,
-    no step moving lambda by more than a factor of 8: usually two
-    assemblies at N.  lambda_hat is the zero of the secant through the
-    final bracket on a grid, and error_estimate = |lambda_hat(N) -
-    lambda_hat(N_c)| is a discretization-error estimate that the residual
-    cannot give, at no assembly.  It is None when no coarse pass runs
-    (2 N_c > N).
-
-    The coarse memo keeps the top k + 4 eigenvectors of each of its
-    assemblies (``_Memo.drop_vectors_above`` drops those no later branch
-    reads).  Those at the abscissa brentq returned as the coarse root span
-    the basis (``_ritz_basis``) from which the pass at N takes mu_1..mu_k
-    by one Rayleigh-Ritz step per assembly, with no dense eigensolve.  An
-    abscissa whose Ritz values fail their gate (``_ritz_values``: a
-    residual too large for its gap, or a zero gap) takes the dense
-    eigensolve instead; so does every abscissa when no coarse pass runs,
-    or when a branch solved after a lower one finds its coarse root's
-    vectors dropped.
+    Returns (lambda_n, birman_schwinger_residual, error_estimate), as
+    ``EigenvalueEntry`` states them.  The root comes from ``_root``: after
+    a coarse pass on N_c = ``_coarse_nodes(k, N)`` nodes, k the largest
+    branch of the enclosing call (n for a lone call), one assembly at N and
+    a Newton step from the coarse root, else (no coarse pass, or a step
+    past its gate) a bracketing march at N and Brent's method.  A cold
+    start is -max(1, 1/(2 alpha^2)).
     """
     if not -math.inf < alpha < 0:
         raise ParameterError(f"find_eigenvalue needs finite alpha < 0, got {alpha}")
@@ -352,27 +385,10 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
         raise ParameterError(f"alpha={alpha} is too close to 0: the root bracket seed "
                              "1/(2 alpha^2) overflows")
     with _branch(curve, n, N) as memo:
-        coarse = basis = None
-        Nc = _coarse_nodes(memo.k, N)
-        points, step = list(memo.mus) or [-seed], math.inf
-        if Nc is not None:
-            with _branch(curve, memo.k, Nc, memo.k + _RITZ_EXTRA) as coarse_memo:
-                lam_c, coarse = _solve_branch(coarse_memo, alpha, n, tol,
-                                              list(coarse_memo.mus) or [-seed], math.inf)
-                # brentq returns an evaluated abscissa, whose vectors went
-                # only if a lower root of this call was found first
-                V = coarse_memo.eigvecs.get(lam_c)
-                coarse_memo.drop_vectors_above(lam_c)
-            if V is not None:
-                basis = _ritz_basis(V, _grid(curve, Nc), _grid(curve, N))
-            # a step of at least brentq's rtol floor moves off the coarse
-            # root however small tol is
-            points, step = [coarse], max(tol, RTOL_FLOOR) * abs(coarse) / 2
-        root, lam_hat = _solve_branch(memo, alpha, n, tol, points, step, basis)
-        estimate = None if coarse is None else abs(lam_hat - coarse)
-        # brentq returns an abscissa it evaluated, so this reads the memo
-        residual = abs(alpha * root * memo.mu(root, n) - 1.0)
-    return root, float(residual), estimate
+        found = _root(memo, alpha, n, tol, lambda lam: lam, 1.0, -seed)
+    if found is None:
+        raise DivergenceError("dispersion root escaped toward lambda = 0")
+    return found[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +397,27 @@ def find_eigenvalue(curve: Curve, alpha: float, n: int, tol: float = 1e-9,
 
 @dataclass(frozen=True)
 class EigenvalueEntry:
+    """Root lam of branch n of alpha h(lambda) mu_n(S(lambda)) = c (``_root``:
+    h = lambda, c = 1 for the oblique spectrum, h = 1, c = -1 for the delta
+    one) on N nodes.
+
+    residual is |alpha h mu_n - c| at the last abscissa where the root
+    finder read mu_n at N, with the value it read there (a Ritz value after
+    a coarse pass, unless the Ritz gate failed): after a Newton step the
+    coarse root lambda_c, else lam itself, an abscissa Brent's method
+    evaluated.  It measures how well the discrete equation is solved there,
+    not how close lam is to the true eigenvalue.  error_estimate is the
+    distance from lambda_c to the root at N, a discretization-error
+    estimate that the residual cannot give, at no assembly: |lam -
+    lambda_c| after a Newton step, |lambda_hat(N) - lambda_c| after a
+    march, lambda_hat(N) the zero of the secant through the final bracket
+    at N; None without a coarse pass.
+    """
+
     n: int
     lam: float
     residual: float
     multiplicity: int = 1
-    #: |lambda_hat(N) - lambda_hat(N_c)| (find_eigenvalue); None without a
-    #: coarse pass
     error_estimate: float | None = None
 
 
@@ -425,18 +456,13 @@ class SpectrumResult:
 def _annotate_multiplicities(entries: list[EigenvalueEntry]) -> list[EigenvalueEntry]:
     """Cluster roots closer than 1e-6 |lambda| and stamp each entry with its
     cluster size (symmetry-forced degeneracies, e.g. circle pairs)."""
-    entries = sorted(entries, key=lambda e: -e.lam)
-    out: list[EigenvalueEntry] = []
-    i = 0
-    while i < len(entries):
-        j = i + 1
-        while j < len(entries) and \
-                abs(entries[j].lam - entries[i].lam) <= 1e-6 * abs(entries[i].lam):
-            j += 1
-        for e in entries[i:j]:
-            out.append(replace(e, multiplicity=j - i))
-        i = j
-    return out
+    clusters: list[list[EigenvalueEntry]] = []
+    for e in sorted(entries, key=lambda e: -e.lam):
+        if clusters and abs(e.lam - clusters[-1][0].lam) <= 1e-6 * abs(clusters[-1][0].lam):
+            clusters[-1].append(e)
+        else:
+            clusters.append([e])
+    return [replace(e, multiplicity=len(cluster)) for cluster in clusters for e in cluster]
 
 
 def _check_tol(tol: float) -> None:
@@ -742,7 +768,11 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
 
     Branches with no root are reported in ``empty_branches`` (the delta
     interaction has finitely many eigenvalues), not as errors.  As in
-    enumerate_spectrum, the branches share one memo of S(lambda).
+    enumerate_spectrum, the branches share one memo of S(lambda), and each
+    root takes the root path of the oblique spectrum (``_root``, cold start
+    -1): a coarse pass, then one assembly at N and a Newton step, or the
+    bracketing march at N.  A branch whose coarse pass finds no root is
+    decided at N by the cold march.
     """
     _check_count(alpha, count, N, tol)
     if alpha > 0:
@@ -750,22 +780,14 @@ def delta_spectrum(curve: Curve, alpha: float, count: int, N: int = 256,
         return SpectrumResult(alpha, curve.name, N, tol, (), kind="delta",
                               empty_branches=tuple(range(1, count + 1)))
 
-    entries = []
-    empty = []
+    entries, empty = [], []
     with _branch(curve, count, N) as memo:
         for n in range(1, count + 1):
-
-            def f(lam: float) -> float:
-                # decreasing in lambda: mu_n increases, alpha < 0
-                return alpha * memo.mu(lam, n) + 1.0
-
-            root = _bracket_and_solve(f, list(memo.mus) or [-1.0], math.inf, tol,
-                                      increasing=False)
-            if root is None:
+            found = _root(memo, alpha, n, tol, lambda lam: 1.0, -1.0, -1.0)
+            if found is None:
                 empty.append(n)
-                continue
-            residual = abs(alpha * memo.mu(root, n) + 1.0)
-            entries.append(EigenvalueEntry(n, float(root), float(residual)))
+            else:
+                entries.append(EigenvalueEntry(n, *found[:2], error_estimate=found[2]))
     entries.sort(key=lambda e: -e.lam)
     return SpectrumResult(alpha, curve.name, N, tol, tuple(entries),
                           kind="delta", empty_branches=tuple(empty))

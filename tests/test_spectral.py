@@ -169,28 +169,73 @@ def _cold(monkeypatch):
     monkeypatch.setattr(spectral, "_coarse_nodes", lambda k, N: None)
 
 
-def test_seeded_roots_match_the_cold_path(monkeypatch, circle, ellipse, kite):
-    # N=256 seeds every root from a 128-node pass; the roots agree with
-    # cold Brent brackets at N to the tolerance, with no (N, kappa) pair
-    # assembled twice and at most two assemblies per eigenvalue at N
+def test_seeded_roots_match_the_cold_path(monkeypatch, circle, ellipse, kite, mirror_free):
+    # N=256 seeds every root from a 128-node pass; the roots of its Newton
+    # steps agree with cold Brent brackets at N to the tolerance, with no
+    # (N, kappa) pair assembled twice and one assembly per eigenvalue at N
     kappas = _record_assemblies(monkeypatch)
-    seeded = {}
-    for curve in (circle, ellipse, kite):
+    curves, seeded = (circle, ellipse, kite, mirror_free), {}
+    for curve in curves:
         kappas.clear()
         res = spectral.enumerate_spectrum(curve, -1.0, 9, N=256, tol=1e-9)
         assert len(set(kappas)) == len(kappas), curve.name
         fine = [k for k in kappas if k[0] == 256]
-        assert len(fine) <= 2 * 9 and {N for N, _ in kappas} == {128, 256}, curve.name
+        assert len(fine) == 9 and {N for N, _ in kappas} == {128, 256}, curve.name
         assert all(e.error_estimate is not None for e in res.eigenvalues)
         seeded[curve.name] = res.lambdas()
     _cold(monkeypatch)
-    for curve in (circle, ellipse, kite):
+    for curve in curves:
         kappas.clear()
         cold = spectral.enumerate_spectrum(curve, -1.0, 9, N=256, tol=1e-9)
         assert {N for N, _ in kappas} == {256}
         assert all(e.error_estimate is None for e in cold.eigenvalues)
         np.testing.assert_allclose(seeded[curve.name], cold.lambdas(), rtol=1e-9,
                                    err_msg=curve.name)
+
+
+def test_seeded_delta_roots_match_the_cold_path(monkeypatch, kite):
+    # the delta spectrum takes the same root path: one assembly at N per
+    # root after a coarse pass, with roots within the tolerance of cold
+    # Brent brackets at N.  Branches with no root, decided at N by the cold
+    # march, are the same on both paths
+    kappas = _record_assemblies(monkeypatch)
+    seeded, fine = {}, {}
+    for alpha, count in ((-6.0, 8), (-3.0, 6)):
+        kappas.clear()
+        seeded[alpha] = spectral.delta_spectrum(kite, alpha, count, N=256, tol=1e-9)
+        fine[alpha] = len([k for k in kappas if k[0] == 256])
+        assert len(set(kappas)) == len(kappas), alpha
+        assert all(e.error_estimate is not None and e.residual <= 1e-8
+                   for e in seeded[alpha].eigenvalues), alpha
+    assert seeded[-6.0].empty_branches == () and seeded[-3.0].empty_branches == (5, 6)
+    # 4 roots, then the march toward 0 of the two empty branches
+    assert fine[-6.0] == 8 and fine[-3.0] > 4
+    _cold(monkeypatch)
+    for alpha, count in ((-6.0, 8), (-3.0, 6)):
+        cold = spectral.delta_spectrum(kite, alpha, count, N=256, tol=1e-9)
+        assert cold.empty_branches == seeded[alpha].empty_branches, alpha
+        assert all(e.error_estimate is None for e in cold.eigenvalues), alpha
+        np.testing.assert_allclose(seeded[alpha].lambdas(), cold.lambdas(), rtol=1e-9,
+                                   err_msg=str(alpha))
+
+
+def test_spectrum_input_takes_one_assembly_per_root(monkeypatch, kite):
+    # the spectrum benchmark's full-size input, kite, alpha = -1, 9 roots at
+    # N = 512, which the benchmark's own tests run only at a tiny size: 9
+    # assemblies at N, no (N, kappa) twice, no eigenvectors at 128 nodes but
+    # one eigh per root, and each root's Birman-Schwinger residual,
+    # recomputed from a fresh dense assembly at lambda_N, within 1e-12
+    kappas, sizes = _record_assemblies(monkeypatch), []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+    res = spectral.enumerate_spectrum(kite, -1.0, 9, N=512, tol=1e-9)
+    monkeypatch.undo()
+    assert len([k for k in kappas if k[0] == 512]) == 9 and len(set(kappas)) == len(kappas)
+    assert sizes.count(128) == 9 and 512 not in sizes
+    g = geometry.grid(kite, 512)
+    for e in res.eigenvalues:
+        mu = bie.assemble_S(g, SpectralParameter.make(e.lam)).eigenvalues_desc(e.n)[e.n - 1]
+        assert abs(-1.0 * e.lam * mu - 1.0) <= 1e-12, e.n
 
 
 @pytest.mark.parametrize("name", ["kite", "ellipse", "circle", "mirror_free"])
@@ -209,8 +254,9 @@ def test_ritz_values_match_the_dense_eigensolve(request, name):
         coarse, fine = spectral._grid(curve, 128), spectral._grid(curve, 512)
         for kd in (0.5, 2.0, 5.0, 8.0, 10.0):
             lam = -(kd / curve.diameter) ** 2
-            _, V = bie.assemble_S(coarse, SpectralParameter.make(lam)).eigenvalues_desc(
-                k, k + spectral._RITZ_EXTRA)
+            V = spectral._top_vectors(
+                bie.assemble_S(coarse, SpectralParameter.make(lam)).entries,
+                k + spectral._RITZ_EXTRA)
             Q = spectral._ritz_basis(V, coarse, fine)
             assert Q.shape == (512, k + spectral._RITZ_EXTRA)
             np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-14)
@@ -264,43 +310,71 @@ def test_fine_pass_takes_ritz_values_and_falls_back_to_the_same_roots(monkeypatc
 
 def test_ordered_branches_keep_the_vectors_of_their_coarse_roots(monkeypatch, circle,
                                                                  kite):
-    # the coarse memo drops the vectors above each coarse root but the
-    # nearest, yet every branch of an enumeration, the circle's double ones
-    # included, builds its basis from the vectors at its own coarse root.
-    # Out of order, a root whose vectors went takes the dense eigensolve
-    bases = []
-    build = spectral._ritz_basis
-    monkeypatch.setattr(spectral, "_ritz_basis", lambda *args: bases.append(1) or build(*args))
-    for curve in (circle, kite):
-        bases.clear()
-        spectral.enumerate_spectrum(curve, -1.0, 6, N=256)
-        assert len(bases) == 6, curve.name
+    # every branch of an enumeration, the circle's double ones included,
+    # builds a Ritz basis from the vectors of its own coarse root, and its
+    # one evaluation at N takes Ritz values.  The vectors come from one eigh
+    # per root at the latest coarse abscissa its solve assembled; the second
+    # root of a circle pair assembles no coarse abscissa and reuses the
+    # first one's vectors, so no (N, kappa) is assembled twice
+    bases, eighs, outcomes = [], [], []
+    build, top, values = spectral._ritz_basis, spectral._top_vectors, spectral._ritz_values
+    monkeypatch.setattr(spectral, "_ritz_basis",
+                        lambda V, *args: bases.append(V) or build(V, *args))
+    monkeypatch.setattr(spectral, "_top_vectors", lambda *args: eighs.append(1) or top(*args))
+    monkeypatch.setattr(spectral, "_ritz_values",
+                        lambda *args: outcomes.append(values(*args)) or outcomes[-1])
+    kappas = _record_assemblies(monkeypatch)
+    # seven circle branches hold three pairs whole: six would split the
+    # third at k, where the Ritz gate reads a zero gap
+    for curve, count, distinct in ((circle, 7, 4), (kite, 6, 6)):
+        for seen in (bases, eighs, outcomes, kappas):
+            seen.clear()
+        spectral.enumerate_spectrum(curve, -1.0, count, N=256)
+        assert len(bases) == len(outcomes) == count, curve.name
+        assert all(o is not None for o in outcomes), curve.name
+        assert len(eighs) == len({id(V) for V in bases}) == distinct, curve.name
+        assert len(set(kappas)) == len(kappas), curve.name
+    # solved again in the same call, a root reads only memoized abscissae
     with bie._call():
         res = spectral.enumerate_spectrum(kite, -1.0, 4, N=256)
-        bases.clear()
+        kappas.clear()
         lam, _, _ = spectral.find_eigenvalue(kite, -1.0, 1, N=256)
-    assert bases == [] and lam == pytest.approx(res.eigenvalues[0].lam, rel=1e-9)
+    assert kappas == [] and lam == res.eigenvalues[0].lam
 
 
 def test_seeded_root_widens_from_a_poor_coarse_root(monkeypatch, kite):
-    # a coarse root 1e-6 off, 2000 tolerances, is not bracketed by the first
-    # step at N: the step widens 4-fold until the sign changes and Brent's
-    # method finishes the bracket, still within the tolerance
-    solve = spectral._solve_branch
-
-    def perturbed(memo, *args, **kwargs):
-        root, lam_hat = solve(memo, *args, **kwargs)
-        return root, lam_hat * (1 + 1e-6) if memo.N == 128 else lam_hat
-
+    # a coarse root 1e-6 off, 2000 tolerances, lands within the tolerance
+    # of the cold root in one Newton step, one assembly at N, and the step
+    # is the estimate.  One 1e-3 off, past the gate sqrt(tol) |lambda|,
+    # falls back to the march at N: the step widens 4-fold until the sign
+    # changes and Brent's method finishes the bracket, within the tolerance
+    secant = spectral._secant
     kappas = _record_assemblies(monkeypatch)
-    monkeypatch.setattr(spectral, "_solve_branch", perturbed)
-    lam, res, estimate = spectral.find_eigenvalue(kite, -1.0, 3, N=256)
-    assert len([k for k in kappas if k[0] == 256]) > 2
-    assert estimate == pytest.approx(1e-6 * abs(lam), rel=1e-3)
+    _, _, base = spectral.find_eigenvalue(kite, -1.0, 3, N=256)
+    results = {}
+    for offset in (1e-6, 1e-3):
+        def perturbed(memo, f, offset=offset):
+            lam_hat, slope = secant(memo, f)
+            return (lam_hat * (1 + offset), slope) if memo.N == 128 else (lam_hat, slope)
+
+        monkeypatch.setattr(spectral, "_secant", perturbed)
+        kappas.clear()
+        results[offset] = spectral.find_eigenvalue(kite, -1.0, 3, N=256)
+        results[offset, "fine"] = len([k for k in kappas if k[0] == 256])
     _cold(monkeypatch)
+    monkeypatch.setattr(spectral, "_secant", secant)
     cold, _, _ = spectral.find_eigenvalue(kite, -1.0, 3, N=256)
-    assert lam == pytest.approx(cold, rel=1e-9)
-    assert res <= 1e-8
+    for offset in (1e-6, 1e-3):
+        lam, res, estimate = results[offset]
+        assert lam == pytest.approx(cold, rel=1e-9), offset
+        assert estimate == pytest.approx(offset * abs(lam), rel=1e-3, abs=2 * base), offset
+    assert results[1e-6, "fine"] == 1 and results[1e-3, "fine"] > 2
+    # after the Newton step the residual is the one at the coarse root it
+    # stepped from, lambda_N - step; after the march, the one at the root
+    lam, res, estimate = results[1e-6]
+    lam_c = spectral.dispersion(kite, 3, lam - estimate, N=256)
+    assert res == pytest.approx(abs(-1.0 * lam_c.value - 1.0), rel=1e-6)
+    assert results[1e-3][1] <= 1e-8
 
 
 def test_seeded_circle_spectrum_matches_the_frozen_roots(circle, circle_roots):
@@ -382,11 +456,11 @@ def test_shared_memo_results_match_lone_branches(kite):
 def test_bracket_and_solve_seed_independence():
     f = lambda lam: lam + 5.0  # increasing with root -5
     for seed in (0.5, 1000.0):
-        root = spectral._bracket_and_solve(f, [-seed], math.inf, 1e-12, increasing=True)
+        root = spectral._bracket_and_solve(f, [-seed], math.inf, 1e-12)
         assert root == pytest.approx(-5.0, rel=1e-10)
-    # decreasing function with no root on (-inf, 0)
-    g = lambda lam: 1.0 + 1.0 / (1.0 - lam)
-    assert spectral._bracket_and_solve(g, [-1.0], math.inf, 1e-12, increasing=False) is None
+    # increasing function with no root on (-inf, 0)
+    g = lambda lam: lam / (1.0 - lam) - 1.0
+    assert spectral._bracket_and_solve(g, [-1.0], math.inf, 1e-12) is None
 
 
 def test_bracket_from_known_abscissae():
@@ -399,16 +473,15 @@ def test_bracket_from_known_abscissae():
         return lam + 5.0
 
     known = [-100.0, -7.0, -6.0, -2.0, -1.0]
-    root = spectral._bracket_and_solve(f, known, math.inf, 1e-12, increasing=True)
+    root = spectral._bracket_and_solve(f, known, math.inf, 1e-12)
     assert root == pytest.approx(-5.0, rel=1e-10)
     assert all(-6.0 <= lam <= -2.0 for lam in seen[len(known):])
     for one_side in ([-2.0, -1.0], [-7.0]):
         seen.clear()
-        root = spectral._bracket_and_solve(f, one_side, math.inf, 1e-12, increasing=True)
+        root = spectral._bracket_and_solve(f, one_side, math.inf, 1e-12)
         assert root == pytest.approx(-5.0, rel=1e-10)
         assert -1.0 not in seen[len(one_side):]  # no start besides the points
-    assert spectral._bracket_and_solve(f, [-5.0], math.inf, 1e-12,
-                                       increasing=True) == -5.0
+    assert spectral._bracket_and_solve(f, [-5.0], math.inf, 1e-12) == -5.0
 
 
 def _evaluations(f):
@@ -428,16 +501,16 @@ def test_cold_march_visits_powers_of_eight():
     # toward -infinity to a root at -1000 s, toward 0 to one at -s/1000
     s = 3.0
     far, seen = _evaluations(lambda lam: lam + 1000 * s)
-    spectral._bracket_and_solve(far, [-s], math.inf, 1e-12, increasing=True)
+    spectral._bracket_and_solve(far, [-s], math.inf, 1e-12)
     assert seen[:5] == [-s, -8 * s, -64 * s, -512 * s, -4096 * s]
     assert all(-4096 * s <= lam <= -512 * s for lam in seen[5:])
     near, seen = _evaluations(lambda lam: lam + s / 1000)
-    spectral._bracket_and_solve(near, [-s], math.inf, 1e-12, increasing=True)
+    spectral._bracket_and_solve(near, [-s], math.inf, 1e-12)
     assert seen[:5] == [-s, -s / 8, -s / 64, -s / 512, -s / 4096]
     assert all(-s / 512 <= lam <= -s / 4096 for lam in seen[5:])
     # a march that lands on the root returns it
-    assert spectral._bracket_and_solve(lambda lam: lam + 64 * s, [-s], math.inf, 1e-12,
-                                       increasing=True) == -64 * s
+    assert spectral._bracket_and_solve(lambda lam: lam + 64 * s, [-s], math.inf,
+                                       1e-12) == -64 * s
 
 
 def test_seeded_start_that_crosses_costs_two_evaluations():
@@ -447,8 +520,7 @@ def test_seeded_start_that_crosses_costs_two_evaluations():
     tol = 1e-9
     for start in (-5.0 * (1 + tol / 4), -5.0 * (1 - tol / 4)):
         f, seen = _evaluations(lambda lam: lam + 5.0)
-        root = spectral._bracket_and_solve(f, [start], tol * 5.0 / 2, tol,
-                                           increasing=True)
+        root = spectral._bracket_and_solve(f, [start], tol * 5.0 / 2, tol)
         assert len(seen) == 2
         assert root == pytest.approx(-5.0, rel=tol)
 
@@ -456,14 +528,13 @@ def test_seeded_start_that_crosses_costs_two_evaluations():
 def _synthetic_branch(monkeypatch, scale):
     """Replace every assembly by mu(lambda) = scale[N] / sqrt(-lambda), whose
     branch lambda mu(lambda) = 1/alpha has the root -(alpha scale[N])^-2 on
-    an N-node grid, with the first unit vectors as the eigenvectors a coarse
-    memo keeps; returns the (N, lambda) of every evaluation."""
+    an N-node grid, with the identity as the entries whose eigenvectors a
+    coarse memo takes; returns the (N, lambda) of every evaluation."""
     evaluated = []
 
-    def mu(g, lam, k, basis=None, vectors=0):
+    def mu(g, lam, k, basis=None):
         evaluated.append((g.N, lam))
-        return np.full(k, scale[g.N] / math.sqrt(-lam)), \
-            np.eye(g.N, vectors) if vectors else None
+        return np.full(k, scale[g.N] / math.sqrt(-lam)), np.eye(g.N)
 
     monkeypatch.setattr(spectral, "_mu_n", mu)
     return evaluated
