@@ -12,7 +12,7 @@ hashes the texts just written.
 A usage error or a numerical failure leaves no output file behind.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.  The THREADS
-environment variable caps the kernel-sum pool and the BLAS/OpenMP worker
+environment variable caps the thread pool and the BLAS/OpenMP worker
 counts, so it is checked and applied before numpy is imported; a THREADS
 that is not a positive integer is a usage error.  The pool size never
 changes results.  The command runs in one call scope (``bie._call``): the

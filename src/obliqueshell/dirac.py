@@ -28,24 +28,27 @@ centroid of the nodes (``bie._graf_plan``, R the nodes' largest distance from
 it) take K_0/K_1 from Graf's addition theorem about that centroid, as one
 product of K_n at the probes and I_n at the nodes, so such a probe costs two
 Bessel evaluations instead of 2N; the others take ``bessel_k_array``.  The
-study builds the blocks, and U on the gap (a) lattice, once; gap (a) still
-evaluates kernel_G on its lattice at every speed.  ``correction_convergence``
-builds the blocks once for its whole c-list, though it calls
-``dirac_correction`` per speed, and with them the correction's limit side
-(Psi M2 and its solve against I - alpha lambda S), which does not depend on
-c either.  Every
-speed takes K_0/K_1 at kappa(z) r = mu w from that one set by the
-multiplication theorem (DLMF 10.44.2): |1 - mu^2| = |lambda|/c^2, so the
-series in (1 - mu^2) w/2 needs a few terms, counted from a bound once per
-(speed, probe set).  Where the bound says it does not pay, K_0/K_1 at
-kappa(z) r are evaluated directly.  The (zbar, lambdabar) side of
-gap (c) and of the correction conjugates the Bessel values of the (z, lambda)
-side: kappa(zbar) = conj kappa(z), kappa(lambdabar) = conj kappa(lambda) and
-K_j(conj w) = conj K_j(w) hold exactly in floating point.  Phi M3 is built
-from the two live entries of the kernel's M3 column, both sides together in
-row chunks on the pool, and gaps (b) and (c) take the largest singular value
-of their tall weighted blocks from the small Gram matrix.  The correction is
-reported as its norm only: the difference has rank <= 2N, so the norm is
+study builds the blocks, and U on the gap (a) lattice, once, on the calling
+thread; gap (a) still evaluates kernel_G on its lattice at every speed.
+``correction_convergence`` builds the blocks once for its whole c-list, with
+the correction's limit side, which does not depend on c either (the
+Householder QR of its -Psi M2 columns and its solve against
+I - alpha lambda S).  Then each speed of either runs as one task on the
+``specfun`` pool; the tasks share the kept blocks and make their BLAS calls
+under the public call's one-thread scope.  Every speed takes K_0/K_1 at
+kappa(z) r = mu w from that one set by the multiplication theorem
+(DLMF 10.44.2): |1 - mu^2| = |lambda|/c^2, so the series in (1 - mu^2) w/2
+needs a few terms, counted from a bound once per (speed, probe set).  Where
+the bound says it does not pay, K_0/K_1 at kappa(z) r are evaluated
+directly.  The (zbar, lambdabar) side of gap (c) and of the correction
+conjugates the Bessel values of the (z, lambda) side: kappa(zbar) =
+conj kappa(z), kappa(lambdabar) = conj kappa(lambda) and K_j(conj w) =
+conj K_j(w) hold exactly in floating point.  Phi M3 is built from the two
+live entries of the kernel's M3 column, both sides together, in probe row
+groups fixed by the probe and node counts.  Gaps (b) and (c) take the
+largest singular value of their tall weighted blocks from the small Gram
+matrix, summed over those groups, so no tall block is held.  The correction
+is reported as its norm only: the difference has rank <= 2N, so the norm is
 taken from the QR triangle of its left low-rank factor times its right
 factor, and no 2M x 2M kernel is formed.
 """
@@ -56,7 +59,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zherk
+from scipy.linalg import lapack
 
 from . import bie, specfun, spectral
 from .bie import VolumeGrid
@@ -173,10 +176,22 @@ def _probes(sp: SpectralParameter, g: QuadratureGrid, points: np.ndarray) -> _Pr
     return _Probes(x, r, sp.kappa, k0, k1, L, L_bar)
 
 
-#: most probe-node pairs per row chunk of ``_phi_m3_sides``: the series'
-#: five chunk temporaries stay about 0.6 MB per worker, which keeps the
-#: memory the workers' malloc arenas retain small
+#: most probe-node pairs per probe row group.  ``_phi_m3_sides`` fills its
+#: blocks, each speed of the gap study forms and multiplies its weighted
+#: rows, and the correction sums its Gram matrix over probe columns, one
+#: group at a time: a group's series temporaries stay about 0.6 MB, which
+#: keeps the memory the workers' malloc arenas retain small.  The groups
+#: depend on the probe and node counts only, not on the pool, so neither do
+#: the bits of the Gram matrices summed over them.
 _PHI_CHUNK = 1 << 13
+
+
+def _row_groups(M: int, N: int) -> list[slice]:
+    """Consecutive slices of range(M), as few of nearly equal length as keep
+    each within _PHI_CHUNK // N rows (one at least)."""
+    n = -(-M // max(1, _PHI_CHUNK // N))
+    bounds = [M * i // n for i in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _phi_m3(dp: DiracParameter, r: np.ndarray, sx: np.ndarray, top: np.ndarray,
@@ -203,70 +218,101 @@ def _phi_m3(dp: DiracParameter, r: np.ndarray, sx: np.ndarray, top: np.ndarray,
     bottom *= dp.lam / c - c / 2
 
 
-def _phi_m3_sides(dp: DiracParameter, pr: _Probes) -> tuple[np.ndarray, np.ndarray]:
-    """Phi_z M3 and Phi_zbar M3, built together in row chunks on the pool.
+def _phi_m3_rows(dp: DiracParameter, pr: _Probes):
+    """fill(rows, top, bottom, top_bar, bottom_bar), which writes the probe
+    rows ``rows`` of the two spinor components of Phi_z M3 into top and
+    bottom and those of Phi_zbar M3 into top_bar and bottom_bar.
 
     K_j(kappa(z) r) come from the probes' K_0/K_1 at w = kappa(lambda) r by
     the multiplication theorem with mu = kappa(z)/kappa(lambda), since
     |1 - mu^2| = |lambda|/c^2 is small; where its term bound says the series
     does not pay, from ``bessel_k_array`` at kappa(z) r.  The zbar side
     conjugates them: kappa(zbar) = conj kappa(z) and K_j(conj w) = conj K_j(w).
+    Elementwise, so a row's bits do not depend on the rows filled with it.
     """
-    M, N = pr.r.shape
     dp_bar = DiracParameter.make(np.conj(dp.lam), dp.c)
     mu = dp.kappa / pr.kappa
     kappa = abs(pr.kappa)
     terms = specfun._multiplication_terms(mu, kappa * float(pr.r.min()), kappa * float(pr.r.max()))
-    if terms is None:
-        arg = dp.kappa * pr.r
-        k0, k1 = specfun.bessel_k_array(0, arg), specfun.bessel_k_array(1, arg)
 
-    def fill(rows: slice) -> None:
-        top, bottom = rows, slice(M + rows.start, M + rows.stop)
+    def fill(rows: slice, top, bottom, top_bar, bottom_bar) -> None:
         if terms is None:
-            phi[top], phi[bottom] = k1[rows], k0[rows]
+            arg = dp.kappa * pr.r[rows]
+            top[...] = specfun.bessel_k_array(1, arg)
+            bottom[...] = specfun.bessel_k_array(0, arg)
         else:
             specfun._k01_multiplication(mu, pr.kappa * pr.r[rows], pr.k0[rows],
-                                        pr.k1[rows], terms, phi[bottom], phi[top])
-        np.conj(phi[top], out=phi_bar[top])
-        np.conj(phi[bottom], out=phi_bar[bottom])
+                                        pr.k1[rows], terms, bottom, top)
+        np.conj(top, out=top_bar)
+        np.conj(bottom, out=bottom_bar)
         x, r = pr.x[rows], pr.r[rows]
         sx = x[..., 0] - 1j * x[..., 1]
-        _phi_m3(dp, r, sx, phi[top], phi[bottom])
-        _phi_m3(dp_bar, r, sx, phi_bar[top], phi_bar[bottom])
+        _phi_m3(dp, r, sx, top, bottom)
+        _phi_m3(dp_bar, r, sx, top_bar, bottom_bar)
 
+    return fill
+
+
+def _phi_m3_sides(dp: DiracParameter, pr: _Probes) -> tuple[np.ndarray, np.ndarray]:
+    """Phi_z M3 and Phi_zbar M3 as (2M, N) blocks, filled together by
+    ``_phi_m3_rows`` in the probe row groups of ``_row_groups`` on the pool."""
+    M, N = pr.r.shape
+    fill = _phi_m3_rows(dp, pr)
     phi = np.empty((2 * M, N), dtype=complex)
     phi_bar = np.empty((2 * M, N), dtype=complex)
-    specfun._run_chunks(fill, specfun._even_slices(M, max(1, _PHI_CHUNK // N)))
+
+    def fill_rows(rows: slice) -> None:
+        bottom = slice(M + rows.start, M + rows.stop)
+        fill(rows, phi[rows], phi[bottom], phi_bar[rows], phi_bar[bottom])
+
+    specfun._run_chunks(fill_rows, _row_groups(M, N))
     return phi, phi_bar
 
 
-def _gap_phi(c: float, phi: np.ndarray, L: np.ndarray, g: QuadratureGrid,
-             vol: VolumeGrid) -> float:
-    """Largest singular value of c Phi_z M3 - Psi_lambda M2 (boundary to volume),
-    phi = Phi_z M3 and L the kernel of Psi_lambda M2, both quadrature weights.
+def _gap_grams(dp: DiracParameter, pr: _Probes, g: QuadratureGrid,
+               vol: VolumeGrid) -> np.ndarray:
+    """The N x N Gram matrices A^H A of gap (b)'s weighted 2M x N block
+    A = (c Phi_z M3 - Psi_lambda M2) sqrt(w), and of gap (c)'s, the same at
+    (zbar, lambdabar), stacked (2, N, N).
 
-    Psi M2 takes the M3 density to the first spinor component.  The weighted
-    block A is 2M x N with 2M >> N, so sigma_max(A) is taken as the square
-    root of the largest eigenvalue of the N x N Gram matrix A^H A: that
-    eigenvalue carries a rounding error of order eps ||A||^2, which is
-    relative precision for sigma_max, at a fraction of an SVD's cost.  A is
-    formed in place: phi is overwritten.  The Gram matrix is the lower
-    triangle of zherk on A.T, the Fortran-ordered view of A, so no copy of A
-    is made; it is conj(A^H A), whose eigenvalues are those of A^H A.
+    Psi M2 takes the M3 density to the first spinor component; w holds both
+    quadrature weights.  A is never held: in each probe row group of
+    ``_row_groups``, in order, the group's rows of both components are
+    formed and their product added by numpy's ``matmul``, which runs on
+    two pool workers at once, where scipy's ``zherk`` holds the GIL.
     """
-    A = phi
-    A *= c
-    A[:len(vol.points)] -= L
-    A *= np.sqrt(g.weight * g.jacobians)[None, :]
-    A *= np.sqrt(vol.weight)
-    gram = zherk(1.0, A.T, lower=1)
+    M, N = pr.r.shape
+    fill = _phi_m3_rows(dp, pr)
+    weight = np.sqrt(g.weight * g.jacobians * vol.weight)
+    grams = np.zeros((2, N, N), dtype=complex)
+    for rows in _row_groups(M, N):
+        m = rows.stop - rows.start
+        A = np.empty((2, 2 * m, N), dtype=complex)
+        fill(rows, A[0, :m], A[0, m:], A[1, :m], A[1, m:])
+        for side, L, gram in zip(A, (pr.L, pr.L_bar), grams):
+            side *= dp.c
+            side[:m] -= L[rows]
+            side *= weight
+            gram += side.conj().T @ side
+    return grams
+
+
+def _gap_phi(gram: np.ndarray) -> float:
+    """Largest singular value of c Phi_z M3 - Psi_lambda M2 (boundary to
+    volume), from the Gram matrix of its weighted block (``_gap_grams``).
+
+    The block is 2M x N with 2M >> N, so sigma_max is taken as the square
+    root of the largest eigenvalue of the N x N Gram matrix: that eigenvalue
+    carries a rounding error of order eps ||A||^2, which is relative
+    precision for sigma_max, at a fraction of an SVD's cost.
+    """
     return float(np.sqrt(np.linalg.eigvalsh(gram, UPLO="L")[-1]))
 
 
 #: Gap (c), c M3 Phi*_zbar - M2^T Psi*_lambdabar (volume to boundary), is the
 #: adjoint of gap (b)'s operator at (zbar, lambdabar): the same computation
-#: on Phi_zbar M3 and L(lambdabar), kept under its own name for tracing.
+#: on the Gram matrix of Phi_zbar M3 and L(lambdabar), kept under its own
+#: name for tracing.
 _gap_phi_star = _gap_phi
 
 
@@ -293,15 +339,23 @@ def _c_free_blocks(curve: Curve, sp: SpectralParameter, N: int, vol: VolumeGrid)
     return bie._kept(("c_free", curve, sp.lam, N, vol.points.tobytes()), build)
 
 
+def _gap_row(dp: DiracParameter, g: QuadratureGrid, pr: _Probes, lam_S: np.ndarray,
+             vol: VolumeGrid, lattice) -> tuple[float, float, float, float]:
+    """The gap row (a0, phi, phi_star, c) of one speed from the blocks that
+    do not depend on c."""
+    grams = _gap_grams(dp, pr, g, vol)
+    return (_gap_a0(dp, vol, lattice), _gap_phi(grams[0]), _gap_phi_star(grams[1]),
+            _gap_c(dp, lam_S, g))
+
+
 def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
               volume_box: VolumeGrid | None, check_box: bool):
     """Yield the gap row (a0, phi, phi_star, c) for each speed in c_values.
 
     The blocks that do not depend on c (``_c_free_blocks`` and U on the gap
-    (a) lattice) are built once; per c, ``_phi_m3_sides`` takes K_0/K_1 at
-    kappa(z) from the probes' set at kappa(lambda) and conjugates them for
-    the (zbar, lambdabar) side.  ``check_box`` tests the box at the first
-    speed.
+    (a) lattice) are built first, on the calling thread; then each speed's
+    ``_gap_row`` is one pool task.  ``check_box`` adds a task that takes gap
+    (a) of the first speed on a box twice as wide.
     """
     lam = _require_nonreal(lam)
     sp = SpectralParameter.make(lam)
@@ -312,26 +366,21 @@ def _gap_rows(curve: Curve, lam: complex, c_values, N: int,
     lattice = _a0_lattice(sp, vol)
     lam_S = sp.lam * S
 
-    for i, dp in enumerate(dps):
-        a0 = _gap_a0(dp, vol, lattice)
-        if check_box and i == 0:
-            hw = float(vol.xs[-1] - vol.xs[0] + vol.h)
-            big = bie.make_volume_grid(hw, len(vol.xs))
-            a0_big = _gap_a0(dp, big, _a0_lattice(sp, big))
-            if abs(a0_big - a0) > 0.10 * abs(a0):
-                raise ConfigurationError(
-                    f"volume box too small: doubling it moves gap (a) from "
-                    f"{a0:.4g} to {a0_big:.4g} (> 10%)"
-                )
-        phi, phi_bar = _phi_m3_sides(dp, pr)
-        row = (
-            a0,
-            _gap_phi(dp.c, phi, pr.L, g, vol),
-            _gap_phi_star(dp.c, phi_bar, pr.L_bar, g, vol),
-            _gap_c(dp, lam_S, g),
-        )
-        del phi, phi_bar  # not held while the next speed builds its blocks
-        yield row
+    def wide_box_a0() -> float:
+        big = bie.make_volume_grid(float(vol.xs[-1] - vol.xs[0] + vol.h), len(vol.xs))
+        return _gap_a0(dps[0], big, _a0_lattice(sp, big))
+
+    tasks = [wide_box_a0] if check_box else []
+    tasks += [lambda dp=dp: _gap_row(dp, g, pr, lam_S, vol, lattice) for dp in dps]
+    rows = specfun._run_chunks(lambda task: task(), tasks)
+    if check_box:
+        a0_big, a0 = rows.pop(0), rows[0][0]
+        if abs(a0_big - a0) > 0.10 * abs(a0):
+            raise ConfigurationError(
+                f"volume box too small: doubling it moves gap (a) from "
+                f"{a0:.4g} to {a0_big:.4g} (> 10%)"
+            )
+    yield from rows
 
 
 @dataclass(frozen=True)
@@ -393,19 +442,36 @@ CORRECTION_PROBE_HALFWIDTH = 1.5
 
 
 def _limit_side(alpha: float, sp: SpectralParameter, g: QuadratureGrid, pr: _Probes,
-                S: np.ndarray, vol: VolumeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The correction's limit-side factors, which do not depend on c: Psi M2
-    and Y = (I - alpha lambda S M3)^-1 alpha M2^T Psi*_lambdabar, both acting
-    on the first spinor component, in the weighting of ``dirac_correction``.
-    Built once per call scope for each curve, alpha, lambda, N and probe
-    set, read-only."""
+                S: np.ndarray, vol: VolumeGrid):
+    """The correction's limit-side factors, which do not depend on c, in the
+    weighting of ``dirac_correction``: the Householder QR of its -Psi M2
+    columns (``lapack.zgeqrf``'s reflectors and tau) and R_Y = R11 Y, R11
+    that QR's triangle and Y = (I - alpha lambda S M3)^-1 alpha M2^T
+    Psi*_lambdabar, both acting on the first spinor component.  Built once
+    per call scope for each curve, alpha, lambda, N and probe set,
+    read-only."""
     d = np.sqrt(g.jacobians)
     psi = pr.L * (g.weight * d)
     psi_star = np.conj(pr.L_bar).T * (vol.weight * d)[:, None]
     Y = np.linalg.solve(np.eye(g.N) - alpha * sp.lam * S, alpha * psi_star)
-    for arr in (psi, Y):
+    k = min(psi.shape)
+    qr, tau = lapack.zgeqrf(-psi)[:2]
+    reflectors, R_Y = qr[:, :k], np.triu(qr[:k]) @ Y
+    for arr in (reflectors, tau, R_Y):
         arr.setflags(write=False)
-    return psi, Y
+    return reflectors, tau, R_Y
+
+
+def _correction_blocks(curve: Curve, alpha: float, sp: SpectralParameter, N: int,
+                       probe_n: int):
+    """The probe box of the correction and its blocks that do not depend on
+    c: the grid, the ``_probes`` and the ``_limit_side``, kept in the call
+    scope."""
+    vol = bie.make_volume_grid(CORRECTION_PROBE_HALFWIDTH * curve.diameter, probe_n)
+    g, pr, S = _c_free_blocks(curve, sp, N, vol)
+    side = bie._kept(("limit_side", curve, sp.lam, N, alpha, vol.points.tobytes()),
+                     lambda: _limit_side(alpha, sp, g, pr, S, vol))
+    return vol, g, pr, side
 
 
 @bie._call()
@@ -419,33 +485,35 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
     lambda S M3)^-1 alpha M2^T Psi*_lambdabar, supported in the first spinor
     component.  Returns ||sqrt(w) (K_D - K_S) sqrt(w)||_2 with w the probe
     weight; neither 2M x 2M kernel is formed.  The difference is
-    [c Phi | -Psi] [X; Y] with 2N inner columns.  With R the thin QR
-    triangle of the left factor, whose Q has orthonormal columns, its norm
-    is that of the 2N x 2M product P = R [X; Y], taken as the square root of
-    the largest eigenvalue of the 2N x 2N Gram matrix P P^H, as in
-    ``_gap_phi``.  The (zbar, lambdabar) factors conjugate the Bessel arrays
-    of the (z, lambda) ones.  Zero coupling gives 0.0; a non-finite alpha
-    raises ParameterError.
+    [-Psi | c Phi] [Y; X] with 2N inner columns, Psi's rows below the first
+    M zero.  Its Householder QR takes the c-free Psi columns first: Q1 R11
+    from ``_limit_side``, then Q1^H on the top M rows of c Phi
+    (``lapack.zunmqr``), whose first k = min(M, N) rows are R12, and the QR
+    triangle R22 of the other 2M - k rows.  With R = [[R11, R12], [0, R22]],
+    whose Q has orthonormal columns, the norm is that of the product
+    P = R [Y; X], with [R12; R22] X taken as ([R12; R22] B^-1)(alpha c Phi*)
+    from one solve against the rows of R, and is the square root of the
+    largest eigenvalue of the Gram matrix P P^H, as in ``_gap_phi``, summed
+    over column groups of P.  The (zbar, lambdabar) factors conjugate the
+    Bessel arrays of the (z, lambda) ones.  Zero coupling gives 0.0; a
+    non-finite alpha raises ParameterError.
     """
     if not np.isfinite(alpha):
         raise ParameterError(f"alpha must be finite, got {alpha}")
-    lam = _require_nonreal(lam)
-    sp = SpectralParameter.make(lam)
-    dp = DiracParameter.shifted(lam, c)
-    vol = bie.make_volume_grid(CORRECTION_PROBE_HALFWIDTH * curve.diameter, probe_n)
-    g, pr, S = _c_free_blocks(curve, sp, N, vol)
+    sp = SpectralParameter.make(_require_nonreal(lam))
+    dp = DiracParameter.shifted(sp.lam, c)
+    vol, g, pr, (reflectors, tau, R_Y) = _correction_blocks(curve, alpha, sp, N, probe_n)
     if alpha == 0:
         return 0.0
     M = len(vol.points)
-    Nn = g.N
+    k = reflectors.shape[1]
 
     # Dirac side: the boundary maps act on M3-component densities, N x N, in
     # the orthonormal basis of the boundary matrices, where a nodal density
     # x is d x: the boundary-to-volume maps take the weight w d, the
     # volume-to-boundary maps' rows the factor d
     d = np.sqrt(g.jacobians)
-    w_b = g.weight * d
-    B = np.eye(Nn) - alpha * c ** 2 * bie.assemble_M3CM3(g, dp).entries
+    B = np.eye(g.N) - alpha * c ** 2 * bie.assemble_M3CM3(g, dp).entries
     smin = float(np.linalg.svd(B, compute_uv=False)[-1])
     if smin <= spectral.POLE_GATE:
         raise PoleProximityError(
@@ -453,31 +521,47 @@ def dirac_correction(curve: Curve, alpha: float, lam: complex, c: float,
             f"(smallest singular value {smin:.3g})"
         )
     phi, phi_star = _phi_m3_sides(dp, pr)
-    phi *= w_b
+    phi *= g.weight * d
     phi *= c
     np.conj(phi_star, out=phi_star)
     phi_star *= vol.weight * d
     phi_star = phi_star.T
-    X = np.linalg.solve(B, alpha * c * phi_star)
 
-    psi, Y = bie._kept(("limit_side", curve, sp.lam, N, alpha, vol.points.tobytes()),
-                       lambda: _limit_side(alpha, sp, g, pr, S, vol))
+    # zunm2r sets each reflector's diagonal entry to 1 while it works, so it
+    # gets a copy: the kept reflectors are shared by the speeds' pool tasks
+    a = reflectors.copy(order="F")
+    lwork = int(lapack.zunmqr(b"L", b"C", a, tau, phi[:M], -1)[1][0].real)
+    top = lapack.zunmqr(b"L", b"C", a, tau, phi[:M], lwork)[0]
+    rest = np.concatenate([top[k:], phi[M:]])
+    del phi
+    R_X = np.concatenate([top[:k], np.linalg.qr(rest, mode="r")])
+    del rest, top
 
-    # K_D - K_S = [phi | -psi] [X; Y] = Q R [X; Y], psi zero-padded and Y
-    # acting on the first M columns only; Q has orthonormal columns
-    left = np.zeros((2 * M, 2 * Nn), dtype=complex)
-    left[:, :Nn] = phi
-    left[:M, Nn:] = -psi
-    R = np.linalg.qr(left, mode="r")
-    P = R[:, :Nn] @ X
-    P[:, :M] += R[:, Nn:] @ Y
-    return vol.weight * float(np.sqrt(np.linalg.eigvalsh(P @ P.conj().T)[-1]))
+    # P = R [Y; X] is W (alpha c Phi*), W = [R12; R22] B^-1 from one solve
+    # against the rows of R, plus R_Y on its first k rows and M columns; its
+    # Gram matrix P P^H is summed over column groups, so P is not held
+    W = np.linalg.solve(B.T, R_X.T).T
+    gram = np.zeros((len(W), len(W)), dtype=complex)
+    for cols in _row_groups(M, len(W)):
+        for shift in (0, M):
+            P = W @ (alpha * c * phi_star[:, shift + cols.start:shift + cols.stop])
+            if shift == 0:
+                P[:k] += R_Y[:, cols]
+            gram += P @ P.conj().T
+    return vol.weight * float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 @bie._call()
 def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,
                            N: int = 128, probe_n: int = 24) -> tuple[list, float]:
-    """Difference norms of dirac_correction over a c-list and the fitted slope."""
+    """Difference norms of dirac_correction over a c-list and the fitted
+    slope.  The blocks that do not depend on c are built first, on the
+    calling thread; then each speed's ``dirac_correction`` is one pool
+    task."""
     c_values = _speeds(c_values)
-    norms = [dirac_correction(curve, alpha, lam, c, N, probe_n) for c in c_values]
+    if np.isfinite(alpha):
+        _correction_blocks(curve, alpha, SpectralParameter.make(_require_nonreal(lam)), N,
+                           probe_n)
+    norms = specfun._run_chunks(
+        lambda c: dirac_correction(curve, alpha, lam, c, N, probe_n), c_values)
     return norms, _fit_slope(c_values, norms)

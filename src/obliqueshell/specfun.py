@@ -10,18 +10,21 @@ integer-order I_n/K_n on the positive reals back the circle
 diagonalization oracle.  The test fixtures pin both K paths, the I_0/I_1
 arrays and the integer orders against an independent 40-digit oracle.
 
-This lowest layer also owns the package's one thread pool, sized by THREADS.
-Bessel arrays longer than one chunk are split into equal chunks, a whole
-number of them per worker, and evaluated on it; ``bie`` runs its kernel-sum
-rows and its MK assembly's triangle (I_0, K_0 and the weights in one pass,
-``bie._MK_PAIRS``), and ``dirac`` its Phi M3 rows and the K_0/K_1 of its near
-probes (one order per task), through the same slicing rule and submit
-helper.  The ufuncs are elementwise and release the GIL, so
-the chunks run in parallel and the result does not depend on how the array
-is split.  A call made inside a pool task runs inline, so no task ever waits
-on the pool.  Pool tasks make no BLAS call: OpenBLAS's helper threads would
-compete with the workers for the cores, and the kernel sums' bits would
-depend on the BLAS thread count.
+This lowest layer also owns the package's one thread pool, sized by THREADS,
+and its one submit helper, ``_run_chunks``.  Bessel arrays longer than one
+chunk are split into equal chunks, a whole number of them per worker, and
+evaluated on it; ``bie`` runs its kernel-sum rows and its MK assembly's
+triangle (I_0, K_0 and the weights in one pass, ``bie._MK_PAIRS``) through
+the same slicing rule, and ``dirac`` the K_0/K_1 of its near probes (one
+order per task) and each speed of its limit study and its correction (one
+speed per task).  The ufuncs are elementwise and release the GIL, so the
+chunks run in parallel and the result does not depend on how the array is
+split.  A call made inside a pool task runs inline, so no task ever waits
+on the pool.  Kernel-sum, Bessel and MK tasks make no BLAS call: OpenBLAS's
+helper threads would compete with the workers for the cores, and the kernel
+sums' bits would depend on the BLAS thread count.  The Dirac speed tasks do
+(Gram products, eigensolves, QRs and solves), under the one-thread scope
+below that the public call submitting them holds open.
 
 BLAS calls on the calling thread (eigensolves, solves, Gram products) run
 serially too: every public call runs inside ``_serial_blas``, which sets the
@@ -31,17 +34,19 @@ it ends, also by an exception.  A threaded BLAS call would leave its helper
 threads spinning on the cores the pool needs next, and would make LAPACK's
 last bits depend on OPENBLAS_NUM_THREADS; with the scope they do not.  Where
 no OpenBLAS with ``openblas_set_num_threads_local`` is found (another BLAS,
-OpenBLAS before 0.3.27, no /proc/self/maps), the scope does nothing.
+OpenBLAS before 0.3.27, no /proc/self/maps), the scope does nothing, and
+the BLAS calls of concurrent Dirac speed tasks may oversubscribe the cores.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy import special as sp
@@ -81,23 +86,32 @@ def _pool() -> ThreadPoolExecutor:
 _in_task = threading.local()
 
 
-def _marked(fn, item) -> None:
+def _marked(fn, item):
     _in_task.active = True
     try:
-        fn(item)
+        return fn(item)
     finally:
         _in_task.active = False
 
 
-def _run_chunks(fn, items: list) -> None:
-    """fn(item) for every item, on the pool.  One item, or a call from inside
-    a pool task, runs inline on the calling thread: a task that waited on
-    the pool could wait for itself."""
+def _run_chunks(fn, items: list) -> list:
+    """[fn(item) for item in items], the calls made on the pool.
+
+    Each task runs in its own copy of the caller's ``contextvars`` context,
+    so a task sees the caller's call scope (``bie._call``, ``bie._kept``) and
+    a public call made in it is nested in the caller's.  Every submitted task
+    has finished before this returns or re-raises the first error in item
+    order, so no task outlives the call that submitted it.  One item, or a
+    call from inside a pool task, runs inline on the calling thread: a task
+    that waited on the pool could wait for itself.
+    """
     if len(items) <= 1 or getattr(_in_task, "active", False):
-        for item in items:
-            fn(item)
-        return
-    list(_pool().map(functools.partial(_marked, fn), items))
+        return [fn(item) for item in items]
+    pool = _pool()
+    futures = [pool.submit(contextvars.copy_context().run, _marked, fn, item)
+               for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +52,25 @@ def bessel_oracle():
 def circle_roots():
     with open(FIXTURES / "circle_roots.json") as fh:
         return json.load(fh)
+
+
+def _digests(script: str, envs: list[dict]) -> list[str]:
+    """The SHA-256 digest script prints, from one subprocess per entry of
+    envs, each run with this checkout's src and the entry's variables."""
+    src = str(pathlib.Path(geometry.__file__).resolve().parents[1])
+    digests = []
+    for extra in envs:
+        env = {**os.environ, "PYTHONPATH": src, **extra}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+        assert len(digests[-1]) == 64
+    return digests
+
+
+@pytest.fixture(scope="session")
+def run_digests():
+    """``_digests``: the digests a script prints under several environments,
+    for tests that outputs do not depend on thread counts."""
+    return _digests

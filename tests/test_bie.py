@@ -1,7 +1,5 @@
 import os
-import pathlib
 import re
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -1092,27 +1090,12 @@ print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
 """
 
 
-def _digests(script: str, envs: list[dict]) -> list[str]:
-    """The SHA-256 digest script prints, from one subprocess per entry of
-    envs, each run with this checkout's src and the entry's variables."""
-    src = str(pathlib.Path(bie.__file__).resolve().parents[1])
-    digests = []
-    for extra in envs:
-        env = {**os.environ, "PYTHONPATH": src, **extra}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-        assert len(digests[-1]) == 64
-    return digests
-
-
-def test_kernel_sums_do_not_depend_on_the_blas_thread_count():
+def test_kernel_sums_do_not_depend_on_the_blas_thread_count(run_digests):
     # pool tasks make no BLAS call, and Graf's expansion at the far volume
     # nodes none either, so the volume and trace sums give the same bits at
     # 1 and 2 BLAS threads with THREADS fixed, also outside a public call's
     # serial BLAS scope
-    digests = _digests(_KERNEL_SUM_DIGEST, [{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas}
+    digests = run_digests(_KERNEL_SUM_DIGEST, [{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas}
                                             for blas in ("1", "2")])
     assert digests[0] == digests[1]
 
@@ -1129,10 +1112,10 @@ print(hashlib.sha256(res.values.tobytes() + res.density.tobytes()).hexdigest())
 """
 
 
-def test_krein_apply_is_bit_identical_for_any_thread_count():
+def test_krein_apply_is_bit_identical_for_any_thread_count(run_digests):
     # THREADS sizes the kernel-sum pool; the BLAS thread variables are
     # inherited unchanged by both runs
-    digests = _digests(_KREIN_DIGEST, [{"THREADS": threads} for threads in ("1", "2")])
+    digests = run_digests(_KREIN_DIGEST, [{"THREADS": threads} for threads in ("1", "2")])
     assert digests[0] == digests[1]
 
 
@@ -1148,7 +1131,7 @@ print(hashlib.sha256(b"".join(w.tobytes() for w in W)).hexdigest())
 """
 
 
-def test_mk_assembly_is_bit_identical_for_any_thread_count(monkeypatch):
+def test_mk_assembly_is_bit_identical_for_any_thread_count(monkeypatch, run_digests):
     # the MK triangle runs as slices on the pool, cut by the worker count
     # that THREADS sets; each weight is computed elementwise, so the real
     # and complex kappa weights at N = 512 have the same bits at 1 and 2
@@ -1159,7 +1142,7 @@ def test_mk_assembly_is_bit_identical_for_any_thread_count(monkeypatch):
         cuts.append(specfun._even_slices(384 * 383 // 2, bie._MK_PAIRS))
     assert len(cuts[0]) > 1 and cuts[0] != cuts[1]
     monkeypatch.undo()
-    digests = _digests(_MK_DIGEST, [{"THREADS": threads} for threads in ("1", "2")])
+    digests = run_digests(_MK_DIGEST, [{"THREADS": threads} for threads in ("1", "2")])
     assert digests[0] == digests[1]
 
 
@@ -1191,11 +1174,11 @@ print(hashlib.sha256(open(out, "rb").read()).hexdigest())
 @needs_blas_setter
 @pytest.mark.parametrize("script", [_KREIN_256_DIGEST, _SPECTRUM_DIGEST],
                          ids=["krein_apply_N256", "spectrum_json"])
-def test_lapack_results_do_not_depend_on_the_blas_thread_count(script):
+def test_lapack_results_do_not_depend_on_the_blas_thread_count(script, run_digests):
     # the public call runs BLAS on one thread, so krein_apply's N x N solve
     # and the spectrum's eigensolves give the same bits at 1 and 2 BLAS
     # threads (both differed before the serial scope)
-    digests = _digests(script, [{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas}
+    digests = run_digests(script, [{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas}
                                 for blas in ("1", "2")])
     assert digests[0] == digests[1]
 

@@ -1,8 +1,10 @@
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from obliqueshell import bie, dirac, geometry, kernels, specfun
 from obliqueshell.errors import DomainError, ParameterError
@@ -156,44 +158,57 @@ def test_correction_rejects_non_finite_alpha(circle, alpha):
         dirac.dirac_correction(circle, alpha, 1j, 16.0, N=48, probe_n=10)
 
 
+def _dense_difference_norm(curve, alpha, lam, c, N, probe_n):
+    """||sqrt(w) (K_D - K_S) sqrt(w)||_2 from dense 2M x 2M kernels: the
+    Dirac side from the full spinor formula
+    c Phi_z P3 (I - alpha c^2 M3 C_z M3)^-1 alpha c P3 Phi*_zbar with 2N x 2N
+    padded boundary matrices, the limit side
+    Psi M2 (I - alpha lambda S)^-1 alpha M2^T Psi*_lambdabar from kernel_L."""
+    g = geometry.grid(curve, N)
+    vol = bie.make_volume_grid(1.5 * curve.diameter, probe_n)  # the probe volume
+    M = len(vol.points)
+    w_b = g.weight * g.jacobians
+    dp = DiracParameter.shifted(lam, c)
+    dp_bar = DiracParameter.shifted(np.conj(lam), c)
+    C = np.zeros((2 * N, 2 * N), dtype=complex)
+    C[N:, N:] = _nodal(g, bie.assemble_M3CM3(g, dp).entries)
+    P3 = np.zeros((2 * N, 2 * N))
+    P3[N:, N:] = np.eye(N)
+    diff = vol.points[:, None, :] - g.points[None, :, :]
+    phi = _spinor_flatten(kernel_G(dp, diff) * w_b[None, :, None, None])
+    GH = np.conj(np.swapaxes(kernel_G(dp_bar, diff), -1, -2))
+    phi_star = _spinor_flatten(np.swapaxes(GH, 0, 1)) * vol.weight
+    R = np.linalg.inv(np.eye(2 * N) - alpha * c ** 2 * C)
+    K_dirac = (c * phi) @ P3 @ R @ (alpha * c * P3 @ phi_star)
+
+    sp = SpectralParameter.make(lam)
+    psi = kernel_L(sp, diff) * w_b
+    psi_star = np.conj(kernel_L(sp.conjugate, diff)).T * vol.weight
+    S = _nodal(g, bie.assemble_S(g, sp).entries)
+    K_schrod = np.zeros_like(K_dirac)
+    K_schrod[:M, :M] = psi @ np.linalg.solve(np.eye(N) - alpha * lam * S, alpha * psi_star)
+    return vol.weight * np.linalg.norm(K_dirac - K_schrod, 2)
+
+
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
 @pytest.mark.parametrize("c", [8.0, 64.0, 256.0])
 def test_difference_norm_matches_dense_norm(circle, kite, mirror_free, lam, c):
     # the norm taken from the rank <= 2N factors equals that of dense 2M x 2M
     # kernels built here independently; at c = 256, K_D - K_S is smallest
-    # relative to its factors.  The Dirac side comes from the full spinor
-    # formula c Phi_z P3 (I - alpha c^2 M3 C_z M3)^-1 alpha c P3 Phi*_zbar with
-    # 2N x 2N padded boundary matrices, the limit side
-    # Psi M2 (I - alpha lambda S)^-1 alpha M2^T Psi*_lambdabar from kernel_L
-    alpha = -1.0
+    # relative to its factors
     for curve in (circle, kite, mirror_free):
-        g = geometry.grid(curve, 32)
-        vol = bie.make_volume_grid(1.5 * curve.diameter, 8)  # the probe volume
-        N, M = g.N, len(vol.points)
-        w_b = g.weight * g.jacobians
-        dp = DiracParameter.shifted(lam, c)
-        dp_bar = DiracParameter.shifted(np.conj(lam), c)
-        C = np.zeros((2 * N, 2 * N), dtype=complex)
-        C[N:, N:] = _nodal(g, bie.assemble_M3CM3(g, dp).entries)
-        P3 = np.zeros((2 * N, 2 * N))
-        P3[N:, N:] = np.eye(N)
-        diff = vol.points[:, None, :] - g.points[None, :, :]
-        phi = _spinor_flatten(kernel_G(dp, diff) * w_b[None, :, None, None])
-        GH = np.conj(np.swapaxes(kernel_G(dp_bar, diff), -1, -2))
-        phi_star = _spinor_flatten(np.swapaxes(GH, 0, 1)) * vol.weight
-        R = np.linalg.inv(np.eye(2 * N) - alpha * c ** 2 * C)
-        K_dirac = (c * phi) @ P3 @ R @ (alpha * c * P3 @ phi_star)
+        got = dirac.dirac_correction(curve, -1.0, lam, c, N=32, probe_n=8)
+        dense = _dense_difference_norm(curve, -1.0, lam, c, 32, 8)
+        assert got == pytest.approx(dense, rel=1e-12), curve.name
 
-        sp = SpectralParameter.make(lam)
-        psi = kernel_L(sp, diff) * w_b
-        psi_star = np.conj(kernel_L(sp.conjugate, diff)).T * vol.weight
-        S = _nodal(g, bie.assemble_S(g, sp).entries)
-        K_schrod = np.zeros_like(K_dirac)
-        K_schrod[:M, :M] = psi @ np.linalg.solve(np.eye(N) - alpha * lam * S,
-                                                 alpha * psi_star)
 
-        dense = vol.weight * np.linalg.norm(K_dirac - K_schrod, 2)
-        got = dirac.dirac_correction(curve, alpha, lam, c, N=32, probe_n=8)
+@pytest.mark.parametrize("c", [8.0, 256.0])
+def test_difference_norm_with_fewer_probes_than_nodes(kite, mirror_free, c):
+    # with M = 16 probes and N = 32 nodes the -Psi panel has fewer rows than
+    # columns: its QR triangle is 16 x 32 and R has 2M rows
+    for curve in (kite, mirror_free):
+        got = dirac.dirac_correction(curve, -1.0, 1 + 2j, c, N=32, probe_n=4)
+        dense = _dense_difference_norm(curve, -1.0, 1 + 2j, c, 32, 4)
         assert got == pytest.approx(dense, rel=1e-12), curve.name
 
 
@@ -359,11 +374,13 @@ def test_probes_hold_little_beyond_their_outputs(kite):
 
 def test_slow_speeds_take_the_bessel_array_path(mirror_free):
     # at c = 1, 2 (|1 - mu^2| = 1, 1/4) the series does not pay; Phi M3 is
-    # kernel_G's bit for bit, and so are the gaps of blocks built from it
+    # kernel_G's bit for bit, and so are the gaps of Gram matrices built
+    # from it over the same probe row groups
     lam, N = 1j, 64
     sp = SpectralParameter.make(lam)
     g = geometry.grid(mirror_free, N)
     vol = bie.make_volume_grid(3 * mirror_free.diameter, 24)
+    M = len(vol.points)
     pr = dirac._probes(sp, g, vol.points)
     for c in (1.0, 2.0):
         dp = DiracParameter.shifted(lam, c)
@@ -374,11 +391,15 @@ def test_slow_speeds_take_the_bessel_array_path(mirror_free):
                                    (pr.L, pr.L_bar), row[1:3]):
             phi = _phi_m3_reference(p, pr.x)
             assert np.array_equal(side, phi)
-            A = c * phi
-            A[:len(vol.points)] -= L
-            A *= np.sqrt(g.weight * g.jacobians)[None, :]
-            A *= np.sqrt(vol.weight)
-            assert gap == float(np.sqrt(np.linalg.eigvalsh(A.conj().T @ A)[-1]))
+            A = phi
+            A *= c
+            A[:M] -= L
+            A *= np.sqrt(g.weight * g.jacobians * vol.weight)
+            gram = np.zeros((N, N), dtype=complex)
+            for rows in dirac._row_groups(M, N):
+                group = np.concatenate([A[rows], A[M + rows.start:M + rows.stop]])
+                gram += group.conj().T @ group
+            assert gap == float(np.sqrt(np.linalg.eigvalsh(gram, UPLO="L")[-1]))
 
 
 @pytest.mark.parametrize("lam", [1j, 1 + 2j])
@@ -437,22 +458,117 @@ def test_phi_m3_sides_hold_little_beyond_their_outputs(kite, monkeypatch):
 
 @pytest.mark.parametrize("c", [8.0, 128.0])
 def test_gap_phi_from_gram_matrix_equals_svd(kite, mirror_free, c):
-    # sigma_max from the N x N Gram matrix equals the SVD's on the same
-    # weighted 2M x N block, on both sides (gap (b) at (z, lambda), gap (c)
+    # sigma_max from the N x N Gram matrix, summed over probe row groups,
+    # equals the SVD's on the same weighted 2M x N block, on both sides (gap (b) at (z, lambda), gap (c)
     # at (zbar, lambdabar))
     lam = 1j
     for curve in (kite, mirror_free):
         g = geometry.grid(curve, 64)
         vol = bie.make_volume_grid(3 * curve.diameter, 24)
         pr = dirac._probes(SpectralParameter.make(lam), g, vol.points)
-        sides = dirac._phi_m3_sides(DiracParameter.shifted(lam, c), pr)
-        for phi, L in zip(sides, (pr.L, pr.L_bar)):
+        dp = DiracParameter.shifted(lam, c)
+        sides = dirac._phi_m3_sides(dp, pr)
+        for phi, L, gram in zip(sides, (pr.L, pr.L_bar), dirac._gap_grams(dp, pr, g, vol)):
             A = c * phi
             A[:len(vol.points)] -= L
             A *= np.sqrt(g.weight * g.jacobians * vol.weight)[None, :]
             ref = np.linalg.svd(A, compute_uv=False)[0]
-            got = dirac._gap_phi(c, phi, L, g, vol)
+            got = dirac._gap_phi(gram)
             assert abs(got - ref) <= 1e-13 * ref, (curve.name, c)
+
+
+def test_a_gap_speed_holds_little_beyond_the_probes(kite):
+    # one speed of the study on its 48^2 x 128 probe set forms its weighted
+    # rows one probe row group at a time: the peak over the speed, with the
+    # c-free blocks built, stays under 4 MB, less than one (2M, N) block of
+    # Phi M3 (9 MB), which the study held two of per speed
+    vol = bie.make_volume_grid(3.0 * kite.diameter, 48)
+    sp = SpectralParameter.make(1j)
+    with bie._call():
+        g, pr, S = dirac._c_free_blocks(kite, sp, 128, vol)
+        lattice = dirac._a0_lattice(sp, vol)
+        lam_S = sp.lam * S
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dirac._gap_row(DiracParameter.shifted(1j, 8.0), g, pr, lam_S, vol, lattice)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    block = 2 * len(vol.points) * g.N * 16
+    assert peak <= 4 * 2 ** 20 < block, peak / 2 ** 20
+
+
+def test_zunmqr_gets_a_copy_of_the_kept_reflectors(kite, monkeypatch):
+    # zunm2r sets each reflector's diagonal entry to 1 while it works and
+    # restores it after, also through a read-only array; the kept reflectors
+    # are shared by the speeds' pool tasks, so no call may receive them
+    kept, shared = [], []
+    zgeqrf, zunmqr = lapack.zgeqrf, lapack.zunmqr
+
+    def factor(*args, **kwargs):
+        out = zgeqrf(*args, **kwargs)
+        kept.append(out[0])
+        return out
+
+    def apply(side, trans, a, *args, **kwargs):
+        shared.append(any(np.shares_memory(a, reflectors) for reflectors in kept))
+        return zunmqr(side, trans, a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgeqrf", factor)
+    monkeypatch.setattr(lapack, "zunmqr", apply)
+    dirac.correction_convergence(kite, -1.0, 1j, [16, 64, 256], N=32, probe_n=8)
+    assert len(kept) == 1 and shared and not any(shared)
+
+
+def _tiny_nonrel(curve) -> bytes:
+    """The outputs of the benchmark's tiny nonrel workload, as bytes."""
+    study = dirac.nonrel_limit_study(curve, 1j, [8, 16], N=32, check_box=True)
+    norms, slope = dirac.correction_convergence(curve, -1.0, 1j, [16, 64], N=32)
+    gaps = np.array([study.gaps()[k] for k in ("a0", "phi", "phistar", "c")])
+    return gaps.tobytes() + np.array(norms + [slope]).tobytes()
+
+
+def test_nonrel_calls_on_a_four_worker_pool_are_bit_identical(kite, monkeypatch):
+    # the speeds run as concurrent tasks that share the kept c-free blocks;
+    # none may disturb another's bits, also with more workers than cores and
+    # threads switched often
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        monkeypatch.setattr(specfun, "_pool", lambda: pool)
+        sys.setswitchinterval(1e-5)
+        try:
+            first = _tiny_nonrel(kite)
+            assert all(_tiny_nonrel(kite) == first for _ in range(39))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+_NONREL_DIGEST = """
+import hashlib, numpy as np
+from obliqueshell import dirac, geometry
+kite = geometry.make_curve("kite")
+study = dirac.nonrel_limit_study(kite, 1j, [8, 16, 32], N=32, check_box=True)
+norms, slope = dirac.correction_convergence(kite, -1.0, 1j, [16, 64, 256], N=32)
+gaps = np.array([study.gaps()[k] for k in ("a0", "phi", "phistar", "c")])
+print(hashlib.sha256(gaps.tobytes() + np.array(norms + [slope]).tobytes()).hexdigest())
+"""
+
+needs_blas_setter = pytest.mark.skipif(
+    not specfun._blas_setters(),
+    reason="no OpenBLAS with openblas_set_num_threads_local in this process")
+
+
+@pytest.mark.parametrize("envs", [
+    [{"THREADS": threads} for threads in ("1", "2", "4")],
+    pytest.param([{"THREADS": "2", "OPENBLAS_NUM_THREADS": blas} for blas in ("1", "2")],
+                 marks=needs_blas_setter)], ids=["pool", "blas"])
+def test_nonrel_is_bit_identical_for_any_thread_count(envs, run_digests):
+    # each speed is one pool task whose BLAS calls run under the public
+    # call's one-thread scope, and its Gram matrices are summed over row
+    # groups that do not depend on the pool (THREADS = 4 exceeds the cores
+    # of a 2-core box, which caps the pool at 2)
+    assert len(set(run_digests(_NONREL_DIGEST, envs))) == 1
 
 
 def test_correction_reference_block_structure(circle):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -239,6 +240,43 @@ def test_even_slices_cover_the_array_in_equal_shares(size, threads, monkeypatch)
         assert len(slices) == 1
     else:
         assert len(slices) % specfun._workers() == 0
+
+
+def test_run_chunks_waits_for_every_task_before_it_raises(monkeypatch):
+    # item 1 raises at once while items 0 and 2 sleep: the error that reaches
+    # the caller is the first in item order (item 0's), and no sibling is
+    # still running when it does
+    finished = []
+
+    def task(item):
+        if item == 1:
+            raise ValueError("item 1")
+        time.sleep(0.2)
+        finished.append(item)
+        if item == 0:
+            raise KeyError("item 0")
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        monkeypatch.setattr(specfun, "_pool", lambda: pool)
+        with pytest.raises(KeyError, match="item 0"):
+            specfun._run_chunks(task, [0, 1, 2])
+        assert sorted(finished) == [0, 2]
+
+
+def test_run_chunks_returns_in_item_order_inside_the_callers_scope(monkeypatch):
+    # results come back in item order whichever task ends first, and every
+    # task sees the block its caller kept in the call scope
+    def task(item):
+        time.sleep(0.02 * (3 - item))
+        return item, bie._kept(("block",), object)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        monkeypatch.setattr(specfun, "_pool", lambda: pool)
+        with bie._call():
+            block = bie._kept(("block",), object)
+            results = specfun._run_chunks(task, [0, 1, 2, 3])
+    assert [item for item, _ in results] == [0, 1, 2, 3]
+    assert all(kept is block for _, kept in results)
 
 
 _NESTED_KERNEL_SUM = """
