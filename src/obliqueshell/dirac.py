@@ -559,7 +559,7 @@ def correction_convergence(curve: Curve, alpha: float, lam: complex, c_values,
     calling thread; then each speed's ``dirac_correction`` is one pool
     task."""
     c_values = _speeds(c_values)
-    if np.isfinite(alpha):
+    if np.isfinite(alpha):  # else every speed raises ParameterError
         _correction_blocks(curve, alpha, SpectralParameter.make(_require_nonreal(lam)), N,
                            probe_n)
     norms = specfun._run_chunks(
